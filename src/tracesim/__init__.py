@@ -13,8 +13,8 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .corpus import Expected, Fixture, FixtureResult, load_corpus, run_corpus, run_fixture
 from .errors import (BudgetExceededError, ConvergenceError, IndefiniteMatrixError,
                      KindMismatchError, LetterIndexError, MissingUnitsError,
-                     NonCentralCoefficientError, NonSymmetricError, ShapeError,
-                     SingularMatrixError, TracesimError, TupleFileError,
+                     NonCentralCoefficientError, NonFiniteError, NonSymmetricError,
+                     ShapeError, SingularMatrixError, TracesimError, TupleFileError,
                      WitnessConstructionError, ZeroPolynomialError)
 from .fields import Field, Kind, StarMode
 from .intertwiner import (GLVerdict, IntertwinerBasis, find_invertible, gl_similar,
@@ -62,5 +62,5 @@ __all__ = [
     "TracesimError", "KindMismatchError", "ShapeError", "SingularMatrixError",
     "BudgetExceededError", "LetterIndexError", "NonSymmetricError", "ConvergenceError",
     "IndefiniteMatrixError", "NonCentralCoefficientError", "MissingUnitsError",
-    "WitnessConstructionError", "ZeroPolynomialError", "TupleFileError",
+    "WitnessConstructionError", "ZeroPolynomialError", "TupleFileError", "NonFiniteError",
 ]

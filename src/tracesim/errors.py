@@ -13,6 +13,10 @@ class KindMismatchError(TracesimError):
     """Operands live in different scalar kinds; no silent coercion."""
 
 
+class NonFiniteError(TracesimError):
+    """NaN or infinite scalar given to a float kind."""
+
+
 class ShapeError(TracesimError):
     """Dimensions incompatible with the requested operation."""
 

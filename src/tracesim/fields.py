@@ -13,11 +13,12 @@ exactly the regime where trace-word separation is known to break down.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import KindMismatchError
+from .errors import KindMismatchError, NonFiniteError
 
 
 class Kind(enum.Enum):
@@ -73,7 +74,8 @@ class Field:
         """Accept a raw scalar of matching kind; reject cross-kind input.
 
         ints are welcome everywhere (they embed exactly in all three kinds);
-        anything lossy (float into rational, complex into real) is an error.
+        anything lossy (float into rational, complex into real) is an error,
+        and so is a NaN or infinite float.
         """
         if isinstance(value, bool):
             raise KindMismatchError("bool is not a scalar")
@@ -83,10 +85,10 @@ class Field:
             raise KindMismatchError("rational field expects int or Fraction, got %r" % (value,))
         if self.kind is Kind.REAL64:
             if isinstance(value, (int, float)):
-                return float(value)
+                return _finite(float(value))
             raise KindMismatchError("float64 field expects int or float, got %r" % (value,))
         if isinstance(value, (int, float, complex)):
-            return complex(value)
+            return _finite(complex(value))
         raise KindMismatchError("complex128 field expects a number, got %r" % (value,))
 
     def star_scalar(self, value):
@@ -106,6 +108,13 @@ class Field:
                 "kind/star mismatch: %s/%s vs %s/%s"
                 % (self.kind.value, self.star_mode.value, other.kind.value, other.star_mode.value)
             )
+
+
+def _finite(value):
+    """``value`` itself when it is finite; NaN and infinities are rejected."""
+    if not cmath.isfinite(value):
+        raise NonFiniteError("non-finite scalar %r" % (value,))
+    return value
 
 
 _ZERO = {Kind.RATIONAL: Fraction(0), Kind.REAL64: 0.0, Kind.COMPLEX128: 0j}

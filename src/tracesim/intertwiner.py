@@ -23,10 +23,10 @@ determinant restricted to the span:
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,8 @@ import numpy as np
 from . import _kernels as _kern
 from .errors import BudgetExceededError, ShapeError
 from .fields import Field
-from .matrices import Matrix, MatrixTuple
+from .matrices import (Matrix, MatrixTuple, _clear_denominators, _int_matrices,
+                       _int_nullspace, _require_exact_tol)
 from .words import fingerprint, fingerprints_equal
 
 DEFAULT_TRIALS = 20
@@ -81,25 +82,46 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
     equations exactly in rational mode.
     """
     _check_pair(x, y)
-    n, d = x.n, x.d
-    pairs = list(zip(x.matrices, y.matrices))
-    if with_star:
-        pairs += list(zip(x.stars(), y.stars()))
-    zero = x.field.zero()
+    n = x.n
+    if x.field.is_exact:
+        _require_exact_tol(tol)
+        mats, _ = _int_matrices(x.matrices + y.matrices)
+        xs, ys = mats[:x.d], mats[x.d:]
+        if with_star:  # the exact star is the transpose
+            xs += [[list(c) for c in zip(*m)] for m in xs]
+            ys += [[list(c) for c in zip(*m)] for m in ys]
+        kernel = _int_nullspace(_system_rows(xs, ys, n, 0), n * n)
+        basis = tuple(Matrix(x.field, n, n, tuple(v)) for v in kernel)
+    else:
+        xs = [m.row_list() for m in x.matrices]
+        ys = [m.row_list() for m in y.matrices]
+        if with_star:
+            xs += [m.row_list() for m in x.stars()]
+            ys += [m.row_list() for m in y.stars()]
+        rows = _system_rows(xs, ys, n, x.field.zero())
+        system = Matrix(x.field, len(rows), n * n, tuple(e for row in rows for e in row))
+        kernel = system.nullspace(tol)
+        basis = tuple(Matrix(x.field, n, n, v.entries) for v in kernel)
+    return IntertwinerBasis(n, with_star, x.field, basis)
+
+
+def _system_rows(xs, ys, n: int, zero) -> list:
+    """Rows of P X_i - Y_i P = 0 over the row-major entries of P.
+
+    ``xs`` and ``ys`` hold the matrices as row lists; each pair contributes
+    n^2 rows.
+    """
     rows = []
-    for xi, yi in pairs:
+    for xi, yi in zip(xs, ys):
         for a in range(n):
             for b in range(n):
                 row = [zero] * (n * n)
                 for s in range(n):
-                    row[a * n + s] = row[a * n + s] + xi.at(s, b)
+                    row[a * n + s] = row[a * n + s] + xi[s][b]
                 for r in range(n):
-                    row[r * n + b] = row[r * n + b] - yi.at(a, r)
+                    row[r * n + b] = row[r * n + b] - yi[a][r]
                 rows.append(row)
-    system = Matrix.from_rows(x.field, rows)
-    kernel = system.nullspace(tol)
-    basis = tuple(Matrix(x.field, n, n, v.entries) for v in kernel)
-    return IntertwinerBasis(n, with_star, x.field, basis)
+    return rows
 
 
 # -- invertible element search -------------------------------------------------
@@ -110,14 +132,9 @@ def _int_basis(b: IntertwinerBasis):
     det(sum c_j B_j) != 0 iff det(sum c_j B'_j) != 0 since B' = L*B for one
     global L > 0.
     """
-    denom = 1
-    for m in b.basis:
-        for e in m.entries:
-            denom = denom * e.denominator // math.gcd(denom, e.denominator)
-    out = []
-    for m in b.basis:
-        out.append([int(e * denom) for e in m.entries])
-    return out
+    ints, _ = _clear_denominators([e for m in b.basis for e in m.entries])
+    nn = b.n * b.n
+    return [ints[k:k + nn] for k in range(0, len(ints), nn)]
 
 
 def _exact_combo_invertible(int_basis, coeffs, n) -> bool:
@@ -209,11 +226,25 @@ class GLVerdict:
 
 
 def _power_traces(m: Matrix, upto: int) -> list:
-    out = []
-    acc = m
-    for _ in range(upto):
-        out.append(acc.trace())
-        acc = acc * m
+    """tr(m^k) for k = 1..upto (upto >= 1); the exact kind multiplies L m in
+    ints, L clearing the denominators of m."""
+    if not m.field.is_exact:
+        out = []
+        acc = m
+        for _ in range(upto):
+            out.append(acc.trace())
+            acc = acc * m
+        return out
+    n = m.rows
+    (rows,), denom = _int_matrices([m])
+    cols = [list(c) for c in zip(*rows)]
+    out = [Fraction(sum(rows[i][i] for i in range(n)), denom)]
+    acc = rows  # (L m)^(k-1); the last factor is folded into the trace
+    for k in range(2, upto + 1):
+        out.append(Fraction(sum(sum(map(mul, row, col)) for row, col in zip(acc, cols)),
+                            denom ** k))
+        if k < upto:
+            acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
     return out
 
 
@@ -237,7 +268,7 @@ def _filter_not_similar(x: MatrixTuple, y: MatrixTuple) -> Optional[str]:
                 return "trace of component %d power %d differs" % (i + 1, kpow)
     fx = fingerprint(x, 2, include_star=False)
     fy = fingerprint(y, 2, include_star=False)
-    equal, diff = fingerprints_equal(fx, fy, tol=1e-6 * scale ** 2 * x.n)
+    equal, diff = fingerprints_equal(fx, fy, tol=1e-6)
     if not equal:
         return "pure trace word differs (%s)" % diff
     return None

@@ -362,6 +362,23 @@ def _float_tol(tol):
     return tol
 
 
+def _clear_denominators(values) -> tuple:
+    """(ints, L) with L the lcm of the denominators of the sequence of
+    rationals ``values`` and ``ints[k] == L * values[k]``; L is 1 when empty."""
+    denom = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (denom // x.denominator) for x in values], denom
+
+
+def _int_matrices(matrices) -> tuple:
+    """(row lists of L * m for each matrix m, L), one L clearing them all."""
+    ints, denom = _clear_denominators([e for m in matrices for e in m.entries])
+    out, k = [], 0
+    for m in matrices:
+        out.append([ints[k + r * m.cols:k + (r + 1) * m.cols] for r in range(m.rows)])
+        k += m.rows * m.cols
+    return out, denom
+
+
 def _int_rows(m: Matrix):
     """Clear denominators row by row; returns (int rows, per-row scale factors).
 
@@ -371,11 +388,8 @@ def _int_rows(m: Matrix):
     out = []
     scales = []
     for i in range(m.rows):
-        row = [m.at(i, j) for j in range(m.cols)]
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
+        row, denom = _clear_denominators(m.entries[i * m.cols:(i + 1) * m.cols])
+        out.append(row)
         scales.append(denom)
     return out, scales
 
@@ -394,8 +408,17 @@ def _exact_det(m: Matrix):
 
 def _exact_nullspace(m: Matrix) -> list:
     rows, _ = _int_rows(m)
+    return [Matrix(m.field, m.cols, 1, tuple(v)) for v in _int_nullspace(rows, m.cols)]
+
+
+def _int_nullspace(rows, ncols: int) -> list:
+    """Right-kernel basis of an integer matrix, one Fraction list per free column.
+
+    ``rows`` is consumed.  The vector for free column f has a 1 there and 0
+    at every other free column, so it does not depend on how the rows were
+    scaled.
+    """
     ech, pivots, _ = _kern.echelon_int(rows)
-    ncols = m.cols
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -412,7 +435,7 @@ def _exact_nullspace(m: Matrix) -> list:
                 if v[j]:
                     acc += row[j] * v[j]
             v[pc] = -acc / row[pc]
-        basis.append(Matrix(m.field, ncols, 1, tuple(v)))
+        basis.append(v)
     return basis
 
 

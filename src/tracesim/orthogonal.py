@@ -251,9 +251,7 @@ def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, mode: str 
         raise ShapeError("unknown mode %r" % mode)
     if filter_degree:
         try:
-            scale = max(1.0, x.maxabs(), y.maxabs())
-            equal, diff = specht_equivalent(
-                x, y, filter_degree, tol=1e-6 * scale ** filter_degree * x.n)
+            equal, diff = specht_equivalent(x, y, filter_degree, tol=1e-6)
             if not equal:
                 return OrthVerdict("not_equivalent", None, None,
                                    "trace-word filter: %s" % diff)

@@ -14,6 +14,7 @@ Parsing then printing then parsing is the identity.
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 from fractions import Fraction
@@ -45,6 +46,8 @@ def field_from_names(field_name: str, star_name: str | None) -> Field:
 
 
 def parse_entry(field: Field, raw):
+    """One entry in file syntax as a scalar of ``field``; NaN and infinities
+    (which ``json`` accepts) are rejected."""
     kind = field.kind
     if kind is Kind.RATIONAL:
         if not isinstance(raw, str) or not _RATIONAL_RE.match(raw):
@@ -56,11 +59,15 @@ def parse_entry(field: Field, raw):
     if kind is Kind.REAL64:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise TupleFileError("float64 entries are numbers, got %r" % (raw,))
-        return float(raw)
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
+        value = float(raw)
+    elif (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw)):
         raise TupleFileError("complex128 entries are [re, im] pairs, got %r" % (raw,))
-    return complex(raw[0], raw[1])
+    else:
+        value = complex(raw[0], raw[1])
+    if not cmath.isfinite(value):
+        raise TupleFileError("non-finite entry %r" % (raw,))
+    return value
 
 
 def format_entry(field: Field, value):

@@ -13,6 +13,14 @@ The fingerprint of a tuple maps every canonical word of degree <= D to its
 trace; equality of fingerprints is the orbit-separating invariant the
 similarity decisions use as a necessary condition (and, for the star
 alphabet at D = n^2 over the right fields, a sufficient one).
+
+Rational fingerprints are computed in Python ints: one L clears every
+denominator of the tuple, and tr w(X) = tr w(L X) / L^deg(w).  Words are
+visited in lexicographic order so each reuses the integer product of the
+prefix it shares with the previous word, and the last letter is folded
+into the trace in O(n^2).  Float kinds multiply numpy arrays word by word
+and compare values with a tolerance relative to n * max(1, s)^deg(w), s
+the largest Frobenius norm among the tuples' matrices.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -28,7 +38,7 @@ import numpy as np
 from . import _kernels as _kern
 from .errors import BudgetExceededError, KindMismatchError, LetterIndexError, ShapeError
 from .fields import Field, Kind
-from .matrices import Matrix, MatrixTuple
+from .matrices import Matrix, MatrixTuple, _int_matrices
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -158,6 +168,8 @@ class Fingerprint:
     include_star: bool
     field: Field
     entries: dict  # canonical Word -> trace value, in canonical order
+    n: int
+    norm: float  # largest Frobenius norm among the tuple's matrices
 
     def words(self) -> list:
         return list(self.entries.keys())
@@ -189,27 +201,50 @@ def fingerprint(x: MatrixTuple, max_degree: int, include_star: bool = True,
         values = _eval_traces_exact(words, x)
     else:
         values = _eval_traces_float(words, x)
+    norm = max(float(np.linalg.norm(m.to_numpy())) for m in x.matrices)
     return Fingerprint(x.d, max_degree, include_star, x.field,
-                       dict(zip(words, values)))
+                       dict(zip(words, values)), x.n, norm)
 
 
 def _eval_traces_exact(words: Iterable[Word], x: MatrixTuple) -> list:
+    """Exact traces in Python ints: tr w(X) = tr w(L X) / L^deg(w).
+
+    L clears every denominator of the tuple once.  Words are visited in
+    lexicographic order of their codes so each one reuses the integer
+    product of the prefix it shares with the previous word; the last
+    letter is folded straight into the trace.
+    """
+    words = list(words)
     n = x.n
-    mats = {}
-    for i, m in enumerate(x.matrices):
-        mats[2 * i] = m.row_list()
-        mats[2 * i + 1] = m.star().row_list()
-    out = []
-    for w in words:
-        acc = None
-        for c in w.codes:
-            b = mats[c]
-            if acc is None:
-                acc = [row[:] for row in b]
-                continue
-            acc = [[sum(arow[t] * b[t][j] for t in range(n)) for j in range(n)]
-                   for arow in acc]
-        out.append(sum(acc[i][i] for i in range(n)))
+    int_mats, denom = _int_matrices(x.matrices)
+    mats, cols = {}, {}
+    for i, rows in enumerate(int_mats):
+        t = [list(c) for c in zip(*rows)]
+        mats[2 * i], mats[2 * i + 1] = rows, t  # the exact star is the transpose
+        cols[2 * i], cols[2 * i + 1] = t, rows
+    out = [None] * len(words)
+    prefix = ()  # codes whose running products sit in ``stack``
+    stack = []
+    for k in sorted(range(len(words)), key=lambda k: words[k].codes):
+        codes = words[k].codes
+        head = codes[:-1]
+        keep = 0
+        while keep < len(prefix) and keep < len(head) and prefix[keep] == head[keep]:
+            keep += 1
+        del stack[keep:]
+        for c in head[keep:]:
+            if stack:
+                b = cols[c]
+                stack.append([[sum(map(mul, row, col)) for col in b] for row in stack[-1]])
+            else:
+                stack.append(mats[c])
+        prefix = head
+        last = cols[codes[-1]]
+        if stack:
+            tr = sum(sum(map(mul, row, col)) for row, col in zip(stack[-1], last))
+        else:
+            tr = sum(last[i][i] for i in range(n))
+        out[k] = Fraction(tr, denom ** len(codes))
     return out
 
 
@@ -231,19 +266,25 @@ def _eval_traces_float(words: Iterable[Word], x: MatrixTuple) -> list:
 def fingerprints_equal(a: Fingerprint, b: Fingerprint, tol: float = 1e-8):
     """(equal, first difference in canonical order or None).
 
-    Exact comparison for rational fingerprints, absolute tolerance for
-    float kinds.
+    Exact comparison for rational fingerprints.  Float kinds compare word w
+    with |va - vb| <= tol * n * max(1, s)^deg(w), s the larger of the two
+    fingerprints' norms: a trace of a degree-k word is bounded by
+    n * s^k, so the tolerance is relative to the size the value can reach.
     """
     if (a.d, a.degree_bound, a.include_star) != (b.d, b.degree_bound, b.include_star):
         raise ShapeError("fingerprint shape mismatch")
     if a.field.kind != b.field.kind:
         raise KindMismatchError("fingerprints live in different kinds")
     exact = a.field.is_exact
+    scale = max(1.0, a.norm, b.norm)
+    bound = [tol * a.n]  # bound[k] = tol * n * scale^k; products overflow to inf, not raise
+    for _ in range(a.degree_bound):
+        bound.append(bound[-1] * scale)
     for w, va in a.entries.items():
         vb = b.entries[w]
         if exact:
             if va != vb:
                 return False, FingerprintDiff(w, va, vb)
-        elif abs(va - vb) > tol:
+        elif abs(va - vb) > bound[w.degree]:
             return False, FingerprintDiff(w, va, vb)
     return True, None

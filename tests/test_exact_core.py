@@ -1,0 +1,162 @@
+"""The integer exact core against Fraction references built here.
+
+Rational trace words, power traces and intertwiner systems are computed
+after clearing denominators once; these tests rebuild each answer the plain
+way, with ``Matrix`` arithmetic over ``Fraction``s, and demand equality.
+"""
+
+import dataclasses
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import givens_orthogonal
+from tracesim import (Field, Matrix, MatrixTuple, TupleFileError, enumerate_canonical,
+                      eval_word, fingerprint, fingerprints_equal, intertwiner_basis,
+                      load_corpus, load_tuple, specht_equivalent)
+from tracesim.intertwiner import _power_traces
+
+FQ = Field.rational()
+
+
+def rand_fraction_matrix(rng, n):
+    return Matrix(FQ, n, n, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                                  for _ in range(n * n)))
+
+
+def rational_tuples():
+    """Random tuples with denominators up to 7 for n = 1..4, d = 1..3, plus zeros."""
+    rng = random.Random(2024)
+    out = []
+    for n in range(1, 5):
+        for d in range(1, 4):
+            x = MatrixTuple.of(*(rand_fraction_matrix(rng, n) for _ in range(d)))
+            out.append(pytest.param(x, id="n%d-d%d" % (n, d)))
+    zero = MatrixTuple.of(*(Matrix.zeros(FQ, 3, 3) for _ in range(2)))
+    out.append(pytest.param(zero, id="zero"))
+    return out
+
+
+TUPLES = rational_tuples()
+
+
+@pytest.mark.parametrize("include_star", [False, True])
+@pytest.mark.parametrize("x", TUPLES)
+def test_word_traces_match_fraction_products(x, include_star):
+    fp = fingerprint(x, 5, include_star=include_star)
+    words = enumerate_canonical(x.d, 5, include_star)
+    assert list(fp.entries) == words
+    for w in words:
+        assert fp[w] == eval_word(w, x).trace(), str(w)
+
+
+@pytest.mark.parametrize("x", TUPLES)
+def test_power_traces_match_repeated_products(x):
+    for m in x.matrices:
+        expected = []
+        acc = m
+        for _ in range(x.n + 2):
+            expected.append(acc.trace())
+            acc = acc * m
+        assert _power_traces(m, x.n + 2) == expected
+
+
+def fraction_system(x, y, with_star):
+    """Rows of P X_i - Y_i P = 0 over the row-major entries of P, in Fractions."""
+    n = x.n
+    pairs = list(zip(x.matrices, y.matrices))
+    if with_star:
+        pairs += list(zip(x.stars(), y.stars()))
+    rows = []
+    for xi, yi in pairs:
+        for a in range(n):
+            for b in range(n):
+                row = [Fraction(0)] * (n * n)
+                for s in range(n):
+                    row[a * n + s] += xi.at(s, b)
+                for r in range(n):
+                    row[r * n + b] -= yi.at(a, r)
+                rows.append(row)
+    return rows
+
+
+def partners(x):
+    """x itself, a rational conjugate of x, and an unrelated tuple."""
+    rng = random.Random(x.n * 10 + x.d)
+    while True:
+        p = rand_fraction_matrix(rng, x.n)
+        if p.det() != 0:
+            break
+    other = MatrixTuple.of(*(rand_fraction_matrix(rng, x.n) for _ in range(x.d)))
+    return [x, x.conjugated(p), other]
+
+
+@pytest.mark.parametrize("with_star", [False, True])
+@pytest.mark.parametrize("x", TUPLES)
+def test_intertwiner_basis_matches_fraction_nullspace(x, with_star):
+    for y in partners(x):
+        expected = Matrix.from_rows(FQ, fraction_system(x, y, with_star)).nullspace()
+        got = intertwiner_basis(x, y, with_star)
+        assert [b.entries for b in got.basis] == [v.entries for v in expected]
+
+
+def test_specht_needs_transpose_at_default_degree():
+    fx = next(f for f in load_corpus() if f.name == "needs-transpose")
+    equal, diff = specht_equivalent(fx.x, fx.y)
+    assert not equal
+    assert str(diff.word) == "x1 x1*"
+
+
+# -- float fingerprint tolerance ----------------------------------------------------
+
+def sigma3_pairs(count=20, n=3):
+    rng = random.Random(3)
+    out = []
+    for _ in range(count):
+        x = MatrixTuple.of(Matrix.from_rows(Field.real64(),
+                                            [[rng.gauss(0, 3) for _ in range(n)]
+                                             for _ in range(n)]))
+        out.append((x, x.star_conjugated(givens_orthogonal(rng, n))))
+    return out
+
+
+def test_float_fingerprints_of_orthogonal_conjugates_are_equal_at_n_squared():
+    for x, y in sigma3_pairs():
+        equal, diff = fingerprints_equal(fingerprint(x, 9), fingerprint(y, 9))
+        assert equal, str(diff)
+
+
+def test_float_fingerprint_tolerance_still_sees_small_relative_changes():
+    for x, y in sigma3_pairs():
+        fx, fy = fingerprint(x, 9), fingerprint(y, 9)
+        word = next(w for w in fy.entries if str(w) == "x1 x1*")
+        entries = dict(fy.entries)
+        entries[word] *= 1 + 1e-3
+        equal, diff = fingerprints_equal(fx, dataclasses.replace(fy, entries=entries))
+        assert not equal
+        assert diff.word == word
+
+
+def test_float_fingerprint_tolerance_survives_huge_norms():
+    # every pure trace of a nilpotent is 0, while norm^12 = 1e360 overflows
+    x = MatrixTuple.of(Matrix.from_rows(Field.real64(), [[0.0, 1e30], [0.0, 0.0]]))
+    fx = fingerprint(x, 12, include_star=False)
+    equal, _ = fingerprints_equal(fx, fx)
+    assert equal
+
+
+# -- non-finite input ------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, entry", [
+    ("float64", math.nan), ("float64", math.inf), ("float64", -math.inf),
+    ("complex128", [0.0, math.nan]), ("complex128", [math.inf, 1.0]),
+])
+def test_non_finite_entries_rejected_on_load(tmp_path, field, entry):
+    path = tmp_path / "t.json"
+    entries = [entry, 0, 0, 1] if field == "float64" else [entry, [0, 0], [0, 0], [1, 0]]
+    path.write_text(json.dumps({"field": field, "n": 2, "d": 1, "matrices": [entries]}))
+    with pytest.raises(TupleFileError, match="non-finite"):
+        load_tuple(str(path))

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from tracesim import Field, Kind, KindMismatchError, StarMode
+from tracesim import Field, Kind, KindMismatchError, NonFiniteError, StarMode
 
 
 def test_rational_forces_transpose():
@@ -32,6 +33,16 @@ def test_coercion_rejects_lossy_input():
         Field.real64().coerce(1j)
     with pytest.raises(KindMismatchError):
         Field.rational().coerce(True)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                   complex(math.inf, 0)])
+def test_coercion_rejects_non_finite_floats(value):
+    if not isinstance(value, complex):
+        with pytest.raises(NonFiniteError):
+            Field.real64().coerce(value)
+    with pytest.raises(NonFiniteError):
+        Field.complex128().coerce(value)
 
 
 def test_rational_values_are_normalized():
