@@ -85,10 +85,10 @@ class Field:
             raise KindMismatchError("rational field expects int or Fraction, got %r" % (value,))
         if self.kind is Kind.REAL64:
             if isinstance(value, (int, float)):
-                return _finite(float(value))
+                return _finite(float, value)
             raise KindMismatchError("float64 field expects int or float, got %r" % (value,))
         if isinstance(value, (int, float, complex)):
-            return _finite(complex(value))
+            return _finite(complex, value)
         raise KindMismatchError("complex128 field expects a number, got %r" % (value,))
 
     def star_scalar(self, value):
@@ -110,11 +110,17 @@ class Field:
             )
 
 
-def _finite(value):
-    """``value`` itself when it is finite; NaN and infinities are rejected."""
-    if not cmath.isfinite(value):
+def _finite(caster, value):
+    """``caster(value)`` when it is finite; NaN, infinities and ints beyond
+    float range are rejected."""
+    try:
+        out = caster(value)
+    except OverflowError:
+        raise NonFiniteError("integer of %d bits is beyond float range"
+                             % value.bit_length()) from None
+    if not cmath.isfinite(out):
         raise NonFiniteError("non-finite scalar %r" % (value,))
-    return value
+    return out
 
 
 _ZERO = {Kind.RATIONAL: Fraction(0), Kind.REAL64: 0.0, Kind.COMPLEX128: 0j}

@@ -261,9 +261,10 @@ def _filter_not_similar(x: MatrixTuple, y: MatrixTuple) -> Optional[str]:
         if rx != ry:
             return "rank of component %d differs: %d vs %d" % (i + 1, rx, ry)
         px, py = _power_traces(xi, x.n), _power_traces(yi, x.n)
+        power = 1.0  # scale^kpow by repeated products: overflows to inf, not raise
         for kpow, (a, b) in enumerate(zip(px, py), start=1):
-            gap = 1e-6 * scale ** kpow * x.n
-            differs = (a != b) if exact else abs(a - b) > gap
+            power *= scale
+            differs = (a != b) if exact else abs(a - b) > 1e-6 * power * x.n
             if differs:
                 return "trace of component %d power %d differs" % (i + 1, kpow)
     fx = fingerprint(x, 2, include_star=False)

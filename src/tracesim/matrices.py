@@ -9,6 +9,13 @@ Two linear-algebra engines sit behind one interface:
   pivoting; a pivot counts iff its magnitude exceeds
   ``tol * max(|initial entries|)``, with ``tol`` defaulting to 1e-9.
 
+Products follow the same split.  An exact product clears each factor's
+denominators once, A = A'/La and B = B'/Lb with A', B' integer, takes every
+entry of A'B' as one integer dot product and returns A'B'/(La Lb).  A float
+or complex product accumulates each entry left to right from zero; ``sum()``
+is avoided there because from Python 3.12 it compensates float sums, which
+would make results depend on the Python version.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs.
 """
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,14 +168,27 @@ class Matrix:
             raise ShapeError("product shape mismatch: %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         n, m, k = self.rows, self.cols, other.cols
+        if self.field.is_exact:
+            # (A B) = (La A)(Lb B) / (La Lb): one integer dot product per entry
+            a, la = _clear_denominators(self.entries)
+            b, lb = _clear_denominators(other.entries)
+            cols = [b[j::k] for j in range(k)]
+            dots = [sum(map(mul, a[i * m:(i + 1) * m], col)) for i in range(n) for col in cols]
+            denom = la * lb
+            if denom == 1:
+                return Matrix(self.field, n, k, tuple(map(Fraction, dots)))
+            return Matrix(self.field, n, k, tuple(Fraction(v, denom) for v in dots))
+        # floats accumulate left to right from zero; sum() would compensate
         a, b = self.entries, other.entries
+        zero = self.field.zero()
+        cols = [b[j::k] for j in range(k)]
         out = []
         for i in range(n):
             arow = a[i * m:(i + 1) * m]
-            for j in range(k):
-                acc = self.field.zero()
-                for t in range(m):
-                    acc += arow[t] * b[t * k + j]
+            for col in cols:
+                acc = zero
+                for x, y in zip(arow, col):
+                    acc += x * y
                 out.append(acc)
         return Matrix(self.field, n, k, tuple(out))
 

@@ -81,9 +81,12 @@ def check_epsilon(units: Sequence[Sequence[Matrix]], tol: Optional[float] = None
             for s in range(n_outer):
                 for t in range(n_outer):
                     got = units[i][j] * units[s][t]
-                    expected = units[i][t] if j == s else Matrix.zeros(
-                        got.field, got.rows, got.cols)
-                    if not (got - expected).is_zero(eff):
+                    if j == s:
+                        if not got.approx_eq(units[i][t], eff):
+                            return False, EpsilonViolation("product", i, j, s, t,
+                                                           units[i][t], got)
+                    elif not got.is_zero(eff):
+                        expected = Matrix.zeros(got.field, got.rows, got.cols)
                         return False, EpsilonViolation("product", i, j, s, t, expected, got)
     return True, None
 

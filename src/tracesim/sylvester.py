@@ -182,4 +182,7 @@ def sylvester_unique(a: Matrix, b: Matrix, tol: float = 1e-8) -> bool:
     scale = max(a.maxabs(), b.maxabs())
     if scale == 0.0:
         return abs(res) > tol
-    return abs(res) > tol * scale ** (a.rows + b.rows)
+    bound = tol  # tol * scale^(n+m) by repeated products: overflows to inf, not raise
+    for _ in range(a.rows + b.rows):
+        bound *= scale
+    return abs(res) > bound

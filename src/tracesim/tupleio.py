@@ -59,12 +59,13 @@ def parse_entry(field: Field, raw):
     if kind is Kind.REAL64:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise TupleFileError("float64 entries are numbers, got %r" % (raw,))
-        value = float(raw)
     elif (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw)):
         raise TupleFileError("complex128 entries are [re, im] pairs, got %r" % (raw,))
-    else:
-        value = complex(raw[0], raw[1])
+    try:
+        value = float(raw) if kind is Kind.REAL64 else complex(raw[0], raw[1])
+    except OverflowError:  # an int too large for a float; its repr may be huge too
+        raise TupleFileError("integer entry beyond float range") from None
     if not cmath.isfinite(value):
         raise TupleFileError("non-finite entry %r" % (raw,))
     return value

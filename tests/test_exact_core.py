@@ -1,11 +1,13 @@
 """The integer exact core against Fraction references built here.
 
-Rational trace words, power traces and intertwiner systems are computed
-after clearing denominators once; these tests rebuild each answer the plain
-way, with ``Matrix`` arithmetic over ``Fraction``s, and demand equality.
+Matrix products, rational trace words, power traces and intertwiner systems
+are computed after clearing denominators once; these tests rebuild each
+answer the plain way, with ``Fraction`` loops or ``Matrix`` arithmetic over
+``Fraction``s, and demand equality.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -14,10 +16,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import givens_orthogonal
-from tracesim import (Field, Matrix, MatrixTuple, TupleFileError, enumerate_canonical,
-                      eval_word, fingerprint, fingerprints_equal, intertwiner_basis,
-                      load_corpus, load_tuple, specht_equivalent)
+from tracesim import (Field, Kind, KindMismatchError, Matrix, MatrixTuple, NonFiniteError,
+                      ShapeError, TupleFileError, enumerate_canonical, eval_word,
+                      fingerprint, fingerprints_equal, intertwiner_basis, load_corpus,
+                      load_tuple, specht_equivalent)
 from tracesim.intertwiner import _power_traces
+from tracesim.tupleio import parse_entry
 
 FQ = Field.rational()
 
@@ -42,6 +46,73 @@ def rational_tuples():
 
 TUPLES = rational_tuples()
 
+
+# -- matrix products ----------------------------------------------------------------
+
+SHAPES = list(itertools.product(range(1, 6), repeat=3))  # n x m by m x k
+
+
+def rand_rect(rng, field, rows, cols, denom):
+    """Entries with numerators up to 10^6 and denominators up to ``denom``;
+    float kinds get the same values rounded, complex ones a second part."""
+    def value():
+        v = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, denom))
+        if field.kind is Kind.REAL64:
+            return float(v)
+        if field.is_complex:
+            return complex(float(v), rng.uniform(-1e6, 1e6))
+        return v
+    return Matrix(field, rows, cols, tuple(value() for _ in range(rows * cols)))
+
+
+def ordered_product(a, b):
+    """Entries of a b, each accumulated left to right from the kind's zero."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = a.field.zero()
+            for t in range(a.cols):
+                acc += a.at(i, t) * b.at(t, j)
+            out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("denom", [7, 1], ids=["rational", "integer"])
+def test_exact_product_matches_fraction_loop(denom):
+    rng = random.Random(100 + denom)
+    for n, m, k in SHAPES:
+        a, b = rand_rect(rng, FQ, n, m, denom), rand_rect(rng, FQ, m, k, denom)
+        got = a * b
+        assert (got.rows, got.cols) == (n, k)
+        assert list(got.entries) == ordered_product(a, b), (n, m, k)
+        assert all(type(v) is Fraction for v in got.entries)
+        assert a * Matrix.zeros(FQ, m, k) == Matrix.zeros(FQ, n, k)
+        assert Matrix.zeros(FQ, k, n) * a == Matrix.zeros(FQ, k, m)
+        assert Matrix.identity(FQ, n) * a == a
+        assert a * Matrix.identity(FQ, m) == a
+
+
+@pytest.mark.parametrize("field", [Field.real64(), Field.complex128()], ids=["real", "complex"])
+def test_float_product_keeps_left_to_right_order(field):
+    rng = random.Random(7)
+    for n, m, k in SHAPES:
+        a, b = rand_rect(rng, field, n, m, 7), rand_rect(rng, field, m, k, 7)
+        assert list((a * b).entries) == ordered_product(a, b), (n, m, k)
+    # a compensated sum would give 1.0 here
+    row = Matrix.from_rows(field, [[1e16, 1.0, -1e16]])
+    ones = Matrix.from_rows(field, [[1.0], [1.0], [1.0]])
+    assert (row * ones).entries == (field.zero(),)
+
+
+def test_product_shape_and_kind_checks():
+    a = Matrix.identity(FQ, 2)
+    with pytest.raises(ShapeError):
+        a * Matrix.zeros(FQ, 3, 2)
+    with pytest.raises(KindMismatchError):
+        a * Matrix.identity(Field.real64(), 2)
+
+
+# -- trace words, power traces, intertwiner systems ---------------------------------
 
 @pytest.mark.parametrize("include_star", [False, True])
 @pytest.mark.parametrize("x", TUPLES)
@@ -160,3 +231,14 @@ def test_non_finite_entries_rejected_on_load(tmp_path, field, entry):
     path.write_text(json.dumps({"field": field, "n": 2, "d": 1, "matrices": [entries]}))
     with pytest.raises(TupleFileError, match="non-finite"):
         load_tuple(str(path))
+
+
+def test_huge_json_integers_rejected():
+    for field, raw in ((Field.real64(), 10 ** 400), (Field.complex128(), [10 ** 400, 0]),
+                       (Field.complex128(), [0, -10 ** 400])):
+        with pytest.raises(TupleFileError, match="beyond float range"):
+            parse_entry(field, raw)
+    for field in (Field.real64(), Field.complex128()):
+        with pytest.raises(NonFiniteError, match="beyond float range"):
+            field.coerce(-10 ** 400)
+    assert parse_entry(Field.real64(), 10 ** 300) == 1e300

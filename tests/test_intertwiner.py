@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_invertible_int, rand_rational_tuple
 from tracesim import (BudgetExceededError, Field, IntertwinerBasis, Matrix, MatrixTuple,
                       find_invertible, gl_similar, intertwiner_basis)
+from tracesim.intertwiner import _verify_intertwiner
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -207,3 +210,38 @@ def test_float_round_trip():
         scale = max(1.0, p.maxabs()) * max(1.0, x.maxabs())
         for xi, yi in zip(x, y):
             assert (p * xi - yi * p).maxabs() <= 1e-9 * scale
+
+
+def test_float_power_trace_gap_survives_huge_norms():
+    # scale^11 = 1e330 overflows; the gap becomes inf instead of raising
+    n = 11
+    m = Matrix.from_rows(FR, [[1e30 if j == i + 1 else 0.0 for j in range(n)]
+                              for i in range(n)])
+    x = MatrixTuple.of(m)
+    assert gl_similar(x, x).verdict == "similar"
+
+
+@st.composite
+def tuple_and_unimodular(draw):
+    """A rational tuple with n <= 3, d <= 2 and a P = L U of determinant 1."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    entry = st.fractions(-3, 3, max_denominator=3)
+    x = MatrixTuple.of(*(Matrix.from_rows(FQ, [[draw(entry) for _ in range(n)]
+                                               for _ in range(n)]) for _ in range(d)))
+    small = st.integers(-2, 2)
+    lower = Matrix.from_rows(FQ, [[1 if i == j else draw(small) if j < i else 0
+                                   for j in range(n)] for i in range(n)])
+    upper = Matrix.from_rows(FQ, [[1 if i == j else draw(small) if j > i else 0
+                                   for j in range(n)] for i in range(n)])
+    return x, lower * upper
+
+
+@settings(max_examples=30, deadline=None)
+@given(tuple_and_unimodular())
+def test_tuple_is_similar_to_itself_and_its_conjugates(case):
+    x, p = case
+    for y in (x, x.conjugated(p)):
+        v = gl_similar(x, y)
+        assert v.verdict == "similar", v.detail
+        assert _verify_intertwiner(v.witness, x, y, with_star=False)

@@ -213,6 +213,14 @@ def test_unique_examples():
     assert not sylvester_unique(Matrix.from_rows(FQ, [[0, 1], [0, 0]]), z)
 
 
+def test_unique_float_bound_survives_huge_norms():
+    # tol * scale^22 with scale = 1e30 overflows; the bound becomes inf instead of raising
+    n = 11
+    m = Matrix.from_rows(FR, [[1e30 if j == i + 1 else 0.0 for j in range(n)]
+                              for i in range(n)])
+    assert sylvester_unique(m, m) is False
+
+
 def flattened_system(a: Matrix, b: Matrix) -> Matrix:
     n, m = a.rows, b.rows
     zero = a.field.zero()
