@@ -9,7 +9,6 @@ center/commutant extraction, and a trace-only unique-solvability test for
 Sylvester's equation.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .corpus import Expected, Fixture, FixtureResult, load_corpus, run_corpus, run_fixture
 from .errors import (BudgetExceededError, ConvergenceError, IndefiniteMatrixError,
                      KindMismatchError, LetterIndexError, MissingUnitsError,
@@ -36,7 +35,7 @@ from .words import (Fingerprint, FingerprintDiff, Letter, Word, canonicalize,
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND", "__version__",
+    "__version__",
     # fields / matrices
     "Field", "Kind", "StarMode", "Matrix", "MatrixTuple",
     "star", "trace", "det", "rank", "inverse", "nullspace", "solve_linear",

@@ -1,6 +1,6 @@
 """Bundled counterexample corpus and positive controls.
 
-Five named fixtures ship with the package, in the same JSON shape the CLI
+Six named fixtures ship with the package, in the same JSON shape the CLI
 consumes, each carrying the expected outcomes of the live decision
 procedures:
 
@@ -12,7 +12,10 @@ procedures:
                     documented failure of trace-word separation in that mode;
 * gl-positive       a seeded conjugation round trip (similar, not
                     orthogonally so);
-* orthogonal-positive  a rational-rotation round trip with an exact witness.
+* orthogonal-positive  a rational-rotation round trip with an exact witness;
+* hom-dimension     a pair with all four Hom dimensions equal to 1 and equal
+                    pure trace words up to D = n^2 that is still not similar:
+                    equal Hom dimensions are necessary, not sufficient.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ _FIXTURE_FILES = (
     "complex_transpose.json",
     "gl_positive.json",
     "orthogonal_positive.json",
+    "hom_dimension.json",
 )
 
 

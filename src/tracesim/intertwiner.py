@@ -18,6 +18,9 @@ determinant restricted to the span:
   degree <= n in each coefficient, so vanishing on the grid forces the
   identically-zero polynomial; exhausting the grid is a proof that no
   invertible element exists.
+
+``_search`` runs this decision for GL similarity here and, on the starred
+space, for orthogonal similarity in ``orthogonal``.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels as _kern
 from .errors import BudgetExceededError, ShapeError
 from .fields import Field
-from .matrices import (Matrix, MatrixTuple, _clear_denominators, _int_matrices,
+from .matrices import (Matrix, MatrixTuple, _clear_denominators, _det_int, _int_matrices,
                        _int_nullspace, _require_exact_tol)
 from .words import fingerprint, fingerprints_equal
 
@@ -144,7 +146,7 @@ def _exact_combo_invertible(int_basis, coeffs, n) -> bool:
             for t in range(n * n):
                 flat[t] += c * vec[t]
     rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-    return _kern.det_int(rows) != 0
+    return _det_int(rows) != 0
 
 
 def _float_det_ok(dets, amaxes, n) -> np.ndarray:
@@ -287,6 +289,36 @@ def _verify_intertwiner(p: Matrix, x: MatrixTuple, y: MatrixTuple, with_star: bo
     return True
 
 
+def _search(x: MatrixTuple, y: MatrixTuple, with_star: bool, mode: str, seed: int,
+            trials: int, sample_bound: int, budget: int, reject):
+    """The search shared by GL and orthogonal similarity.
+
+    Checks the pair and the mode, then runs ``reject`` (a certified filter
+    returning a reason or None, skipped when None), then looks for an
+    invertible element of the intertwiner space, starred when ``with_star``.
+    Returns (basis, P or None, proof, detail).  P is a candidate still to be
+    verified; without one, ``proof`` says whether its absence is certain and
+    ``detail`` says why.  The basis is None when the filter decided.
+    """
+    _check_pair(x, y)
+    if mode not in ("auto", "deterministic", "monte_carlo"):
+        raise ShapeError("unknown mode %r" % mode)
+    reason = reject() if reject is not None else None
+    if reason is not None:
+        return None, None, True, reason
+    what = "star-intertwiner" if with_star else "intertwiner"
+    basis = intertwiner_basis(x, y, with_star=with_star)
+    if basis.dim == 0:
+        return basis, None, True, "%s space is zero" % what
+    if mode == "auto":
+        mode = "deterministic" if (x.n + 1) ** basis.dim <= budget else "monte_carlo"
+    if mode == "deterministic":
+        p = find_invertible(basis, trials=0, budget=budget)
+        return basis, p, True, "determinant vanishes on the full coefficient grid"
+    p = find_invertible(basis, seed=seed, trials=trials, sample_bound=sample_bound)
+    return basis, p, False, "%d Monte Carlo trials found no invertible %s" % (trials, what)
+
+
 def gl_similar(x: MatrixTuple, y: MatrixTuple, mode: str = "auto", seed: int = 0,
                trials: int = DEFAULT_TRIALS, sample_bound: int = DEFAULT_SAMPLE_BOUND,
                budget: int = DEFAULT_GRID_BUDGET, filters: bool = True) -> GLVerdict:
@@ -296,29 +328,11 @@ def gl_similar(x: MatrixTuple, y: MatrixTuple, mode: str = "auto", seed: int = 0
     on budget), 'monte_carlo' is probabilistic on the negative side only,
     'auto' picks deterministic when the grid fits the budget.
     """
-    _check_pair(x, y)
-    if mode not in ("auto", "deterministic", "monte_carlo"):
-        raise ShapeError("unknown mode %r" % mode)
-    if filters:
-        reason = _filter_not_similar(x, y)
-        if reason is not None:
-            return GLVerdict("not_similar", None, reason)
-    basis = intertwiner_basis(x, y, with_star=False)
-    if basis.dim == 0:
-        return GLVerdict("not_similar", None, "intertwiner space is zero")
-    if mode == "auto":
-        mode = ("deterministic"
-                if (x.n + 1) ** basis.dim <= budget else "monte_carlo")
-    if mode == "deterministic":
-        p = find_invertible(basis, trials=0, budget=budget)
-        if p is None:
-            return GLVerdict("not_similar", None,
-                             "determinant vanishes on the full coefficient grid")
-    else:
-        p = find_invertible(basis, seed=seed, trials=trials, sample_bound=sample_bound)
-        if p is None:
-            return GLVerdict("not_similar_probable", None,
-                             "%d Monte Carlo trials found no invertible intertwiner" % trials)
+    reject = (lambda: _filter_not_similar(x, y)) if filters else None
+    _, p, proof, detail = _search(x, y, False, mode, seed, trials, sample_bound, budget,
+                                  reject)
+    if p is None:
+        return GLVerdict("not_similar" if proof else "not_similar_probable", None, detail)
     if not _verify_intertwiner(p, x, y, with_star=False):
         return GLVerdict("not_similar_probable", None,
                          "candidate witness failed verification")

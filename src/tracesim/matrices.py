@@ -3,7 +3,7 @@
 Two linear-algebra engines sit behind one interface:
 
 * exact (rational kind): rows are cleared to integers and reduced with
-  fraction-free Bareiss elimination (see ``_kernels``); determinants,
+  fraction-free Bareiss elimination (``_echelon_int``); determinants,
   ranks, nullspaces and solves are exact, with no rounding anywhere.
 * float (real/complex kinds): numpy-backed Gauss-Jordan with partial
   pivoting; a pivot counts iff its magnitude exceeds
@@ -260,7 +260,7 @@ class Matrix:
         if self.field.is_exact:
             _require_exact_tol(tol)
             rows, _ = _int_rows(self)
-            _, pivots, _ = _kern.echelon_int(rows)
+            _, pivots, _ = _echelon_int(rows)
             return len(pivots)
         _, pivots = _float_rref(self.to_numpy(), _float_tol(tol))
         return len(pivots)
@@ -367,9 +367,6 @@ class MatrixTuple:
 
 # -- exact engine -------------------------------------------------------------
 
-from . import _kernels as _kern  # noqa: E402  (import placed after Matrix for readability)
-
-
 def _require_exact_tol(tol):
     if tol not in (None, 0, 0.0):
         raise KindMismatchError("exact mode takes tol=0 (got %r)" % (tol,))
@@ -420,7 +417,7 @@ def _exact_det(m: Matrix):
     n = m.rows
     if n == 0:
         return Fraction(1)
-    d = _kern.det_int(rows)
+    d = _det_int(rows)
     scale = 1
     for s in scales:
         scale *= s
@@ -432,6 +429,79 @@ def _exact_nullspace(m: Matrix) -> list:
     return [Matrix(m.field, m.cols, 1, tuple(v)) for v in _int_nullspace(rows, m.cols)]
 
 
+def _echelon_int(rows):
+    """Fraction-free (Bareiss) row echelon of an integer matrix.
+
+    ``rows`` is a list of equal-length lists of ints and is consumed (the
+    lists are mutated in place).  Returns ``(rows, pivot_cols, sign)``.
+    Every intermediate entry is a minor of the input, so all divisions are
+    exact and the arithmetic never leaves the integers.  For a square
+    full-rank input, det = sign * last pivot.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivot_cols = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = -1
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            row_i = rows[i]
+            head = row_i[c]
+            row_r = rows[r]
+            for j in range(c, ncols):
+                row_i[j] = (row_i[j] * piv - head * row_r[j]) // prev
+        prev = piv
+        pivot_cols.append(c)
+        r += 1
+    return rows, pivot_cols, sign
+
+
+def _det_int(rows):
+    """Determinant of a square integer matrix (closed forms up to 4x4)."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        r0, r1, r2, r3 = rows
+        # Laplace expansion along the first two rows via 2x2 minors.
+        m01 = r0[0] * r1[1] - r0[1] * r1[0]
+        m02 = r0[0] * r1[2] - r0[2] * r1[0]
+        m03 = r0[0] * r1[3] - r0[3] * r1[0]
+        m12 = r0[1] * r1[2] - r0[2] * r1[1]
+        m13 = r0[1] * r1[3] - r0[3] * r1[1]
+        m23 = r0[2] * r1[3] - r0[3] * r1[2]
+        n01 = r2[0] * r3[1] - r2[1] * r3[0]
+        n02 = r2[0] * r3[2] - r2[2] * r3[0]
+        n03 = r2[0] * r3[3] - r2[3] * r3[0]
+        n12 = r2[1] * r3[2] - r2[2] * r3[1]
+        n13 = r2[1] * r3[3] - r2[3] * r3[1]
+        n23 = r2[2] * r3[3] - r2[3] * r3[2]
+        return m01 * n23 - m02 * n13 + m03 * n12 + m12 * n03 - m13 * n02 + m23 * n01
+    work, pivots, sign = _echelon_int([list(row) for row in rows])
+    if len(pivots) < n:
+        return 0
+    return sign * work[n - 1][pivots[-1]]
+
+
 def _int_nullspace(rows, ncols: int) -> list:
     """Right-kernel basis of an integer matrix, one Fraction list per free column.
 
@@ -439,7 +509,7 @@ def _int_nullspace(rows, ncols: int) -> list:
     at every other free column, so it does not depend on how the rows were
     scaled.
     """
-    ech, pivots, _ = _kern.echelon_int(rows)
+    ech, pivots, _ = _echelon_int(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -473,7 +543,7 @@ def _exact_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
         flat.extend(b.entries[i * b.cols:(i + 1) * b.cols])
     aug = Matrix(a.field, a.rows, a.cols + b.cols, tuple(flat))
     rows, _ = _int_rows(aug)
-    ech, pivots, _ = _kern.echelon_int(rows)
+    ech, pivots, _ = _echelon_int(rows)
     ncols_a = a.cols
     for r, pc in enumerate(pivots):
         if pc >= ncols_a:

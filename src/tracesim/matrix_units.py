@@ -209,8 +209,9 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     entries of the generated subring form a subring of the scalars, and
     every generated element X is rebuilt from corner data via
     X = sum_ij E_i0 (E_0i X E_j0) E_0j.  Both facts are checked on all
-    products of generators up to the given depth (plus pairwise sums for
-    the additive half of closure).
+    products of generators up to the given depth.  Additive closure needs
+    no check: the corner of x + y is corner(x) + corner(y) by definition of
+    matrix addition, and non-finite input is rejected before it gets here.
     """
     if not generators:
         raise MissingUnitsError("empty generating set")
@@ -257,8 +258,6 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     pair_cap = 40
     for x in sample[:pair_cap]:
         for y in sample[:pair_cap]:
-            if differs(corner(x + y), corner(x) + corner(y)):
-                violations.append(("add", corner(x), corner(y)))
             mul_witness = x * std[0][0] * y * std[0][0]
             if differs(corner(mul_witness), corner(x) * corner(y)):
                 violations.append(("mul", corner(x), corner(y)))
@@ -276,5 +275,5 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
 
     coeffs = sorted({corner(m) for m in sample}, key=lambda v: (abs(v), repr(v))) \
         if field.is_complex else sorted({corner(m) for m in sample})
-    return SubringReport(tuple(coeffs), not any(v[0] in ("add", "mul") for v in violations),
+    return SubringReport(tuple(coeffs), not any(v[0] == "mul" for v in violations),
                          recon_ok, tuple(violations), len(sample))

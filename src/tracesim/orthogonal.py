@@ -35,8 +35,7 @@ from .errors import (BudgetExceededError, ConvergenceError, IndefiniteMatrixErro
                      WitnessConstructionError)
 from .fields import Field, StarMode
 from .intertwiner import (DEFAULT_GRID_BUDGET, DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS,
-                          IntertwinerBasis, _check_pair, find_invertible,
-                          intertwiner_basis)
+                          IntertwinerBasis, _check_pair, _search, find_invertible)
 from .matrices import Matrix, MatrixTuple
 from .words import (DEFAULT_BUDGET, FingerprintDiff, fingerprint, fingerprints_equal)
 
@@ -246,34 +245,18 @@ def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, mode: str 
     returned O satisfies O star(O) = I and O X_i star(O) = Y_i within the
     reported residuals (exactly, in the rational scalar-square case).
     """
-    _check_pair(x, y)
-    if mode not in ("auto", "deterministic", "monte_carlo"):
-        raise ShapeError("unknown mode %r" % mode)
-    if filter_degree:
+    def reject():
         try:
             equal, diff = specht_equivalent(x, y, filter_degree, tol=1e-6)
-            if not equal:
-                return OrthVerdict("not_equivalent", None, None,
-                                   "trace-word filter: %s" % diff)
         except BudgetExceededError:
-            pass
-    basis = intertwiner_basis(x, y, with_star=True)
-    if basis.dim == 0:
-        return OrthVerdict("not_equivalent", None, None, "star-intertwiner space is zero")
-    if mode == "auto":
-        mode = "deterministic" if (x.n + 1) ** basis.dim <= budget else "monte_carlo"
-    if mode == "deterministic":
-        p = find_invertible(basis, trials=0, budget=budget)
-        if p is None:
-            return OrthVerdict("not_equivalent", None, None,
-                               "determinant vanishes on the full coefficient grid")
-    else:
-        p = find_invertible(basis, seed=seed, trials=trials, sample_bound=sample_bound)
-        if p is None:
-            return OrthVerdict("not_equivalent_probable", None, None,
-                               "%d Monte Carlo trials found no invertible star-intertwiner"
-                               % trials)
+            return None
+        return None if equal else "trace-word filter: %s" % diff
 
+    basis, p, proof, detail = _search(x, y, True, mode, seed, trials, sample_bound, budget,
+                                      reject if filter_degree else None)
+    if p is None:
+        return OrthVerdict("not_equivalent" if proof else "not_equivalent_probable",
+                           None, None, detail)
     if x.field.is_exact:
         g = p * p.star()
         lam = _scalar_of(g)

@@ -35,7 +35,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import _kernels as _kern
 from .errors import BudgetExceededError, KindMismatchError, LetterIndexError, ShapeError
 from .fields import Field, Kind
 from .matrices import Matrix, MatrixTuple, _int_matrices
@@ -116,9 +115,24 @@ class Word:
         return " ".join(str(l) for l in self.letters)
 
 
+def _min_rotation(codes) -> tuple:
+    """Minimum over all cyclic rotations of ``codes`` and of its star-reversal.
+
+    The star-reversal reverses the sequence and toggles every star bit.
+    """
+    k = len(codes)
+    best = tuple(codes)
+    for variant in (best, tuple(codes[i] ^ 1 for i in range(k - 1, -1, -1))):
+        for r in range(k):
+            rot = variant[r:] + variant[:r]
+            if rot < best:
+                best = rot
+    return best
+
+
 def canonicalize(w: Word) -> Word:
     """Minimum of the cyclic + star-reversal orbit under the fixed order."""
-    return Word(_kern.min_rotation(w.codes))
+    return Word(_min_rotation(w.codes))
 
 
 def _alphabet(d: int, include_star: bool) -> list:
@@ -137,7 +151,7 @@ def _enumerate_cached(d: int, max_degree: int, include_star: bool, budget: int) 
     seen = set()
     for k in range(1, max_degree + 1):
         for codes in itertools.product(alphabet, repeat=k):
-            seen.add(_kern.min_rotation(codes))
+            seen.add(_min_rotation(codes))
     return tuple(Word(c) for c in sorted(seen, key=lambda c: (len(c), c)))
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from tracesim import Kind, StarMode, load_corpus, run_corpus, run_fixture
+from tracesim import (Kind, StarMode, gl_similar, intertwiner_basis, load_corpus, run_corpus,
+                      run_fixture)
 
 
 def by_name():
@@ -12,7 +13,7 @@ def test_corpus_has_the_bundled_fixtures():
     assert len(fixtures) >= 4
     names = {fx.name for fx in fixtures}
     assert {"no-trace", "needs-transpose", "complex-transpose",
-            "gl-positive", "orthogonal-positive"} <= names
+            "gl-positive", "orthogonal-positive", "hom-dimension"} <= names
 
 
 def test_no_trace_fixture_digits():
@@ -46,6 +47,18 @@ def test_complex_transpose_fixture_digits():
     assert (n2 * n2).maxabs() == 0.0
     assert (n1 * n1).maxabs() == 0.0
     assert n1.rank() == 1 and n2.rank() == 2
+
+
+def test_hom_dimension_fixture_is_not_settled_by_dimensions():
+    fx = by_name()["hom-dimension"]
+    x, y = fx.x, fx.y
+    assert [m.row_list() for m in x] == [[[0, 0], [0, 1]], [[0, 1], [0, 1]]]
+    assert [m.row_list() for m in y] == [[[0, 0], [1, 1]], [[0, 0], [0, 1]]]
+    for a, b in ((x, x), (x, y), (y, x), (y, y)):
+        assert intertwiner_basis(a, b, with_star=False).dim == 1
+    v = gl_similar(x, y)
+    assert (v.verdict, v.detail) == ("not_similar",
+                                     "determinant vanishes on the full coefficient grid")
 
 
 def test_expected_records_are_internally_consistent():

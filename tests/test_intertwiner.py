@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import rand_invertible_int, rand_rational_tuple
 from tracesim import (BudgetExceededError, Field, IntertwinerBasis, Matrix, MatrixTuple,
-                      find_invertible, gl_similar, intertwiner_basis)
+                      ShapeError, find_invertible, gl_similar, intertwiner_basis,
+                      orthogonal_witness)
 from tracesim.intertwiner import _verify_intertwiner
 
 FQ = Field.rational()
@@ -245,3 +246,45 @@ def test_tuple_is_similar_to_itself_and_its_conjugates(case):
         v = gl_similar(x, y)
         assert v.verdict == "similar", v.detail
         assert _verify_intertwiner(v.witness, x, y, with_star=False)
+
+
+# Every branch of the shared search, pinned verbatim for both deciders: the
+# CLI and the benchmark checks read these verdict and detail strings.
+_ZERO = ([1, 2], [3, 4])        # no nonzero intertwiner, starred or not
+_SINGULAR = ([1, 0], [1, 1])    # nonzero intertwiners, all singular; the filters see it
+
+
+def _gl(x, y, mode, filters):
+    return gl_similar(x, y, mode=mode, filters=filters)
+
+
+def _orth(x, y, mode, filters):
+    return orthogonal_witness(x, y, mode=mode, filter_degree=2 if filters else 0)
+
+
+@pytest.mark.parametrize("decide, pair, mode, verdict, detail", [
+    (_gl, _ZERO, "auto", "not_similar", "intertwiner space is zero"),
+    (_gl, _SINGULAR, "auto", "not_similar",
+     "determinant vanishes on the full coefficient grid"),
+    (_gl, _SINGULAR, "monte_carlo", "not_similar_probable",
+     "20 Monte Carlo trials found no invertible intertwiner"),
+    (_gl, _SINGULAR, "bogus", ShapeError, "rank of component 1 differs: 1 vs 2"),
+    (_orth, _ZERO, "auto", "not_equivalent", "star-intertwiner space is zero"),
+    (_orth, _SINGULAR, "auto", "not_equivalent",
+     "determinant vanishes on the full coefficient grid"),
+    (_orth, _SINGULAR, "monte_carlo", "not_equivalent_probable",
+     "20 Monte Carlo trials found no invertible star-intertwiner"),
+    (_orth, _SINGULAR, "bogus", ShapeError,
+     "trace-word filter: first differing word x1: 1 vs 2"),
+], ids=["gl-zero", "gl-grid", "gl-monte-carlo", "gl-bad-mode", "orth-zero", "orth-grid",
+        "orth-monte-carlo", "orth-bad-mode"])
+def test_decider_branches(decide, pair, mode, verdict, detail):
+    x, y = (MatrixTuple.of(Matrix.diagonal(FQ, v)) for v in pair)
+    if verdict is ShapeError:
+        # the filter settles the pair, yet an unknown mode is refused first
+        assert decide(x, y, "auto", filters=True).detail == detail
+        with pytest.raises(ShapeError, match="unknown mode 'bogus'"):
+            decide(x, y, mode, filters=True)
+        return
+    v = decide(x, y, mode, filters=False)
+    assert (v.verdict, v.detail) == (verdict, detail)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import rand_int_matrix, rand_invertible_int
 from tracesim import (Field, Matrix, ShapeError, SingularMatrixError, StarMode, det,
                       inverse, nullspace, rank, solve_linear, star, trace)
+from tracesim.matrices import _det_int, _echelon_int
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -262,3 +263,33 @@ def test_kind_mixing_is_an_error():
         a * b
     with pytest.raises(Exception):
         a + b
+
+
+# -- integer kernels of the exact engine ----------------------------------------
+
+def test_det_matches_cofactor():
+    rng = random.Random(1)
+    for n in range(1, 7):
+        for _ in range(30):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            assert _det_int([r[:] for r in rows]) == cofactor_det(rows)
+
+
+def test_echelon_rank_and_det():
+    rng = random.Random(2)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 6)
+        rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+        ech, pivots, sign = _echelon_int([r[:] for r in rows])
+        # pivots are strictly increasing and nonzero
+        assert pivots == sorted(set(pivots))
+        for r, pc in enumerate(pivots):
+            assert ech[r][pc] != 0
+            assert all(ech[r][c] == 0 for c in range(pc))
+        if n == m:
+            expected = cofactor_det(rows)
+            if len(pivots) < n:
+                assert expected == 0
+            else:
+                assert sign * ech[n - 1][pivots[-1]] == expected

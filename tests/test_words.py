@@ -7,6 +7,7 @@ from conftest import rand_float_tuple, rand_invertible_int, rand_rational_tuple
 from tracesim import (BudgetExceededError, Field, LetterIndexError, Letter, Matrix,
                       MatrixTuple, ShapeError, Word, canonicalize, enumerate_canonical,
                       eval_word, fingerprint, fingerprints_equal, trace)
+from tracesim.words import _min_rotation
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -264,3 +265,26 @@ def test_fingerprint_orthogonal_invariance_with_star():
         fy = fingerprint(y, 3, include_star=True)
         equal, diff = fingerprints_equal(fx, fy, tol=1e-8 * max(1.0, x.maxabs()) ** 3 * 9)
         assert equal, diff
+
+
+# -- orbit minimum ---------------------------------------------------------------
+
+def brute_min_rotation(codes):
+    k = len(codes)
+    variants = [tuple(codes)]
+    variants.append(tuple(c ^ 1 for c in reversed(codes)))
+    return min(v[r:] + v[:r] for v in variants for r in range(k))
+
+
+def test_min_rotation_against_bruteforce():
+    rng = random.Random(3)
+    for _ in range(400):
+        k = rng.randint(1, 8)
+        codes = tuple(rng.randrange(6) for _ in range(k))
+        assert _min_rotation(codes) == brute_min_rotation(codes)
+
+
+def test_min_rotation_exhaustive_small():
+    for k in range(1, 5):
+        for codes in itertools.product(range(4), repeat=k):
+            assert _min_rotation(codes) == brute_min_rotation(codes)
