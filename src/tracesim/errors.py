@@ -26,7 +26,7 @@ class SingularMatrixError(TracesimError):
 
 
 class BudgetExceededError(TracesimError):
-    """An enumeration or grid search would exceed its configured budget."""
+    """An enumeration or invertibility search would exceed its configured budget."""
 
 
 class LetterIndexError(TracesimError):

@@ -2,9 +2,18 @@
 
 The space {P : P X_i = Y_i P for all i} (optionally with the starred
 equations P star(X_i) = star(Y_i) P as well) is linear in the n^2 entries
-of P; its basis comes from one nullspace computation.  The tuples are
-simultaneously similar iff that space contains an invertible element, and
-any such P is a certified witness: Y_i = P X_i P^{-1}.
+of P.  The tuples are simultaneously similar iff that space contains an
+invertible element, and any such P is a certified witness:
+Y_i = P X_i P^{-1}.
+
+The exact kind builds the space in stages.  P X_1 = Y_1 P is solved over
+all n^2 entries; each later equation, starred ones included, is solved
+only inside the kernel found so far, as n^2 equations in its k
+coefficients (the residuals P_j X_i - Y_i P_j of the basis), and the work
+stops once the kernel is zero.  The final basis is brought to the reduced
+form of the stacked system, so it does not depend on the staging.  The
+float kinds stack all equations into one system, since restricting under
+float pivot thresholds would change which directions count as kernel.
 
 Invertible elements are found by polynomial identity testing on the
 determinant restricted to the span:
@@ -14,10 +23,11 @@ determinant restricted to the span:
   with failure probability <= n/(2S+1).  Found witnesses are certified
   (determinant recomputed exactly in rational mode), so only the negative
   answer is probabilistic.
-* Deterministic: the full grid {0..n}^k.  det restricted to the span has
-  degree <= n in each coefficient, so vanishing on the grid forces the
-  identically-zero polynomial; exhausting the grid is a proof that no
-  invertible element exists.
+* Deterministic: the degree-n coefficient simplex
+  {a in N^k : a_1 + ... + a_k = n}, C(n+k-1, n) points.  det restricted
+  to the span is homogeneous of degree n, and the simplex hits every
+  nonzero homogeneous polynomial of degree n (see ``find_invertible``), so
+  exhausting it is a proof that no invertible element exists.
 
 ``_search`` runs this decision for GL similarity here and, on the starred
 space, for orthogonal similarity in ``orthogonal``.
@@ -26,6 +36,7 @@ space, for orthogonal similarity in ``orthogonal``.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,14 +47,15 @@ import numpy as np
 
 from .errors import BudgetExceededError, ShapeError
 from .fields import Field
-from .matrices import (Matrix, MatrixTuple, _clear_denominators, _det_int, _int_matrices,
-                       _int_nullspace, _require_exact_tol)
+from .matrices import (Matrix, MatrixTuple, _clear_denominators, _det_int, _fractions,
+                       _gauss_jordan_int, _int_kernel, _int_matrices, _require_exact_tol)
 from .words import fingerprint, fingerprints_equal
 
 DEFAULT_TRIALS = 20
 DEFAULT_SAMPLE_BOUND = 10 ** 6
 DEFAULT_GRID_BUDGET = 10 ** 7
 _FLOAT_DET_REL_TOL = 1e-9
+_FLOAT_BATCH = 32768  # largest batch of simplex points evaluated at once
 
 
 @dataclass(frozen=True)
@@ -77,11 +89,13 @@ def _check_pair(x: MatrixTuple, y: MatrixTuple):
 
 def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
                       tol: Optional[float] = None) -> IntertwinerBasis:
-    """Nullspace basis of the stacked linear system P X_i = Y_i P (+ stars).
+    """Basis of {P : P X_i = Y_i P for all i} (and P star(X_i) = star(Y_i) P).
 
-    P is flattened row-major into n^2 unknowns; each matrix equation
-    contributes n^2 rows.  The returned matrices satisfy the defining
-    equations exactly in rational mode.
+    P is flattened row-major into n^2 unknowns.  The exact kind solves the
+    equations one at a time (``_exact_intertwiners``) and returns the reduced
+    basis of the whole system: basis[j] is 1 at the j-th free entry and 0 at
+    the other free entries, and the defining equations hold exactly.  The
+    float kinds stack every equation (n^2 rows each) into one system.
     """
     _check_pair(x, y)
     n = x.n
@@ -92,8 +106,7 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
         if with_star:  # the exact star is the transpose
             xs += [[list(c) for c in zip(*m)] for m in xs]
             ys += [[list(c) for c in zip(*m)] for m in ys]
-        kernel = _int_nullspace(_system_rows(xs, ys, n, 0), n * n)
-        basis = tuple(Matrix(x.field, n, n, tuple(v)) for v in kernel)
+        basis = tuple(Matrix(x.field, n, n, tuple(v)) for v in _exact_intertwiners(xs, ys, n))
     else:
         xs = [m.row_list() for m in x.matrices]
         ys = [m.row_list() for m in y.matrices]
@@ -105,6 +118,46 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
         kernel = system.nullspace(tol)
         basis = tuple(Matrix(x.field, n, n, v.entries) for v in kernel)
     return IntertwinerBasis(n, with_star, x.field, basis)
+
+
+def _exact_intertwiners(xs, ys, n: int) -> list:
+    """Reduced basis (Fraction lists) of {P : P X_i = Y_i P for every pair}.
+
+    ``xs`` and ``ys`` hold integer matrices as row lists.  The first
+    equation is solved over all n^2 entries of P.  Each later one is solved
+    inside the current kernel: with P = sum_j c_j P_j it reads
+    sum_j c_j (P_j X_i - Y_i P_j) = 0, n^2 equations in the k coefficients.
+    The kernel shrinks at every step, and the loop stops once it is zero.
+    Kernel vectors are kept as ints divided by the gcd of their entries.
+    The last step brings the basis to the form ``_int_nullspace`` gives for
+    the whole system: Gauss-Jordan on the column-reversed basis makes each
+    vector d at one entry (the free column) and 0 at the other free ones.
+    """
+    kernel, _ = _int_kernel(_system_rows(xs[:1], ys[:1], n, 0), n * n)
+    basis = [_primitive(v) for v in kernel]
+    for xi, yi in zip(xs[1:], ys[1:]):
+        if not basis:
+            return []
+        xcols = [list(c) for c in zip(*xi)]
+        residuals = []
+        for p in basis:
+            prow = [p[a * n:(a + 1) * n] for a in range(n)]
+            pcols = [p[b::n] for b in range(n)]
+            residuals.append([sum(map(mul, prow[a], xcols[b])) - sum(map(mul, yi[a], pcols[b]))
+                              for a in range(n) for b in range(n)])
+        coeffs, _ = _int_kernel([list(r) for r in zip(*residuals)], len(basis))
+        if len(coeffs) == len(basis):
+            continue  # every residual is zero: the equation holds on the whole kernel
+        entries = list(zip(*basis))
+        basis = [_primitive([sum(map(mul, cs, col)) for col in entries]) for cs in coeffs]
+    ech, pivots, d = _gauss_jordan_int([v[::-1] for v in basis])
+    return [_fractions(ech[r][::-1], d) for r in reversed(range(len(pivots)))]
+
+
+def _primitive(v: list) -> list:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return [e // g for e in v]
 
 
 def _system_rows(xs, ys, n: int, zero) -> list:
@@ -154,6 +207,18 @@ def _float_det_ok(dets, amaxes, n) -> np.ndarray:
     return np.abs(dets) > thresh
 
 
+def _simplex(n: int, k: int):
+    """The points of {a in N^k : a_1 + ... + a_k = n} in lexicographic order.
+
+    A point is read off its k - 1 bar positions among n + k - 1 slots (stars
+    and bars); bar tuples in lexicographic order give the points in
+    lexicographic order.  There are C(n+k-1, n) of them.
+    """
+    last = (n + k - 1,)
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        yield tuple(e - s - 1 for e, s in zip(bars + last, (-1,) + bars))
+
+
 def find_invertible(b: IntertwinerBasis, seed: int = 0, trials: int = DEFAULT_TRIALS,
                     sample_bound: int = DEFAULT_SAMPLE_BOUND,
                     budget: int = DEFAULT_GRID_BUDGET) -> Optional[Matrix]:
@@ -161,8 +226,20 @@ def find_invertible(b: IntertwinerBasis, seed: int = 0, trials: int = DEFAULT_TR
 
     trials > 0: seeded Monte Carlo over {-sample_bound..sample_bound}^dim;
     returns None after the given number of misses (inconclusive).
-    trials == 0: deterministic sweep of the grid {0..n}^dim; None is then a
-    proof that every element of the span is singular.
+
+    trials == 0: deterministic walk of the degree-n coefficient simplex
+    {a in N^dim : a_1 + ... + a_dim = n} in lexicographic order, returning
+    the first invertible point; None is then a proof that every element of
+    the span is singular.  With k = dim, f(c) = det(sum c_j B_j) is
+    homogeneous of degree n.  If f is nonzero, so is
+    g(c_1..c_{k-1}) = f(c_1, .., c_{k-1}, n - c_1 - .. - c_{k-1}), since f
+    is recovered from g by homogenising; g has total degree <= n.  The
+    principal lattice {a in N^(k-1) : sum a <= n}, which is the simplex
+    without its last coordinate, is unisolvent for such polynomials (induct
+    on the last variable), so g is nonzero on one of its points.  The
+    simplex has C(n+k-1, n) points, a subset of the full grid {0..n}^k.
+    Float points go through numpy in batches that start at one point and
+    double up to 32768, so an early hit costs little.
     """
     k = b.dim
     n = b.n
@@ -185,23 +262,22 @@ def find_invertible(b: IntertwinerBasis, seed: int = 0, trials: int = DEFAULT_TR
                     return b.combo(coeffs)
         return None
 
-    # deterministic grid
-    points = (n + 1) ** k
+    points = math.comb(n + k - 1, n)
     if points > budget:
         raise BudgetExceededError(
-            "deterministic invertibility grid exceeds budget: (%d+1)^%d > %d"
-            % (n, k, budget))
+            "deterministic invertibility search exceeds budget: the degree-%d coefficient "
+            "simplex has C(%d+%d-1, %d) = %d points > %d" % (n, n, k, n, points, budget))
     if exact:
         int_basis = _int_basis(b)
-        for coeffs in itertools.product(range(n + 1), repeat=k):
+        for coeffs in _simplex(n, k):
             if _exact_combo_invertible(int_basis, coeffs, n):
                 return b.combo([Fraction(c) for c in coeffs])
         return None
     stack = np.stack([m.to_numpy() for m in b.basis])
-    chunk = 32768
-    grid = itertools.product(range(n + 1), repeat=k)
+    walk = _simplex(n, k)
+    size = 1
     while True:
-        block = list(itertools.islice(grid, chunk))
+        block = list(itertools.islice(walk, size))
         if not block:
             return None
         cs = np.array(block, dtype=float)
@@ -212,6 +288,7 @@ def find_invertible(b: IntertwinerBasis, seed: int = 0, trials: int = DEFAULT_TR
         hits = np.nonzero(ok)[0]
         if hits.size:
             return b.combo(block[int(hits[0])])
+        size = min(2 * size, _FLOAT_BATCH)
 
 
 # -- GL similarity --------------------------------------------------------------
@@ -310,11 +387,14 @@ def _search(x: MatrixTuple, y: MatrixTuple, with_star: bool, mode: str, seed: in
     basis = intertwiner_basis(x, y, with_star=with_star)
     if basis.dim == 0:
         return basis, None, True, "%s space is zero" % what
+    points = math.comb(x.n + basis.dim - 1, x.n)
     if mode == "auto":
-        mode = "deterministic" if (x.n + 1) ** basis.dim <= budget else "monte_carlo"
+        mode = "deterministic" if points <= budget else "monte_carlo"
     if mode == "deterministic":
         p = find_invertible(basis, trials=0, budget=budget)
-        return basis, p, True, "determinant vanishes on the full coefficient grid"
+        where = "all %d points" % points if points > 1 else "the one point"
+        return basis, p, True, ("determinant vanishes on %s of the degree-%d coefficient "
+                                "simplex" % (where, x.n))
     p = find_invertible(basis, seed=seed, trials=trials, sample_bound=sample_bound)
     return basis, p, False, "%d Monte Carlo trials found no invertible %s" % (trials, what)
 
@@ -324,9 +404,9 @@ def gl_similar(x: MatrixTuple, y: MatrixTuple, mode: str = "auto", seed: int = 0
                budget: int = DEFAULT_GRID_BUDGET, filters: bool = True) -> GLVerdict:
     """Decide simultaneous similarity; a `similar` verdict carries a verified P.
 
-    mode 'deterministic' sweeps the coefficient grid (complete; may refuse
+    mode 'deterministic' walks the coefficient simplex (complete; may refuse
     on budget), 'monte_carlo' is probabilistic on the negative side only,
-    'auto' picks deterministic when the grid fits the budget.
+    'auto' picks deterministic when the simplex fits the budget.
     """
     reject = (lambda: _filter_not_similar(x, y)) if filters else None
     _, p, proof, detail = _search(x, y, False, mode, seed, trials, sample_bound, budget,

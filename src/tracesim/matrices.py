@@ -3,8 +3,11 @@
 Two linear-algebra engines sit behind one interface:
 
 * exact (rational kind): rows are cleared to integers and reduced with
-  fraction-free Bareiss elimination (``_echelon_int``); determinants,
-  ranks, nullspaces and solves are exact, with no rounding anywhere.
+  fraction-free Bareiss elimination (``_echelon_int``) for determinants,
+  ranks and solves, and with fraction-free Gauss-Jordan
+  (``_gauss_jordan_int``) for nullspaces, whose reduced rows all end with
+  the same pivot d, so each kernel entry is one ``Fraction(-row[f], d)``.
+  Everything is exact, with no rounding anywhere.
 * float (real/complex kinds): numpy-backed Gauss-Jordan with partial
   pivoting; a pivot counts iff its magnitude exceeds
   ``tol * max(|initial entries|)``, with ``tol`` defaulting to 1e-9.
@@ -502,6 +505,73 @@ def _det_int(rows):
     return sign * work[n - 1][pivots[-1]]
 
 
+def _gauss_jordan_int(rows):
+    """Fraction-free Gauss-Jordan reduction of an integer matrix.
+
+    ``rows`` is a list of equal-length lists of ints and is consumed.
+    Returns ``(rows, pivot_cols, d)``: the first ``len(pivot_cols)`` rows are
+    d times the reduced row echelon form, so each holds d at its own pivot
+    column and 0 at every other pivot column, and the remaining rows are
+    zero.  d is the last pivot (1 when there is none).  Each step is the
+    Bareiss update applied to every other row, rows above the pivot
+    included; all entries stay minors of the input, so every division is
+    exact.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivot_cols = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = -1
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        row_r = rows[r]
+        piv = row_r[c]
+        for i in range(nrows):
+            row_i = rows[i]
+            head = row_i[c]
+            if i == r or (head == 0 and piv == prev):
+                continue  # the update would leave this row as it is
+            # row_r is zero left of c; a row above starts at its own pivot
+            j = pivot_cols[i] if i < r else c
+            row_i[j:] = [(a * piv - head * b) // prev for a, b in zip(row_i[j:], row_r[j:])]
+        prev = piv
+        pivot_cols.append(c)
+        r += 1
+    return rows, pivot_cols, prev
+
+
+def _int_kernel(rows, ncols: int) -> tuple:
+    """(vectors, d): d times the reduced right-kernel basis of an integer
+    matrix, one int list per free column, in increasing column order.
+
+    ``rows`` is consumed.  The vector for free column f holds d there, 0 at
+    every other free column and minus the reduced rows' entries in column f
+    at the pivot columns.
+    """
+    ech, pivots, d = _gauss_jordan_int(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = d
+        for row, pc in zip(ech, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return basis, d
+
+
 def _int_nullspace(rows, ncols: int) -> list:
     """Right-kernel basis of an integer matrix, one Fraction list per free column.
 
@@ -509,25 +579,14 @@ def _int_nullspace(rows, ncols: int) -> list:
     at every other free column, so it does not depend on how the rows were
     scaled.
     """
-    ech, pivots, _ = _echelon_int(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            if pc > f:
-                continue
-            acc = Fraction(0)
-            row = ech[r]
-            for j in range(pc + 1, ncols):
-                if v[j]:
-                    acc += row[j] * v[j]
-            v[pc] = -acc / row[pc]
-        basis.append(v)
-    return basis
+    kernel, d = _int_kernel(rows, ncols)
+    return [_fractions(v, d) for v in kernel]
+
+
+def _fractions(ints, d) -> list:
+    """``[Fraction(v, d) for v in ints]``, sharing one zero."""
+    zero = Fraction(0)
+    return [Fraction(v, d) if v else zero for v in ints]
 
 
 def _exact_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:

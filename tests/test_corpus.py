@@ -57,8 +57,8 @@ def test_hom_dimension_fixture_is_not_settled_by_dimensions():
     for a, b in ((x, x), (x, y), (y, x), (y, y)):
         assert intertwiner_basis(a, b, with_star=False).dim == 1
     v = gl_similar(x, y)
-    assert (v.verdict, v.detail) == ("not_similar",
-                                     "determinant vanishes on the full coefficient grid")
+    assert (v.verdict, v.detail) == (
+        "not_similar", "determinant vanishes on the one point of the degree-2 coefficient simplex")
 
 
 def test_expected_records_are_internally_consistent():

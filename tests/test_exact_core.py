@@ -3,7 +3,8 @@
 Matrix products, rational trace words, power traces and intertwiner systems
 are computed after clearing denominators once; these tests rebuild each
 answer the plain way, with ``Fraction`` loops or ``Matrix`` arithmetic over
-``Fraction``s, and demand equality.
+``Fraction``s, and demand equality.  The staged intertwiner basis is checked
+against a ``Fraction`` Gauss-Jordan of the whole stacked system.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from tracesim import (Field, Kind, KindMismatchError, Matrix, MatrixTuple, NonFi
                       fingerprint, fingerprints_equal, intertwiner_basis, load_corpus,
                       load_tuple, specht_equivalent)
 from tracesim.intertwiner import _power_traces
+from tracesim.matrices import _int_nullspace
 from tracesim.tupleio import parse_entry
 
 FQ = Field.rational()
@@ -165,13 +167,83 @@ def partners(x):
     return [x, x.conjugated(p), other]
 
 
+def fraction_kernel(rows, ncols):
+    """Reduced right-kernel basis by Gauss-Jordan over Fractions: the vector
+    for free column f is 1 there and 0 at every other free column."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                a[i] = [u - a[i][c] * w for u, w in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, pc in zip(a, pivots):
+                v[pc] = -row[f]
+            basis.append(tuple(v))
+    return basis
+
+
+def assert_basis_matches_reference(x, y, with_star):
+    expected = fraction_kernel(fraction_system(x, y, with_star), x.n * x.n)
+    got = intertwiner_basis(x, y, with_star)
+    assert [b.entries for b in got.basis] == expected
+    return got
+
+
 @pytest.mark.parametrize("with_star", [False, True])
 @pytest.mark.parametrize("x", TUPLES)
 def test_intertwiner_basis_matches_fraction_nullspace(x, with_star):
     for y in partners(x):
-        expected = Matrix.from_rows(FQ, fraction_system(x, y, with_star)).nullspace()
-        got = intertwiner_basis(x, y, with_star)
-        assert [b.entries for b in got.basis] == [v.entries for v in expected]
+        rows = fraction_system(x, y, with_star)
+        expected = fraction_kernel(rows, x.n * x.n)
+        assert [b.entries for b in intertwiner_basis(x, y, with_star).basis] == expected
+        assert [v.entries for v in Matrix.from_rows(FQ, rows).nullspace()] == expected
+
+
+def diag_tuple(*diagonals):
+    return MatrixTuple.of(*(Matrix.diagonal(FQ, v) for v in diagonals))
+
+
+@pytest.mark.parametrize("with_star", [False, True])
+def test_staged_basis_edge_cases(with_star):
+    rng = random.Random(5)
+    m = rand_fraction_matrix(rng, 2)
+    # zero space after the first equation: the later ones are never solved
+    x = MatrixTuple.of(Matrix.diagonal(FQ, [1, 2]), m)
+    y = MatrixTuple.of(Matrix.diagonal(FQ, [3, 4]), m)
+    assert assert_basis_matches_reference(x, y, with_star).dim == 0
+    # later equations whose residuals are all zero on the current kernel
+    eye = [Fraction(5, 3)] * 3
+    assert assert_basis_matches_reference(diag_tuple([1, 1, 2], eye, eye),
+                                          diag_tuple([1, 1, 2], eye, eye), with_star).dim == 5
+    # a scalar first equation keeps all of M_n; the second cuts it down
+    x = MatrixTuple.of(Matrix.identity(FQ, 3), rand_fraction_matrix(rng, 3))
+    assert assert_basis_matches_reference(x, x, with_star).dim >= 1
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(7, 3, 2), (9, 4, 1), (2, 6, 2), (3, 7, 1),
+                                              (5, 5, 3), (4, 4, 0)])
+def test_int_nullspace_of_rank_deficient_inputs(rows, cols, rank):
+    rng = random.Random(rows * 100 + cols * 10 + rank)
+    for _ in range(5):
+        left = [[rng.randint(-5, 5) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rank)]
+        a = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(cols)]
+             for i in range(rows)]
+        expected = fraction_kernel(a, cols)
+        assert [tuple(v) for v in _int_nullspace([r[:] for r in a], cols)] == expected
+        assert len(expected) >= cols - rank
 
 
 def test_specht_needs_transpose_at_default_degree():

@@ -1,5 +1,9 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +12,8 @@ from conftest import rand_invertible_int, rand_rational_tuple
 from tracesim import (BudgetExceededError, Field, IntertwinerBasis, Matrix, MatrixTuple,
                       ShapeError, find_invertible, gl_similar, intertwiner_basis,
                       orthogonal_witness)
-from tracesim.intertwiner import _verify_intertwiner
+from tracesim.intertwiner import _simplex, _verify_intertwiner
+from tracesim.matrices import _det_int
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -46,7 +51,7 @@ def test_no_trace_pair_has_only_singular_intertwiners():
     y = MatrixTuple.of(Matrix.diagonal(FQ, [1, 1, 2]))
     b = intertwiner_basis(x, y, with_star=False)
     assert b.dim == 4
-    assert find_invertible(b, trials=0) is None  # proof via the grid
+    assert find_invertible(b, trials=0) is None  # proof via the simplex
     verdict = gl_similar(x, y, mode="deterministic", filters=False)
     assert verdict.verdict == "not_similar"
 
@@ -119,13 +124,148 @@ def test_diagonal_span_monte_carlo_finds_witness():
 def test_deterministic_grid_budget_guard():
     basis = tuple(Matrix.unit(FQ, 4, i, j) for i in range(4) for j in range(4))
     b = IntertwinerBasis(4, False, FQ, basis)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"C\(4\+16-1, 4\) = 3876 points > 100"):
         find_invertible(b, trials=0, budget=100)
 
 
 def test_empty_basis_has_no_invertible():
     b = IntertwinerBasis(2, False, FQ, ())
     assert find_invertible(b, trials=0) is None
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 6))
+def test_simplex_is_the_sum_n_part_of_the_grid_in_order(n, k):
+    grid = [a for a in itertools.product(range(n + 1), repeat=k) if sum(a) == n]
+    assert list(_simplex(n, k)) == grid
+    assert len(grid) == math.comb(n + k - 1, n)
+
+
+def grid_has_invertible(b):
+    """Reference: some point of the full grid {0..n}^k has nonzero determinant."""
+    n = b.n
+    denom = math.lcm(*(e.denominator for m in b.basis for e in m.entries))
+    span = [[int(e * denom) for e in m.entries] for m in b.basis]
+    for coeffs in itertools.product(range(n + 1), repeat=b.dim):
+        flat = [sum(c * m[t] for c, m in zip(coeffs, span)) for t in range(n * n)]
+        if _det_int([flat[i * n:(i + 1) * n] for i in range(n)]) != 0:
+            return True
+    return False
+
+
+def random_spans(rng, count):
+    """Small rational spans; two in three are forced singular (a shared zero
+    column, or strictly upper triangular)."""
+    out = []
+    for t in range(count):
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        style = t % 3
+        mats = []
+        for _ in range(k):
+            rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)]
+            for i in range(n):
+                if style == 1:
+                    rows[i][0] = 0
+                if style == 2:
+                    rows[i][:i + 1] = [0] * (i + 1)
+            mats.append(Matrix.from_rows(FQ, rows))
+        out.append(IntertwinerBasis(n, False, FQ, tuple(mats)))
+    return out
+
+
+def random_pair_spans(rng, count):
+    """Intertwiner spaces of pairs of small triangular tuples with entries in
+    {0, 1, 2}; repeated eigenvalues make many of them nonzero and singular."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 3)
+        x, y = (MatrixTuple.of(Matrix.from_rows(
+            FQ, [[rng.choice([0, 1, 2]) if j >= i else 0 for j in range(n)]
+                 for i in range(n)])) for _ in range(2))
+        b = intertwiner_basis(x, y, with_star=rng.random() < 0.3)
+        if 0 < b.dim <= 5:
+            out.append(b)
+    return out
+
+
+def test_simplex_verdict_matches_the_full_grid():
+    rng = random.Random(78)
+    spans = random_spans(rng, 60) + random_pair_spans(rng, 40)
+    singular = 0
+    for b in spans:
+        found = find_invertible(b, trials=0)
+        assert (found is not None) == grid_has_invertible(b)
+        if found is None:
+            singular += 1
+        else:
+            assert found.det() != 0
+    assert 20 <= singular <= len(spans) - 20
+
+
+def jordan(sizes):
+    """The nilpotent Jordan matrix with blocks of the given sizes."""
+    n = sum(sizes)
+    ones, start = set(), 0
+    for size in sizes:
+        ones.update(range(start, start + size - 1))
+        start += size
+    return MatrixTuple.of(Matrix.from_rows(FQ, [[1 if j == i + 1 and i in ones else 0
+                                                 for j in range(n)] for i in range(n)]))
+
+
+@pytest.mark.parametrize("xs, ys, dim, points", [
+    ((3, 1, 1), (2, 2, 1), 11, 3003),
+    ((2, 2), (3, 1), 6, 126),
+])
+def test_jordan_pairs_are_proven_not_similar(xs, ys, dim, points):
+    x, y = jordan(xs), jordan(ys)
+    assert intertwiner_basis(x, y, with_star=False).dim == dim
+    v = gl_similar(x, y, filters=False)
+    assert (v.verdict, v.detail) == (
+        "not_similar", "determinant vanishes on all %d points of the degree-%d coefficient "
+        "simplex" % (points, x.n))
+
+
+def triangular_span(field):
+    """Upper triangular span of dimension 5 in M_3 whose first invertible
+    simplex point is the 22nd, (1, 0, 0, 1, 1): det is c1 (c1+..+c5) (2 c1 - c5)."""
+    def mat(diagonal, upper):
+        m = Matrix.diagonal(FQ, diagonal)
+        for i, j in upper:
+            m = m + Matrix.unit(FQ, 3, i, j)
+        return m.astype(field)
+    return IntertwinerBasis(3, False, field, (
+        mat([1, 1, 2], []), mat([0, 1, 0], [(0, 1)]), mat([0, 1, 0], [(0, 2)]),
+        mat([0, 1, 0], [(1, 2)]), mat([0, 1, -1], [])))
+
+
+def test_float_batches_find_the_same_point_as_the_exact_walk():
+    exact = triangular_span(FQ)
+    points = list(_simplex(3, 5))
+    first = next(i for i, a in enumerate(points)
+                 if exact.combo([Fraction(c) for c in a]).det() != 0)
+    assert (first, points[first]) == (21, (1, 0, 0, 1, 1))  # inside the fifth batch
+    p = find_invertible(exact, trials=0)
+    assert p == exact.combo([Fraction(c) for c in points[first]])
+    q = find_invertible(triangular_span(FR), trials=0)
+    assert q.entries == tuple(float(e) for e in p.entries)
+
+
+def test_float_batches_visit_every_simplex_point_once(monkeypatch):
+    # every element of this span has a zero first column
+    basis = tuple(Matrix.unit(FR, 3, i, j) for i, j in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
+    sizes = []
+    det = np.linalg.det
+
+    def counting_det(a):
+        sizes.append(a.shape[0])
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    assert find_invertible(IntertwinerBasis(3, False, FR, basis), trials=0) is None
+    assert sizes == [1, 2, 4, 8, 16, 4]
+    assert sum(sizes) == math.comb(3 + 5 - 1, 3)
 
 
 # -- gl_similar ----------------------------------------------------------------------
@@ -161,7 +301,7 @@ def test_gl_similar_grid_proof_without_filters():
     y = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1))
     v = gl_similar(x, y, mode="deterministic", filters=False)
     assert v.verdict == "not_similar"
-    assert "grid" in v.detail
+    assert "simplex" in v.detail
 
 
 def test_gl_similar_symmetric_verdicts():
@@ -265,13 +405,13 @@ def _orth(x, y, mode, filters):
 @pytest.mark.parametrize("decide, pair, mode, verdict, detail", [
     (_gl, _ZERO, "auto", "not_similar", "intertwiner space is zero"),
     (_gl, _SINGULAR, "auto", "not_similar",
-     "determinant vanishes on the full coefficient grid"),
+     "determinant vanishes on all 3 points of the degree-2 coefficient simplex"),
     (_gl, _SINGULAR, "monte_carlo", "not_similar_probable",
      "20 Monte Carlo trials found no invertible intertwiner"),
     (_gl, _SINGULAR, "bogus", ShapeError, "rank of component 1 differs: 1 vs 2"),
     (_orth, _ZERO, "auto", "not_equivalent", "star-intertwiner space is zero"),
     (_orth, _SINGULAR, "auto", "not_equivalent",
-     "determinant vanishes on the full coefficient grid"),
+     "determinant vanishes on all 3 points of the degree-2 coefficient simplex"),
     (_orth, _SINGULAR, "monte_carlo", "not_equivalent_probable",
      "20 Monte Carlo trials found no invertible star-intertwiner"),
     (_orth, _SINGULAR, "bogus", ShapeError,
