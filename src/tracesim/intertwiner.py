@@ -6,14 +6,22 @@ of P.  The tuples are simultaneously similar iff that space contains an
 invertible element, and any such P is a certified witness:
 Y_i = P X_i P^{-1}.
 
-The exact kind builds the space in stages.  P X_1 = Y_1 P is solved over
-all n^2 entries; each later equation, starred ones included, is solved
-only inside the kernel found so far, as n^2 equations in its k
-coefficients (the residuals P_j X_i - Y_i P_j of the basis), and the work
-stops once the kernel is zero.  The final basis is brought to the reduced
-form of the stacked system, so it does not depend on the staging.  The
-float kinds stack all equations into one system, since restricting under
-float pivot thresholds would change which directions count as kernel.
+The exact kind builds the space in stages.  P X_1 = Y_1 P is solved
+through Krylov chains of X_1: standard vectors v_1..v_r are taken in order
+while they lie outside the span so far, and each chain
+v_i, X_1 v_i, .., X_1^(m_i - 1) v_i grows until its next vector falls into
+the span, so the chains form a basis K of Q^n (r = 1 when X_1 is cyclic).
+P is fixed by the images w_i = P v_i, because P X_1^t v_i = Y_1^t w_i, and
+P X_1 = Y_1 P holds iff each tail relation X_1^(m_i) v_i = sum c X_1^t v_l
+is matched by Y_1^(m_i) w_i = sum c Y_1^t w_l: n r equations in the n r
+entries of the w_i, in place of n^2 in n^2 (``_exact_intertwiners`` has the
+argument).  Each later equation, starred ones included, is solved only
+inside the kernel found so far, as n^2 equations in its k coefficients (the
+residuals P_j X_i - Y_i P_j of the basis), and the work stops once the
+kernel is zero.  The final basis is brought to the reduced form of the
+stacked system, so it does not depend on the chains or the staging.  The
+float kinds stack all equations into one numpy system, since restricting
+under float pivot thresholds would change which directions count as kernel.
 
 Invertible elements are found by polynomial identity testing on the
 determinant restricted to the span:
@@ -47,8 +55,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, ShapeError
 from .fields import Field
-from .matrices import (Matrix, MatrixTuple, _clear_denominators, _det_int, _fractions,
-                       _gauss_jordan_int, _int_kernel, _int_matrices, _require_exact_tol)
+from .matrices import (Matrix, MatrixTuple, _clear_denominators, _det_int, _float_kernel,
+                       _float_tol, _fractions, _gauss_jordan_int, _int_kernel, _int_matrices,
+                       _require_exact_tol)
 from .words import fingerprint, fingerprints_equal
 
 DEFAULT_TRIALS = 20
@@ -95,7 +104,8 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
     equations one at a time (``_exact_intertwiners``) and returns the reduced
     basis of the whole system: basis[j] is 1 at the j-th free entry and 0 at
     the other free entries, and the defining equations hold exactly.  The
-    float kinds stack every equation (n^2 rows each) into one system.
+    float kinds stack every equation (n^2 rows each) into one numpy system
+    (``_float_system``) and read its kernel off ``_float_kernel``.
     """
     _check_pair(x, y)
     n = x.n
@@ -108,33 +118,60 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
             ys += [[list(c) for c in zip(*m)] for m in ys]
         basis = tuple(Matrix(x.field, n, n, tuple(v)) for v in _exact_intertwiners(xs, ys, n))
     else:
-        xs = [m.row_list() for m in x.matrices]
-        ys = [m.row_list() for m in y.matrices]
+        xs = [m.to_numpy() for m in x.matrices]
+        ys = [m.to_numpy() for m in y.matrices]
         if with_star:
-            xs += [m.row_list() for m in x.stars()]
-            ys += [m.row_list() for m in y.stars()]
-        rows = _system_rows(xs, ys, n, x.field.zero())
-        system = Matrix(x.field, len(rows), n * n, tuple(e for row in rows for e in row))
-        kernel = system.nullspace(tol)
-        basis = tuple(Matrix(x.field, n, n, v.entries) for v in kernel)
+            xs += [m.to_numpy() for m in x.stars()]
+            ys += [m.to_numpy() for m in y.stars()]
+        kernel = _float_kernel(_float_system(xs, ys, n), _float_tol(tol))
+        basis = tuple(Matrix.from_numpy(x.field, v.reshape(n, n)) for v in kernel)
     return IntertwinerBasis(n, with_star, x.field, basis)
+
+
+def _float_system(xs, ys, n: int) -> np.ndarray:
+    """Rows of P X_i - Y_i P = 0 over the row-major entries of P, stacked.
+
+    ``xs`` and ``ys`` hold the matrices as numpy arrays; each pair
+    contributes n^2 rows, row (a, b) holding X_i[s, b] at column (a, s) and
+    -Y_i[a, r] at column (r, b).  Every entry is formed as (0 + x) - y, with
+    x and y taken only where they belong (never as 0 * x), so no entry is a
+    negative zero and each equals the scalar arithmetic on the same values.
+    """
+    d = len(xs)
+    system = np.zeros((d, n, n, n, n), dtype=xs[0].dtype)  # [i, a, b, r, s]
+    diag = np.arange(n)
+    system[:, diag, :, diag, :] += np.stack(xs).transpose(0, 2, 1)  # r = a
+    system[:, :, diag, :, diag] -= np.stack(ys)  # s = b
+    return system.reshape(d * n * n, n * n)
 
 
 def _exact_intertwiners(xs, ys, n: int) -> list:
     """Reduced basis (Fraction lists) of {P : P X_i = Y_i P for every pair}.
 
     ``xs`` and ``ys`` hold integer matrices as row lists.  The first
-    equation is solved over all n^2 entries of P.  Each later one is solved
-    inside the current kernel: with P = sum_j c_j P_j it reads
-    sum_j c_j (P_j X_i - Y_i P_j) = 0, n^2 equations in the k coefficients.
-    The kernel shrinks at every step, and the loop stops once it is zero.
-    Kernel vectors are kept as ints divided by the gcd of their entries.
-    The last step brings the basis to the form ``_int_nullspace`` gives for
-    the whole system: Gauss-Jordan on the column-reversed basis makes each
-    vector d at one entry (the free column) and 0 at the other free ones.
+    equation is solved through Krylov chains of X = X_1 (``_krylov_chains``):
+    vectors v_1..v_r whose chains v_i, X v_i, .., X^(m_i - 1) v_i form a
+    basis K of Q^n, each closed by a tail relation
+    X^(m_i) v_i = sum_{l,t} c_{l,t} X^t v_l.  An intertwiner is fixed by the
+    images w_i = P v_i, since P X^t v_i = Y^t w_i.  Conversely, given any
+    w_1..w_r, the P with P X^t v_l = Y^t w_l on K satisfies P X = Y P on
+    every chain vector below its tail, and on the last one it reads
+    Y^(m_i) w_i = sum c_{l,t} Y^t w_l.  So P <-> (w_1..w_r) is a bijection
+    between the solutions and the kernel of those r tail relations: n r
+    equations in n r unknowns (n when X is cyclic) instead of n^2 in n^2.
+    Each kernel vector maps back to P = W K^{-1}, W holding the Y^t w_l.
+
+    Each later equation is solved inside the current kernel: with
+    P = sum_j c_j P_j it reads sum_j c_j (P_j X_i - Y_i P_j) = 0, n^2
+    equations in the k coefficients.  The kernel shrinks at every step, and
+    the loop stops once it is zero.  Kernel vectors are kept as ints divided
+    by the gcd of their entries.  The last step brings the basis to the
+    form ``_int_nullspace`` gives for the whole system: Gauss-Jordan on the
+    column-reversed basis makes each vector d at one entry (the free column)
+    and 0 at the other free ones.  That form is unique for the space, so
+    it does not depend on the chains or the staging.
     """
-    kernel, _ = _int_kernel(_system_rows(xs[:1], ys[:1], n, 0), n * n)
-    basis = [_primitive(v) for v in kernel]
+    basis = [_primitive(v) for v in _chain_intertwiners(xs[0], ys[0], n)]
     for xi, yi in zip(xs[1:], ys[1:]):
         if not basis:
             return []
@@ -154,29 +191,98 @@ def _exact_intertwiners(xs, ys, n: int) -> list:
     return [_fractions(ech[r][::-1], d) for r in reversed(range(len(pivots)))]
 
 
+def _krylov_chains(x, n: int) -> tuple:
+    """Krylov chains of the integer matrix ``x`` that together span Q^n.
+
+    For each standard vector e_j outside the span so far, in order, the
+    chain e_j, x e_j, x^2 e_j, .. grows until its next vector u falls into
+    the span.  Returns ``(kept, chains)``: ``kept`` lists the chain vectors
+    in order (a basis of Q^n), and ``chains`` holds one ``(start, length,
+    relation)`` per chain, where ``relation`` is an integer list with
+    relation[-1] * u + sum_k relation[k] * kept[k] = 0 and relation[-1] != 0.
+
+    Membership is tested by fraction-free elimination against the kept
+    vectors, each stored reduced with the combination of kept vectors that
+    gives it, so a vector that reduces to zero yields its relation directly.
+    """
+    ech = []  # (reduced vector, combination of kept vectors, pivot index)
+    kept = []
+    chains = []
+    for j in range(n):
+        u = [0] * n
+        u[j] = 1
+        start = len(kept)
+        while True:
+            red = list(u)
+            comb = [0] * len(kept) + [1]
+            for row, rcomb, p in ech:
+                h = red[p]
+                if h:
+                    g = math.gcd(row[p], h)
+                    q, h = row[p] // g, h // g
+                    red = [q * a - h * b for a, b in zip(red, row)]
+                    comb = ([q * a - h * b for a, b in zip(comb, rcomb)]
+                            + [q * a for a in comb[len(rcomb):]])
+            g = math.gcd(*red, *comb)
+            red = [a // g for a in red]
+            comb = [a // g for a in comb]
+            pivot = next((i for i, a in enumerate(red) if a), None)
+            if pivot is None:
+                if len(kept) > start:
+                    chains.append((start, len(kept) - start, comb))
+                break
+            ech.append((red, comb, pivot))
+            kept.append(u)
+            u = [sum(map(mul, row, u)) for row in x]
+        if len(kept) == n:
+            break
+    return kept, chains
+
+
+def _chain_intertwiners(x, y, n: int) -> list:
+    """Integer vectors spanning {P : P X = Y P} (P row-major), found from the
+    tail relations of the Krylov chains of X (see ``_exact_intertwiners``)."""
+    kept, chains = _krylov_chains(x, n)
+    r = len(chains)
+    owner = [(l, t) for l, (_, length, _) in enumerate(chains) for t in range(length)]
+    ypow = [[[int(a == b) for b in range(n)] for a in range(n)]]  # Y^0 .. Y^(max m_i)
+    ycols = [list(c) for c in zip(*y)]
+    while len(ypow) <= max(length for _, length, _ in chains):
+        ypow.append([[sum(map(mul, row, col)) for col in ycols] for row in ypow[-1]])
+    rows = []  # row a of chain i: the a-th entry of rel[-1] Y^(m_i) w_i + sum rel[k] Y^t w_l
+    for i, (_, length, rel) in enumerate(chains):
+        block = [[0] * (n * r) for _ in range(n)]
+        terms = [(l, t, c) for (l, t), c in zip(owner, rel[:-1]) if c]
+        terms.append((i, length, rel[-1]))
+        for l, t, c in terms:
+            for brow, yrow in zip(block, ypow[t]):
+                for s, e in enumerate(yrow, start=l * n):
+                    brow[s] += c * e
+        rows += block
+    kernel, _ = _int_kernel(rows, n * r)
+    if not kernel:
+        return []
+    # K^{-1} up to one scalar: Gauss-Jordan of [K | I] leaves d [I | K^{-1}]
+    ech, _, _ = _gauss_jordan_int([[v[a] for v in kept] + [int(a == b) for b in range(n)]
+                                   for a in range(n)])
+    kinv_cols = [list(col) for col in zip(*(row[n:] for row in ech))]
+    out = []
+    for w in kernel:
+        images = []  # P applied to each kept vector: Y^t w_l
+        for l, (_, length, _) in enumerate(chains):
+            v = w[l * n:(l + 1) * n]
+            images.append(v)
+            for _ in range(length - 1):
+                v = [sum(map(mul, row, v)) for row in y]
+                images.append(v)
+        out.append([sum(map(mul, prow, col)) for prow in zip(*images) for col in kinv_cols])
+    return out
+
+
 def _primitive(v: list) -> list:
     """A nonzero integer vector divided by the gcd of its entries."""
     g = math.gcd(*v)
     return [e // g for e in v]
-
-
-def _system_rows(xs, ys, n: int, zero) -> list:
-    """Rows of P X_i - Y_i P = 0 over the row-major entries of P.
-
-    ``xs`` and ``ys`` hold the matrices as row lists; each pair contributes
-    n^2 rows.
-    """
-    rows = []
-    for xi, yi in zip(xs, ys):
-        for a in range(n):
-            for b in range(n):
-                row = [zero] * (n * n)
-                for s in range(n):
-                    row[a * n + s] = row[a * n + s] + xi[s][b]
-                for r in range(n):
-                    row[r * n + b] = row[r * n + b] - yi[a][r]
-                rows.append(row)
-    return rows
 
 
 # -- invertible element search -------------------------------------------------

@@ -9,8 +9,11 @@ Two linear-algebra engines sit behind one interface:
   the same pivot d, so each kernel entry is one ``Fraction(-row[f], d)``.
   Everything is exact, with no rounding anywhere.
 * float (real/complex kinds): numpy-backed Gauss-Jordan with partial
-  pivoting; a pivot counts iff its magnitude exceeds
+  pivoting (``_float_rref``); a pivot counts iff its magnitude exceeds
   ``tol * max(|initial entries|)``, with ``tol`` defaulting to 1e-9.
+  ``_float_kernel`` reads the kernel off that reduction as numpy vectors,
+  one per free column; float ``Matrix.nullspace`` wraps it, and the float
+  intertwiner system, assembled as a numpy array, calls it directly.
 
 Products follow the same split.  An exact product clears each factor's
 denominators once, A = A'/La and B = B'/Lb with A', B' integer, takes every
@@ -681,9 +684,15 @@ def _float_det(m: Matrix):
     return complex(val) if m.field.is_complex else float(val)
 
 
-def _float_nullspace(m: Matrix, tol: float) -> list:
-    rref, pivots = _float_rref(m.to_numpy(), tol)
-    ncols = m.cols
+def _float_kernel(a, tol: float) -> list:
+    """Right-kernel basis of a float or complex array, one numpy vector per
+    free column of ``_float_rref``, in increasing column order.
+
+    The vector for free column f is 1 there, 0 at every other free column
+    and minus the reduced rows' entries in column f at the pivot columns.
+    """
+    rref, pivots = _float_rref(a, tol)
+    ncols = rref.shape[1]
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -692,5 +701,10 @@ def _float_nullspace(m: Matrix, tol: float) -> list:
         v[f] = 1.0
         for r, pc in enumerate(pivots):
             v[pc] = -rref[r, f]
-        basis.append(Matrix.from_numpy(m.field, v.reshape(ncols, 1)))
+        basis.append(v)
     return basis
+
+
+def _float_nullspace(m: Matrix, tol: float) -> list:
+    return [Matrix.from_numpy(m.field, v.reshape(m.cols, 1))
+            for v in _float_kernel(m.to_numpy(), tol)]

@@ -281,15 +281,18 @@ def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, mode: str 
 def _float_witness_with_retries(p: Matrix, basis: IntertwinerBasis,
                                 xf: MatrixTuple, yf: MatrixTuple, tol: float,
                                 seed: int, sample_bound: int, exact_p: bool = False):
+    """The witness from P or, failing that, from up to three Monte Carlo
+    retries (seeds seed+1..seed+3), each drawn only after the one before it
+    has failed; raises the last ``WitnessConstructionError``."""
     last = None
-    candidates = [p.astype(xf.field) if exact_p else p]
-    for attempt in range(1, 4):
-        alt = find_invertible(basis, seed=seed + attempt, trials=5, sample_bound=sample_bound)
-        if alt is not None:
-            candidates.append(alt.astype(xf.field) if exact_p else alt)
-    for cand in candidates:
+    for attempt in range(4):
+        cand = p if attempt == 0 else find_invertible(basis, seed=seed + attempt, trials=5,
+                                                      sample_bound=sample_bound)
+        if cand is None:
+            continue
         try:
-            return _construct_float_witness(cand, xf, yf, tol)
+            return _construct_float_witness(cand.astype(xf.field) if exact_p else cand,
+                                            xf, yf, tol)
         except WitnessConstructionError as exc:
             last = exc
     raise last

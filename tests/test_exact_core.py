@@ -3,8 +3,11 @@
 Matrix products, rational trace words, power traces and intertwiner systems
 are computed after clearing denominators once; these tests rebuild each
 answer the plain way, with ``Fraction`` loops or ``Matrix`` arithmetic over
-``Fraction``s, and demand equality.  The staged intertwiner basis is checked
-against a ``Fraction`` Gauss-Jordan of the whole stacked system.
+``Fraction``s, and demand equality.  The staged intertwiner basis, whose
+first stage runs through Krylov chains of X_1, is checked against a
+``Fraction`` Gauss-Jordan of the whole stacked system.  The numpy float
+intertwiner system is checked byte for byte, signed zeros included,
+against a Python row-list loop kept here as the reference.
 """
 
 import dataclasses
@@ -14,15 +17,18 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import givens_orthogonal
 from tracesim import (Field, Kind, KindMismatchError, Matrix, MatrixTuple, NonFiniteError,
-                      ShapeError, TupleFileError, enumerate_canonical, eval_word,
+                      ShapeError, StarMode, TupleFileError, enumerate_canonical, eval_word,
                       fingerprint, fingerprints_equal, intertwiner_basis, load_corpus,
                       load_tuple, specht_equivalent)
-from tracesim.intertwiner import _power_traces
-from tracesim.matrices import _int_nullspace
+from tracesim.intertwiner import _float_system, _krylov_chains, _power_traces
+from tracesim.matrices import _int_matrices, _int_nullspace
 from tracesim.tupleio import parse_entry
 
 FQ = Field.rational()
@@ -230,6 +236,216 @@ def test_staged_basis_edge_cases(with_star):
     # a scalar first equation keeps all of M_n; the second cuts it down
     x = MatrixTuple.of(Matrix.identity(FQ, 3), rand_fraction_matrix(rng, 3))
     assert assert_basis_matches_reference(x, x, with_star).dim >= 1
+
+
+# -- the Krylov first stage ------------------------------------------------------------
+
+def jordan_matrix(sizes, eigenvalues=None):
+    """Jordan matrix with blocks of the given sizes (ones above the diagonal)."""
+    n = sum(sizes)
+    eigenvalues = eigenvalues or [0] * len(sizes)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for size, lam in zip(sizes, eigenvalues):
+        for i in range(start, start + size):
+            rows[i][i] = Fraction(lam)
+            if i + 1 < start + size:
+                rows[i][i + 1] = Fraction(1)
+        start += size
+    return Matrix.from_rows(FQ, rows)
+
+
+def block_diag(a, b):
+    n, m = a.rows, b.rows
+    return Matrix.from_rows(FQ, [[a.at(i, j) if i < n and j < n else
+                                  b.at(i - n, j - n) if i >= n and j >= n else 0
+                                  for j in range(n + m)] for i in range(n + m)])
+
+
+def companion(coeffs):
+    """Companion matrix of t^n + c_{n-1} t^(n-1) + ... + c_0; cyclic."""
+    n = len(coeffs)
+    return Matrix.from_rows(FQ, [[1 if i == j + 1 else 0 for j in range(n - 1)] + [-coeffs[i]]
+                                 for i in range(n)])
+
+
+def unimodular(rng, n):
+    lower = Matrix.from_rows(FQ, [[1 if i == j else rng.randint(-2, 2) if j < i else 0
+                                   for j in range(n)] for i in range(n)])
+    upper = Matrix.from_rows(FQ, [[1 if i == j else rng.randint(-2, 2) if j > i else 0
+                                   for j in range(n)] for i in range(n)])
+    return lower * upper
+
+
+def first_components():
+    """(X_1, Y_1) pairs whose X_1 is far from cyclic, plus cyclic controls."""
+    rng = random.Random(17)
+    a = rand_fraction_matrix(rng, 2)
+    aa = block_diag(a, a)
+    nil = jordan_matrix([3, 1])
+    p = unimodular(rng, 4)
+    return [
+        pytest.param(Matrix.identity(FQ, 3).scale(Fraction(5, 3)),
+                     Matrix.identity(FQ, 3).scale(Fraction(5, 3)), id="scalar"),
+        pytest.param(Matrix.zeros(FQ, 4, 4), Matrix.zeros(FQ, 4, 4), id="zero"),
+        pytest.param(jordan_matrix([3, 1, 1]), jordan_matrix([2, 2, 1]), id="J311-J221"),
+        pytest.param(jordan_matrix([2, 2, 2]), jordan_matrix([3, 2, 1]), id="J222-J321"),
+        pytest.param(aa, p * aa * p.inverse(), id="A+A"),
+        pytest.param(nil, p * nil * p.inverse(), id="nilpotent"),
+        pytest.param(jordan_matrix([2, 1], [Fraction(1, 2)] * 2),
+                     jordan_matrix([1, 1, 1], [Fraction(1, 2)] * 3), id="repeated-eigenvalue"),
+        pytest.param(companion([1, -2, 0, 3]), companion([1, -2, 0, 3]).transpose(),
+                     id="companion"),
+        pytest.param(Matrix.from_rows(FQ, [[Fraction(2, 3)]]),
+                     Matrix.from_rows(FQ, [[Fraction(2, 3)]]), id="n1"),
+        pytest.param(Matrix.from_rows(FQ, [[Fraction(2, 3)]]),
+                     Matrix.from_rows(FQ, [[1]]), id="n1-distinct"),
+    ]
+
+
+@pytest.mark.parametrize("with_star", [False, True])
+@pytest.mark.parametrize("x1, y1", first_components())
+def test_krylov_first_stage_matches_fraction_nullspace(x1, y1, with_star):
+    rng = random.Random(x1.rows)
+    second = rand_fraction_matrix(rng, x1.rows)
+    for xm, ym in ((x1, y1), (x1, x1), (y1, y1)):
+        assert_basis_matches_reference(MatrixTuple.of(xm), MatrixTuple.of(ym), with_star)
+        # a second component: the later stages run inside the Krylov kernel
+        x = MatrixTuple.of(xm, second)
+        assert_basis_matches_reference(x, x, with_star)
+
+
+def chains_of(m):
+    (rows,), _ = _int_matrices([m])
+    kept, chains = _krylov_chains(rows, m.rows)
+    for start, length, rel in chains:  # every tail relation holds
+        u = kept[start]
+        for _ in range(length):
+            u = [sum(a * b for a, b in zip(row, u)) for row in rows]
+        combo = [rel[-1] * e for e in u]
+        for c, v in zip(rel[:-1], kept):
+            combo = [s + c * e for s, e in zip(combo, v)]
+        assert rel[-1] != 0 and combo == [0] * m.rows
+    assert sum(length for _, length, _ in chains) == len(kept) == m.rows
+    assert [start for start, _, _ in chains] == list(
+        itertools.accumulate([0] + [length for _, length, _ in chains[:-1]]))
+    return [length for _, length, _ in chains]
+
+
+def test_krylov_chain_counts():
+    assert chains_of(companion([1, -2, 0, 3])) == [4]
+    assert chains_of(companion([Fraction(1, 2), 0, 0, 0, 0])) == [5]
+    assert chains_of(Matrix.identity(FQ, 4).scale(Fraction(-7, 2))) == [1, 1, 1, 1]
+    assert chains_of(Matrix.zeros(FQ, 3, 3)) == [1, 1, 1]
+    assert chains_of(Matrix.from_rows(FQ, [[5]])) == [1]
+    # ones above the diagonal: e_j maps into the span of e_0..e_j-1
+    assert chains_of(jordan_matrix([3, 1, 1])) == [1, 1, 1, 1, 1]
+    assert chains_of(jordan_matrix([3, 1, 1]).transpose()) == [3, 1, 1]
+    assert chains_of(block_diag(companion([2, 1]), companion([2, 1]))) == [2, 2]
+
+
+@st.composite
+def degenerate_pairs(draw):
+    """Rational pairs with n <= 4, d <= 2 whose X_1 has repeated eigenvalues
+    (a conjugated Jordan form over {0, 1/2, 1}) or rank at most 2."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    entry = st.fractions(-3, 3, max_denominator=3)
+
+    def unimodular_draw():
+        lower = Matrix.from_rows(FQ, [[1 if i == j else draw(small) if j < i else 0
+                                       for j in range(n)] for i in range(n)])
+        upper = Matrix.from_rows(FQ, [[1 if i == j else draw(small) if j > i else 0
+                                       for j in range(n)] for i in range(n)])
+        return lower * upper
+
+    def first():
+        if draw(st.booleans()):
+            cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else set())
+            sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+            lams = [draw(st.sampled_from([0, Fraction(1, 2), 1])) for _ in sizes]
+            s = unimodular_draw()
+            return s * jordan_matrix(sizes, lams) * s.inverse()
+        rank = draw(st.integers(0, min(2, n)))
+        if rank == 0:
+            return Matrix.zeros(FQ, n, n)
+        u = Matrix.from_rows(FQ, [[draw(entry) for _ in range(rank)] for _ in range(n)])
+        v = Matrix.from_rows(FQ, [[draw(entry) for _ in range(n)] for _ in range(rank)])
+        return u * v
+
+    x1 = first()
+    how = draw(st.sampled_from(["same", "conjugate", "other"]))
+    t = unimodular_draw()
+    y1 = {"same": x1, "conjugate": t * x1 * t.inverse(), "other": first()}[how]
+    if draw(st.booleans()):
+        return MatrixTuple.of(x1), MatrixTuple.of(y1)
+    x2 = Matrix.from_rows(FQ, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    y2 = t * x2 * t.inverse() if how == "conjugate" else x2
+    return MatrixTuple.of(x1, x2), MatrixTuple.of(y1, y2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(degenerate_pairs(), st.booleans())
+def test_krylov_basis_matches_fraction_nullspace_on_degenerate_tuples(pair, with_star):
+    assert_basis_matches_reference(*pair, with_star)
+
+
+# -- the float system -------------------------------------------------------------------
+
+def reference_system_rows(xs, ys, n, zero):
+    """Rows of P X_i - Y_i P = 0 as the Python row-list loop built them."""
+    rows = []
+    for xi, yi in zip(xs, ys):
+        for a in range(n):
+            for b in range(n):
+                row = [zero] * (n * n)
+                for s in range(n):
+                    row[a * n + s] = row[a * n + s] + xi[s][b]
+                for r in range(n):
+                    row[r * n + b] = row[r * n + b] - yi[a][r]
+                rows.append(row)
+    return rows
+
+
+def signed_zero_tuple(field, rng, n, d):
+    """Random entries with exact zeros of both signs mixed in."""
+    def value():
+        pick = rng.random()
+        re = 0.0 if pick < 0.2 else -0.0 if pick < 0.4 else rng.gauss(0, 2)
+        if field.is_complex:
+            im = -0.0 if rng.random() < 0.3 else 0.0 if rng.random() < 0.3 else rng.gauss(0, 2)
+            return complex(re, im)
+        return re
+    return MatrixTuple.of(*(Matrix(field, n, n, tuple(value() for _ in range(n * n)))
+                            for _ in range(d)))
+
+
+@pytest.mark.parametrize("with_star", [False, True])
+@pytest.mark.parametrize("field", [Field.real64(), Field.complex128(),
+                                   Field.complex128(StarMode.TRANSPOSE)],
+                         ids=["real", "complex", "complex-transpose"])
+def test_float_system_is_bitwise_the_row_loop(field, with_star):
+    rng = random.Random(23)
+    for n in range(1, 5):
+        for d in (1, 2):
+            x, y = signed_zero_tuple(field, rng, n, d), signed_zero_tuple(field, rng, n, d)
+            xs, ys = list(x.matrices), list(y.matrices)
+            if with_star:
+                xs += list(x.stars())
+                ys += list(y.stars())
+            rows = reference_system_rows([m.row_list() for m in xs], [m.row_list() for m in ys],
+                                         n, field.zero())
+            reference = Matrix(field, len(rows), n * n, tuple(e for row in rows for e in row))
+            got = _float_system([m.to_numpy() for m in xs], [m.to_numpy() for m in ys], n)
+            expected = reference.to_numpy()
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(got.real), np.signbit(expected.real))
+            if field.is_complex:
+                assert np.array_equal(np.signbit(got.imag), np.signbit(expected.imag))
+            basis = intertwiner_basis(x, y, with_star).basis
+            assert [b.entries for b in basis] == [v.entries for v in reference.nullspace()]
+            assert intertwiner_basis(x, x, with_star).dim >= 1
 
 
 @pytest.mark.parametrize("rows, cols, rank", [(7, 3, 2), (9, 4, 1), (2, 6, 2), (3, 7, 1),

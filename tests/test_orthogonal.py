@@ -6,9 +6,11 @@ import pytest
 
 from conftest import givens_orthogonal, pythagorean_rotation, rand_float_tuple
 from tracesim import (Field, IndefiniteMatrixError, KindMismatchError, Matrix,
-                      MatrixTuple, NonSymmetricError, StarMode, jacobi_eig,
-                      orthogonal_witness, specht_equivalent, specht_property_check,
-                      sqrt_spd)
+                      MatrixTuple, NonSymmetricError, StarMode, WitnessConstructionError,
+                      intertwiner_basis, jacobi_eig, orthogonal_witness, specht_equivalent,
+                      specht_property_check, sqrt_spd)
+from tracesim import orthogonal
+from tracesim.intertwiner import DEFAULT_SAMPLE_BOUND, find_invertible
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -260,6 +262,67 @@ def test_complex_unitary_round_trip():
     assert res.verdict == "equivalent"
     assert res.witness.residual_orth <= 1e-8
     assert res.witness.residual_conj <= 1e-8 * max(1.0, x.maxabs())
+
+
+# -- witness retries ------------------------------------------------------------------
+
+def count_find_invertible(monkeypatch):
+    """Count the retry path's find_invertible calls (the search in _search
+    goes through the intertwiner module and is not counted)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return find_invertible(*args, **kwargs)
+    monkeypatch.setattr(orthogonal, "find_invertible", counted)
+    return calls
+
+
+def eager_witness(p, basis, xf, yf, tol, seed, exact_p=False):
+    """Every retry candidate built up front, then tried in order."""
+    candidates = [p.astype(xf.field) if exact_p else p]
+    for attempt in range(1, 4):
+        alt = find_invertible(basis, seed=seed + attempt, trials=5,
+                              sample_bound=DEFAULT_SAMPLE_BOUND)
+        if alt is not None:
+            candidates.append(alt.astype(xf.field) if exact_p else alt)
+    for cand in candidates:
+        try:
+            return orthogonal._construct_float_witness(cand, xf, yf, 1e-8)
+        except WitnessConstructionError:
+            pass
+    raise AssertionError("no candidate gave a witness")
+
+
+def test_witness_retries_not_drawn_when_first_candidate_succeeds(monkeypatch):
+    calls = count_find_invertible(monkeypatch)
+    rng = random.Random(11)
+    x = rand_float_tuple(rng, 3, 2)
+    res = orthogonal_witness(x, x.star_conjugated(givens_orthogonal(rng, 3)), seed=2)
+    assert res.verdict == "equivalent"
+    assert calls == []
+
+
+def test_witness_retry_matches_eager_candidates(monkeypatch):
+    calls = count_find_invertible(monkeypatch)
+    rng = random.Random(12)
+    x = rand_float_tuple(rng, 3, 2)
+    y = x.star_conjugated(givens_orthogonal(rng, 3))
+    basis = intertwiner_basis(x, y, with_star=True)
+    zero = Matrix.zeros(FR, 3, 3)  # fails as "zero intertwiner"
+    got = orthogonal._float_witness_with_retries(zero, basis, x, y, 1e-8, 5,
+                                                 DEFAULT_SAMPLE_BOUND)
+    assert calls == [6]
+    assert got == eager_witness(zero, basis, x, y, 1e-8, 5)
+    # exact P: a singular diagonal intertwiner of diag(1, 2), retried in float64
+    xq = MatrixTuple.of(Matrix.diagonal(FQ, [1, 2]))
+    basis = intertwiner_basis(xq, xq, with_star=True)
+    xf = xq.astype(FR)
+    del calls[:]
+    got = orthogonal._float_witness_with_retries(basis.basis[0], basis, xf, xf, 1e-8, 0,
+                                                 DEFAULT_SAMPLE_BOUND, exact_p=True)
+    assert calls == [1]
+    assert got == eager_witness(basis.basis[0], basis, xf, xf, 1e-8, 0, exact_p=True)
 
 
 # -- specht_property_check ----------------------------------------------------------------
