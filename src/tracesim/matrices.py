@@ -15,12 +15,13 @@ Two linear-algebra engines sit behind one interface:
   one per free column; float ``Matrix.nullspace`` wraps it, and the float
   intertwiner system, assembled as a numpy array, calls it directly.
 
-Products follow the same split.  An exact product clears each factor's
-denominators once, A = A'/La and B = B'/Lb with A', B' integer, takes every
-entry of A'B' as one integer dot product and returns A'B'/(La Lb).  A float
-or complex product accumulates each entry left to right from zero; ``sum()``
-is avoided there because from Python 3.12 it compensates float sums, which
-would make results depend on the Python version.
+Products follow the same split.  Each exact matrix clears its denominators
+once, A = A'/La with A' integer, and keeps (A', La) as ``Matrix._ints`` for
+every later product it takes part in; a product takes every entry of A'B' as
+one integer dot product and returns A'B'/(La Lb).  A float or complex
+product accumulates each entry left to right from zero; ``sum()`` is avoided
+there because from Python 3.12 it compensates float sums, which would make
+results depend on the Python version.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -168,6 +170,16 @@ class Matrix:
         s = self.field.coerce(scalar)
         return Matrix(self.field, self.rows, self.cols, tuple(s * a for a in self.entries))
 
+    @cached_property
+    def _ints(self) -> tuple:
+        """(A', L) with A' = L * entries as a tuple of ints, exact kind only.
+
+        Cached in the instance ``__dict__``; it is not a dataclass field, so
+        equality, hashing and repr do not see it.
+        """
+        ints, denom = _clear_denominators(self.entries)
+        return tuple(ints), denom
+
     def _matmul(self, other: "Matrix") -> "Matrix":
         self._same_field(other)
         if self.cols != other.rows:
@@ -176,8 +188,8 @@ class Matrix:
         n, m, k = self.rows, self.cols, other.cols
         if self.field.is_exact:
             # (A B) = (La A)(Lb B) / (La Lb): one integer dot product per entry
-            a, la = _clear_denominators(self.entries)
-            b, lb = _clear_denominators(other.entries)
+            a, la = self._ints
+            b, lb = other._ints
             cols = [b[j::k] for j in range(k)]
             dots = [sum(map(mul, a[i * m:(i + 1) * m], col)) for i in range(n) for col in cols]
             denom = la * lb
@@ -235,17 +247,19 @@ class Matrix:
         return max((abs_value(x) for x in self.entries), default=0.0)
 
     def is_zero(self, tol: float = 0.0) -> bool:
+        """Every entry within tol of zero; a NaN entry counts as nonzero."""
         if self.field.is_exact:
             return all(x == 0 for x in self.entries)
-        return self.maxabs() <= tol
+        return all(abs_value(x) <= tol for x in self.entries)
 
     def approx_eq(self, other: "Matrix", tol: float = 0.0) -> bool:
+        """Every entry within tol of other's; a NaN difference counts as unequal."""
         self._same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
         if self.field.is_exact:
             return self.entries == other.entries
-        return max((abs_value(a - b) for a, b in zip(self.entries, other.entries)), default=0.0) <= tol
+        return all(abs_value(a - b) <= tol for a, b in zip(self.entries, other.entries))
 
     def __str__(self):
         from .fields import value_str

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .errors import (MissingUnitsError, NonCentralCoefficientError, ShapeError)
 from .fields import Field
 from .intertwiner import intertwiner_basis
-from .matrices import Matrix, MatrixTuple
+from .matrices import Matrix, MatrixTuple, _float_tol
 
 RELATION_TOL = 1e-9  # scaled by the largest entry magnitude in float modes
 
@@ -63,7 +63,7 @@ def _rel_tol(units, tol):
     if field.is_exact:
         return 0.0
     if tol is not None:
-        return tol
+        return _float_tol(tol)
     scale = max(m.maxabs() for row in units for m in row)
     return RELATION_TOL * max(1.0, scale)
 
@@ -129,14 +129,18 @@ class UnitSystem:
 
 
 def check_delta(v: Matrix, system: UnitSystem, tol: Optional[float] = None) -> bool:
-    """True iff v commutes with every unit of the system."""
+    """True iff v commutes with every unit of the system.
+
+    v u and u v are compared entry by entry (``approx_eq``), as
+    ``check_epsilon`` compares its products, so no difference is formed.
+    """
     if (v.rows, v.cols) != (system.n, system.n):
         raise ShapeError("candidate shape does not match the units")
     v._same_field(system.at(0, 0))
     eff = _rel_tol(system.units, tol)
     for row in system.units:
         for u in row:
-            if not (v * u - u * v).is_zero(eff):
+            if not (v * u).approx_eq(u * v, eff):
                 return False
     return True
 
@@ -208,10 +212,18 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     For a generating set that contains the standard units, the (0,0)
     entries of the generated subring form a subring of the scalars, and
     every generated element X is rebuilt from corner data via
-    X = sum_ij E_i0 (E_0i X E_j0) E_0j.  Both facts are checked on all
-    products of generators up to the given depth.  Additive closure needs
-    no check: the corner of x + y is corner(x) + corner(y) by definition of
-    matrix addition, and non-finite input is rejected before it gets here.
+    X = sum_ij E_i0 (E_0i X E_j0) E_0j.  Products of generators up to the
+    given depth are sampled, and both facts are checked on the first 40 of
+    them.  Additive closure needs no check: the corner of x + y is
+    corner(x) + corner(y) by definition of matrix addition.
+
+    The closure check stacks row 0 of each checked element x_k into one
+    matrix R.  Row k of (R E00) y E00 is row 0 of x_k E00 y E00, since each
+    of its entries is the same dot product, accumulated in the same order,
+    so column 0 gives every corner (x_k E00 y E00)_00 for one y from two
+    products, and the answer is the same to the last bit.  A corner that is
+    NaN, as an overflowing float product can make it, counts as a
+    violation.
     """
     if not generators:
         raise MissingUnitsError("empty generating set")
@@ -219,7 +231,7 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     n = first.rows
     field = first.field
     std = [[Matrix.unit(field, n, i, j) for j in range(n)] for i in range(n)]
-    eff = 0.0 if field.is_exact else (tol if tol is not None else RELATION_TOL)
+    eff = 0.0 if field.is_exact else (_float_tol(tol) if tol is not None else RELATION_TOL)
     for i in range(n):
         for j in range(n):
             if not any(g.approx_eq(std[i][j], eff) for g in generators):
@@ -251,23 +263,28 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     def differs(u, w):
         if field.is_exact:
             return u != w
-        return abs(u - w) > eff
+        return not abs(u - w) <= eff  # a NaN difference counts
 
     violations = []
     corner = lambda m: m.at(0, 0)
-    pair_cap = 40
-    for x in sample[:pair_cap]:
-        for y in sample[:pair_cap]:
-            mul_witness = x * std[0][0] * y * std[0][0]
-            if differs(corner(mul_witness), corner(x) * corner(y)):
+    head = sample[:40]
+    e00 = std[0][0]
+    # R stacks row 0 of each head element; column 0 of (R E00) y E00 holds
+    # every corner for y (see the docstring)
+    r_e00 = Matrix(field, len(head), n, tuple(v for x in head for v in x.entries[:n])) * e00
+    corner_cols = [(r_e00 * y * e00).entries[::n] for y in head]
+    for k, x in enumerate(head):
+        for y, col in zip(head, corner_cols):
+            if differs(col[k], corner(x) * corner(y)):
                 violations.append(("mul", corner(x), corner(y)))
 
     recon_ok = True
-    for x in sample[:pair_cap]:
+    for x in head:
         acc = Matrix.zeros(field, n, n)
         for i in range(n):
+            e0i_x = std[0][i] * x
             for j in range(n):
-                acc = acc + std[i][0] * (std[0][i] * x * std[j][0]) * std[0][j]
+                acc = acc + std[i][0] * (e0i_x * std[j][0]) * std[0][j]
         if not (acc - x).is_zero(eff):
             recon_ok = False
             violations.append(("reconstruction", x.entries, None))

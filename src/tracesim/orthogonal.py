@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (BudgetExceededError, ConvergenceError, IndefiniteMatrixError,
                      KindMismatchError, NonSymmetricError, ShapeError,
                      WitnessConstructionError)
-from .fields import Field, StarMode
+from .fields import Field, StarMode, abs_value
 from .intertwiner import (DEFAULT_GRID_BUDGET, DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS,
                           IntertwinerBasis, _check_pair, _search, find_invertible)
 from .matrices import Matrix, MatrixTuple
@@ -169,13 +169,19 @@ class OrthVerdict:
         return self.verdict in ("equivalent", "exact_witness_unavailable")
 
 
+def _max_magnitude(mats) -> float:
+    """Largest entry magnitude over the matrices (0.0 for none); NaN as soon
+    as any entry is NaN, which a plain ``max`` would skip."""
+    mags = [abs_value(v) for m in mats for v in m.entries]
+    return math.nan if any(a != a for a in mags) else max(mags, default=0.0)
+
+
 def _witness_residuals(o: Matrix, x: MatrixTuple, y: MatrixTuple):
+    """(max |O star(O) - I|, max over i of max |O X_i star(O) - Y_i|)."""
     eye = Matrix.identity(o.field, o.rows)
-    r_orth = (o * o.star() - eye).maxabs()
-    r_conj = 0.0
     ostar = o.star()
-    for xi, yi in zip(x.matrices, y.matrices):
-        r_conj = max(r_conj, (o * xi * ostar - yi).maxabs())
+    r_orth = _max_magnitude([o * ostar - eye])
+    r_conj = _max_magnitude([o * xi * ostar - yi for xi, yi in zip(x.matrices, y.matrices)])
     return r_orth, r_conj
 
 
@@ -223,7 +229,7 @@ def _construct_float_witness(p: Matrix, x: MatrixTuple, y: MatrixTuple, tol: flo
     o = Matrix.from_numpy(field, hinv @ pn)
     r_orth, r_conj = _witness_residuals(o, x, y)
     scale = max(1.0, x.maxabs(), y.maxabs())
-    if r_orth > tol or r_conj > tol * scale:
+    if not (r_orth <= tol and r_conj <= tol * scale):  # a NaN residual fails
         raise WitnessConstructionError(
             "witness residuals too large (orth %.3g, conj %.3g)" % (r_orth, r_conj), p)
     return OrthogonalWitness(o, r_orth, r_conj)

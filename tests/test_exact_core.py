@@ -120,6 +120,41 @@ def test_product_shape_and_kind_checks():
         a * Matrix.identity(Field.real64(), 2)
 
 
+def fresh(m):
+    return Matrix(m.field, m.rows, m.cols, tuple(m.entries))
+
+
+def test_cached_integer_form_is_invisible():
+    rng = random.Random(5)
+    a, b = rand_rect(rng, FQ, 3, 3, 7), rand_rect(rng, FQ, 3, 2, 7)
+    names = [f.name for f in dataclasses.fields(Matrix)]
+    before = (hash(a), repr(a), hash(b), repr(b))
+    assert "_ints" not in vars(a)
+    a * b
+    assert "_ints" in vars(a) and "_ints" in vars(b)
+    assert [f.name for f in dataclasses.fields(Matrix)] == names == [
+        "field", "rows", "cols", "entries"]
+    assert (hash(a), repr(a), hash(b), repr(b)) == before
+    assert a == fresh(a) and fresh(a) == a and hash(a) == hash(fresh(a))
+    ints, denom = a._ints
+    assert type(a._ints) is tuple and type(ints) is tuple
+    assert all(type(v) is int for v in ints)
+    assert [Fraction(v, denom) for v in ints] == list(a.entries)
+
+
+def test_products_with_a_shared_factor_match_fresh_copies():
+    rng = random.Random(6)
+    for n, m, k in SHAPES[::7]:
+        shared = rand_rect(rng, FQ, n, m, 7)
+        for _ in range(4):
+            right = rand_rect(rng, FQ, m, k, 5)
+            left = rand_rect(rng, FQ, k, n, 3)
+            assert shared * right == fresh(shared) * fresh(right), (n, m, k)
+            assert left * shared == fresh(left) * fresh(shared), (n, m, k)
+            assert list((shared * right).entries) == ordered_product(shared, right)
+        assert shared * Matrix.identity(FQ, m) == shared
+
+
 # -- trace words, power traces, intertwiner systems ---------------------------------
 
 @pytest.mark.parametrize("include_star", [False, True])

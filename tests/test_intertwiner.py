@@ -388,6 +388,15 @@ def test_tuple_is_similar_to_itself_and_its_conjugates(case):
         assert _verify_intertwiner(v.witness, x, y, with_star=False)
 
 
+def test_verify_intertwiner_rejects_overflowing_residual():
+    # P X - X P = [[0, nan], [0, 0]] from finite entries, and the tolerance
+    # 1e-10 * 1e200 * 1e200 is infinite, so only the NaN can fail
+    p = Matrix.from_rows(FR, [[1e200, 1e200], [0, 1]])
+    x = MatrixTuple.of(Matrix.from_rows(FR, [[1, 1e200], [0, -1e200]]))
+    assert math.isnan((p * x[0] - x[0] * p).at(0, 1))
+    assert not _verify_intertwiner(p, x, x, with_star=False)
+
+
 # Every branch of the shared search, pinned verbatim for both deciders: the
 # CLI and the benchmark checks read these verdict and detail strings.
 _ZERO = ([1, 2], [3, 4])        # no nonzero intertwiner, starred or not

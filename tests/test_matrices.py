@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -293,3 +294,22 @@ def test_echelon_rank_and_det():
                 assert expected == 0
             else:
                 assert sign * ech[n - 1][pivots[-1]] == expected
+
+
+def test_nan_entries_count_as_nonzero_and_unequal():
+    nan = math.nan
+    for field in (FR, FC):
+        assert not Matrix(field, 1, 2, (0.0, nan)).is_zero()
+        assert not Matrix(field, 1, 2, (nan, 0.0)).is_zero()
+        one_two = Matrix.from_rows(field, [[1, 2]])
+        assert not one_two.approx_eq(Matrix(field, 1, 2, (field.one(), nan)), 1.0)
+        assert not Matrix(field, 1, 2, (field.one(), nan)).approx_eq(one_two, 1.0)
+        assert one_two.approx_eq(Matrix.from_rows(field, [[1, 2.5]]), 0.5)
+        assert Matrix.from_rows(field, [[0, 1e-12]]).is_zero(1e-9)
+    # finite factors whose product overflows to inf - inf
+    a = Matrix.from_rows(FR, [[1e200, 1e200], [0, 1]])
+    b = Matrix.from_rows(FR, [[1, 1e200], [0, -1e200]])
+    prod = a * b
+    assert math.isnan(prod.at(0, 1))
+    assert not (prod - prod).is_zero(math.inf)
+    assert not prod.approx_eq(prod, math.inf)

@@ -1,15 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_invertible_int
-from tracesim import (Field, Matrix, MissingUnitsError, NonCentralCoefficientError,
-                      ShapeError, UnitSystem, check_delta, check_epsilon, coeff_product,
-                      commutant, extract_subring_coefficients, theta_embedding)
+from tracesim import (Field, Kind, Matrix, MissingUnitsError, NonCentralCoefficientError,
+                      ShapeError, SubringReport, UnitSystem, check_delta, check_epsilon,
+                      coeff_product, commutant, extract_subring_coefficients, theta_embedding)
 
 FQ = Field.rational()
 FR = Field.real64()
+FC = Field.complex128()
 
 
 def std_family(n):
@@ -191,3 +193,185 @@ def test_subring_with_halving_generator_sees_dyadics():
 def test_subring_requires_standard_units():
     with pytest.raises(MissingUnitsError):
         extract_subring_coefficients([Matrix.identity(FQ, 2)])
+
+
+# -- stacked corner products against the pair loops -----------------------------------
+
+def reference_subring(generators, depth):
+    """extract_subring_coefficients as a plain pair loop: three products per
+    pair (x, y) for the corners and E_0i x E_j0 formed afresh for each (i, j).
+    A NaN difference counts, as in the function under test."""
+    field, n = generators[0].field, generators[0].rows
+    std = [[Matrix.unit(field, n, i, j) for j in range(n)] for i in range(n)]
+    eff = 0.0 if field.is_exact else 1e-9
+    sample, seen, layer = [], set(), [Matrix.identity(field, n)]
+    for _ in range(depth):
+        nxt = []
+        for m in layer:
+            for g in generators:
+                prod = m * g
+                if prod.entries not in seen:
+                    seen.add(prod.entries)
+                    nxt.append(prod)
+                    sample.append(prod)
+                    if len(sample) >= 4000:
+                        break
+            if len(sample) >= 4000:
+                break
+        if len(sample) >= 4000:
+            break
+        layer = nxt
+
+    def differs(u, w):
+        return u != w if field.is_exact else not abs(u - w) <= eff
+
+    violations = []
+    for x in sample[:40]:
+        for y in sample[:40]:
+            witness = x * std[0][0] * y * std[0][0]
+            if differs(witness.at(0, 0), x.at(0, 0) * y.at(0, 0)):
+                violations.append(("mul", x.at(0, 0), y.at(0, 0)))
+    recon_ok = True
+    for x in sample[:40]:
+        acc = Matrix.zeros(field, n, n)
+        for i in range(n):
+            for j in range(n):
+                acc = acc + std[i][0] * (std[0][i] * x * std[j][0]) * std[0][j]
+        if not (acc - x).is_zero(eff):
+            recon_ok = False
+            violations.append(("reconstruction", x.entries, None))
+            break
+    corners = {m.at(0, 0) for m in sample}
+    coeffs = sorted(corners, key=lambda v: (abs(v), repr(v))) if field.is_complex \
+        else sorted(corners)
+    return SubringReport(tuple(coeffs), not any(v[0] == "mul" for v in violations),
+                         recon_ok, tuple(violations), len(sample))
+
+
+def rand_generator(rng, field, n):
+    def value():
+        v = Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 3]))
+        if field.kind is Kind.REAL64:
+            return float(v)
+        if field.is_complex:
+            return complex(float(v), rng.randint(-1, 1) / 2)
+        return v
+    return Matrix(field, n, n, tuple(value() for _ in range(n * n)))
+
+
+def subring_sets():
+    out = []
+    for field in (FQ, FR, FC):
+        for n in (2, 3):
+            rng = random.Random("%s-%d" % (field.kind.value, n))
+            for extras in (1, 2) if n == 2 else (1,):
+                gens = [Matrix.unit(field, n, i, j) for i in range(n) for j in range(n)]
+                gens += [rand_generator(rng, field, n) for _ in range(extras)]
+                out.append(pytest.param(gens, 3, id="%s-n%d-x%d" % (field.kind.value, n, extras)))
+    out.append(pytest.param(OVERFLOW_GENS, 2, id="float64-overflow"))
+    return out
+
+
+# At depth 2 the products stay finite apart from some (0,1) entries, so no
+# corner is NaN; the corner checks overflow, and for x = y = the last
+# generator x00 y01 = inf turns the last E00 product into NaN while
+# x00 y00 = 1e200.
+OVERFLOW_GENS = ([Matrix.unit(FR, 2, i, j) for i in range(2) for j in range(2)]
+                 + [Matrix.from_rows(FR, [[1e100, 1e250], [0, 1]])])
+
+
+@pytest.mark.parametrize("gens,depth", subring_sets())
+def test_subring_report_matches_pair_loop(gens, depth):
+    got = extract_subring_coefficients(gens, depth=depth)
+    assert got == reference_subring(gens, depth)
+    assert all(v == v for v in got.coefficients)  # no NaN, so == is meaningful
+
+
+def test_overflowing_subring_reports_violations():
+    rep = extract_subring_coefficients(OVERFLOW_GENS, depth=2)
+    assert not rep.closure_ok and not rep.reconstruction_ok
+    assert ("mul", 1e100, 1e100) in rep.violations
+
+
+def delta_by_subtraction(v, system):
+    eff = 0.0 if v.field.is_exact else 1e-9 * max(1.0, max(u.maxabs() for u in system.flat()))
+    return all((v * u - u * v).is_zero(eff) for u in system.flat())
+
+
+def kron_family(field, u, n_units, m, blocks):
+    """[[U (B_ij) U^-1]] for n x n block matrices B_ij (n = n_units * m)
+    given as functions of (i, j) returning row lists."""
+    uinv = u.inverse()
+    return [[u * Matrix.from_rows(field, blocks(i, j)) * uinv for j in range(n_units)]
+            for i in range(n_units)]
+
+
+@pytest.mark.parametrize("field", [FQ, FR, FC], ids=["rational", "float64", "complex128"])
+@pytest.mark.parametrize("n_units,m", [(2, 1), (2, 2), (3, 1)])
+def test_check_delta_and_theta_match_subtraction_form(field, n_units, m):
+    rng = random.Random("%s-%d-%d" % (field.kind.value, n_units, m))
+    n = n_units * m
+    u = rand_invertible_int(rng, FQ, n).astype(field)
+    # units U (E_ij (x) I_m) U^-1; coefficients U (I_N (x) M) U^-1 commute with them
+    system = UnitSystem.from_family(kron_family(
+        field, u, n_units, m,
+        lambda i, j: [[int(r // m == i and c // m == j and r % m == c % m) for c in range(n)]
+                      for r in range(n)]))
+    mats = [[[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)] for _ in range(n_units ** 2)]
+    commuting = kron_family(
+        field, u, n_units, m,
+        lambda i, j: [[mats[i * n_units + j][r % m][c % m] if r // m == c // m else 0
+                       for c in range(n)] for r in range(n)])
+    other = [[rand_generator(rng, field, n) for _ in range(n_units)] for _ in range(n_units)]
+    for coeffs in (commuting, other):
+        verdicts = [check_delta(c, system) for row in coeffs for c in row]
+        assert verdicts == [delta_by_subtraction(c, system) for row in coeffs for c in row]
+        if all(verdicts):
+            expected = Matrix.zeros(field, n, n)
+            for i in range(n_units):
+                for j in range(n_units):
+                    expected = expected + coeffs[i][j] * system.at(i, j)
+            assert theta_embedding(system, coeffs) == expected
+        else:
+            with pytest.raises(NonCentralCoefficientError):
+                theta_embedding(system, coeffs)
+    assert all(check_delta(c, system) for row in commuting for c in row)
+    assert not all(check_delta(c, system) for row in other for c in row)
+
+
+# -- NaN residuals and tolerances ----------------------------------------------------------
+
+def float_std(n):
+    return [[Matrix.unit(FR, n, i, j) for j in range(n)] for i in range(n)]
+
+
+def test_nan_entries_fail_the_unit_checks():
+    # u u = [[1, nan], [nan, nan]]: a max over |u u - u| skips the NaNs
+    u = Matrix(FR, 2, 2, (1.0, 0.0, 0.0, math.nan))
+    ok, violation = check_epsilon([[u]])
+    assert not ok and violation.kind == "product"
+    # v u - u v is NaN off its first entry for every standard unit u
+    v = Matrix(FR, 2, 2, (0.0, 0.0, 0.0, math.nan))
+    assert not check_delta(v, UnitSystem.standard(FR, 2))
+
+
+def test_overflowing_subring_corner_is_a_violation():
+    gens = [m for row in float_std(2) for m in row]
+    rep = extract_subring_coefficients(gens + [Matrix.from_rows(FR, [[1e200, 0], [0, 1]])])
+    assert any(v != v for v in rep.coefficients)
+    assert not rep.closure_ok and not rep.reconstruction_ok
+
+
+def test_negative_tolerance_is_rejected():
+    family = float_std(2)
+    system = UnitSystem.standard(FR, 2)
+    eye = Matrix.identity(FR, 2)
+    with pytest.raises(ShapeError, match="nonnegative"):
+        check_epsilon(family, tol=-1.0)
+    with pytest.raises(ShapeError, match="nonnegative"):
+        check_delta(eye, system, tol=-1.0)
+    with pytest.raises(ShapeError, match="nonnegative"):
+        theta_embedding(system, [[eye, eye], [eye, eye]], tol=-1.0)
+    with pytest.raises(ShapeError, match="nonnegative"):
+        extract_subring_coefficients([m for row in family for m in row], tol=-1.0)
+    assert check_epsilon(family, tol=0.0) == (True, None)

@@ -325,6 +325,30 @@ def test_witness_retry_matches_eager_candidates(monkeypatch):
     assert got == eager_witness(basis.basis[0], basis, xf, xf, 1e-8, 0, exact_p=True)
 
 
+def test_witness_residuals_keep_nan():
+    nan = math.nan
+    eye = Matrix.identity(FR, 2)
+    zero = MatrixTuple.of(Matrix.zeros(FR, 2, 2), Matrix.zeros(FR, 2, 2))
+    # O star(O) - I = [[0, nan], [nan, nan]]: NaN after a finite first entry
+    r_orth, _ = orthogonal._witness_residuals(Matrix(FR, 2, 2, (1.0, 0.0, 0.0, nan)),
+                                              zero, zero)
+    assert math.isnan(r_orth)
+    # the NaN residual comes from the second matrix, after a finite one
+    y = MatrixTuple.of(Matrix.zeros(FR, 2, 2), Matrix(FR, 2, 2, (0.0, nan, 0.0, 0.0)))
+    assert orthogonal._witness_residuals(eye, zero, zero) == (0.0, 0.0)
+    assert math.isnan(orthogonal._witness_residuals(eye, zero, y)[1])
+
+
+@pytest.mark.parametrize("residuals", [(math.nan, 0.0), (0.0, math.nan)])
+def test_float_witness_rejects_nan_residuals(monkeypatch, residuals):
+    x = MatrixTuple.of(Matrix.diagonal(FR, [1.0, 2.0]))
+    eye = Matrix.identity(FR, 2)
+    assert orthogonal._construct_float_witness(eye, x, x, 1e-8).residual_orth == 0.0
+    monkeypatch.setattr(orthogonal, "_witness_residuals", lambda o, x, y: residuals)
+    with pytest.raises(WitnessConstructionError, match="residuals too large"):
+        orthogonal._construct_float_witness(eye, x, x, 1e-8)
+
+
 # -- specht_property_check ----------------------------------------------------------------
 
 def test_report_round_trip_pair_consistent():
