@@ -134,12 +134,6 @@ def abs_value(value) -> float:
     return abs(value)
 
 
-def values_close(a, b, tol: float, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return abs(a - b) <= tol
-
-
 def value_str(value) -> str:
     """Deterministic human rendering: '3/4' for rationals, repr otherwise."""
     if isinstance(value, Fraction):

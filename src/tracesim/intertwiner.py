@@ -57,7 +57,7 @@ from .errors import BudgetExceededError, ShapeError
 from .fields import Field
 from .matrices import (Matrix, MatrixTuple, _clear_denominators, _det_int, _float_kernel,
                        _float_tol, _fractions, _gauss_jordan_int, _int_kernel, _int_matrices,
-                       _require_exact_tol)
+                       _power_traces, _require_exact_tol)
 from .words import fingerprint, fingerprints_equal
 
 DEFAULT_TRIALS = 20
@@ -187,7 +187,7 @@ def _exact_intertwiners(xs, ys, n: int) -> list:
             continue  # every residual is zero: the equation holds on the whole kernel
         entries = list(zip(*basis))
         basis = [_primitive([sum(map(mul, cs, col)) for col in entries]) for cs in coeffs]
-    ech, pivots, d = _gauss_jordan_int([v[::-1] for v in basis])
+    ech, pivots, d, _ = _gauss_jordan_int([v[::-1] for v in basis])
     return [_fractions(ech[r][::-1], d) for r in reversed(range(len(pivots)))]
 
 
@@ -263,8 +263,8 @@ def _chain_intertwiners(x, y, n: int) -> list:
     if not kernel:
         return []
     # K^{-1} up to one scalar: Gauss-Jordan of [K | I] leaves d [I | K^{-1}]
-    ech, _, _ = _gauss_jordan_int([[v[a] for v in kept] + [int(a == b) for b in range(n)]
-                                   for a in range(n)])
+    ech, _, _, _ = _gauss_jordan_int([[v[a] for v in kept] + [int(a == b) for b in range(n)]
+                                      for a in range(n)])
     kinv_cols = [list(col) for col in zip(*(row[n:] for row in ech))]
     out = []
     for w in kernel:
@@ -408,29 +408,6 @@ class GLVerdict:
     @property
     def is_similar(self) -> bool:
         return self.verdict == "similar"
-
-
-def _power_traces(m: Matrix, upto: int) -> list:
-    """tr(m^k) for k = 1..upto (upto >= 1); the exact kind multiplies L m in
-    ints, L clearing the denominators of m."""
-    if not m.field.is_exact:
-        out = []
-        acc = m
-        for _ in range(upto):
-            out.append(acc.trace())
-            acc = acc * m
-        return out
-    n = m.rows
-    (rows,), denom = _int_matrices([m])
-    cols = [list(c) for c in zip(*rows)]
-    out = [Fraction(sum(rows[i][i] for i in range(n)), denom)]
-    acc = rows  # (L m)^(k-1); the last factor is folded into the trace
-    for k in range(2, upto + 1):
-        out.append(Fraction(sum(sum(map(mul, row, col)) for row, col in zip(acc, cols)),
-                            denom ** k))
-        if k < upto:
-            acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
-    return out
 
 
 def _filter_not_similar(x: MatrixTuple, y: MatrixTuple) -> Optional[str]:

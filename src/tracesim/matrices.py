@@ -2,11 +2,12 @@
 
 Two linear-algebra engines sit behind one interface:
 
-* exact (rational kind): rows are cleared to integers and reduced with
-  fraction-free Bareiss elimination (``_echelon_int``) for determinants,
-  ranks and solves, and with fraction-free Gauss-Jordan
-  (``_gauss_jordan_int``) for nullspaces, whose reduced rows all end with
-  the same pivot d, so each kernel entry is one ``Fraction(-row[f], d)``.
+* exact (rational kind): the entries are cleared to integers over one
+  common denominator and reduced with one fraction-free Gauss-Jordan
+  elimination (``_gauss_jordan_int``).  Its reduced rows all end with the
+  same pivot d, so a rank is the number of pivots, a determinant is
+  ``sign * d`` over the cleared denominator (closed forms up to 4x4), and
+  each kernel or solution entry is one ``Fraction(row[c], d)``.
   Everything is exact, with no rounding anywhere.
 * float (real/complex kinds): numpy-backed Gauss-Jordan with partial
   pivoting (``_float_rref``); a pivot counts iff its magnitude exceeds
@@ -279,8 +280,8 @@ class Matrix:
     def rank(self, tol: Optional[float] = None) -> int:
         if self.field.is_exact:
             _require_exact_tol(tol)
-            rows, _ = _int_rows(self)
-            _, pivots, _ = _echelon_int(rows)
+            rows, _ = _cleared_rows(self)
+            _, pivots, _, _ = _gauss_jordan_int(rows)
             return len(pivots)
         _, pivots = _float_rref(self.to_numpy(), _float_tol(tol))
         return len(pivots)
@@ -417,77 +418,45 @@ def _int_matrices(matrices) -> tuple:
     return out, denom
 
 
-def _int_rows(m: Matrix):
-    """Clear denominators row by row; returns (int rows, per-row scale factors).
-
-    Row scaling preserves rank, nullspace and solvability; determinants are
-    corrected by the product of scales.
-    """
-    out = []
-    scales = []
-    for i in range(m.rows):
-        row, denom = _clear_denominators(m.entries[i * m.cols:(i + 1) * m.cols])
-        out.append(row)
-        scales.append(denom)
-    return out, scales
+def _cleared_rows(m: Matrix) -> tuple:
+    """(row lists of L * m, L), read from the cached ``Matrix._ints``."""
+    ints, denom = m._ints
+    c = m.cols
+    return [list(ints[i * c:(i + 1) * c]) for i in range(m.rows)], denom
 
 
 def _exact_det(m: Matrix):
-    rows, scales = _int_rows(m)
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    d = _det_int(rows)
-    scale = 1
-    for s in scales:
-        scale *= s
-    return Fraction(d, scale)
+    rows, denom = _cleared_rows(m)
+    return Fraction(_det_int(rows), denom ** m.rows)
 
 
 def _exact_nullspace(m: Matrix) -> list:
-    rows, _ = _int_rows(m)
+    rows, _ = _cleared_rows(m)
     return [Matrix(m.field, m.cols, 1, tuple(v)) for v in _int_nullspace(rows, m.cols)]
 
 
-def _echelon_int(rows):
-    """Fraction-free (Bareiss) row echelon of an integer matrix.
-
-    ``rows`` is a list of equal-length lists of ints and is consumed (the
-    lists are mutated in place).  Returns ``(rows, pivot_cols, sign)``.
-    Every intermediate entry is a minor of the input, so all divisions are
-    exact and the arithmetic never leaves the integers.  For a square
-    full-rank input, det = sign * last pivot.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivot_cols = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            sign = -sign
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            row_i = rows[i]
-            head = row_i[c]
-            row_r = rows[r]
-            for j in range(c, ncols):
-                row_i[j] = (row_i[j] * piv - head * row_r[j]) // prev
-        prev = piv
-        pivot_cols.append(c)
-        r += 1
-    return rows, pivot_cols, sign
+def _power_traces(m: Matrix, upto: int) -> list:
+    """tr(m^k) for k = 1..upto (upto >= 1); the exact kind multiplies L m in
+    ints, L clearing the denominators of m.  The float kinds take the same
+    products in the same order as repeated ``acc * m``."""
+    if not m.field.is_exact:
+        acc = m
+        out = [acc.trace()]
+        for _ in range(upto - 1):
+            acc = acc * m
+            out.append(acc.trace())
+        return out
+    n = m.rows
+    rows, denom = _cleared_rows(m)
+    cols = [list(c) for c in zip(*rows)]
+    out = [Fraction(sum(rows[i][i] for i in range(n)), denom)]
+    acc = rows  # (L m)^(k-1); the last factor is folded into the trace
+    for k in range(2, upto + 1):
+        out.append(Fraction(sum(sum(map(mul, row, col)) for row, col in zip(acc, cols)),
+                            denom ** k))
+        if k < upto:
+            acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+    return out
 
 
 def _det_int(rows):
@@ -516,27 +485,28 @@ def _det_int(rows):
         n13 = r2[1] * r3[3] - r2[3] * r3[1]
         n23 = r2[2] * r3[3] - r2[3] * r3[2]
         return m01 * n23 - m02 * n13 + m03 * n12 + m12 * n03 - m13 * n02 + m23 * n01
-    work, pivots, sign = _echelon_int([list(row) for row in rows])
-    if len(pivots) < n:
-        return 0
-    return sign * work[n - 1][pivots[-1]]
+    _, pivots, d, sign = _gauss_jordan_int([list(row) for row in rows])
+    return sign * d if len(pivots) == n else 0
 
 
 def _gauss_jordan_int(rows):
     """Fraction-free Gauss-Jordan reduction of an integer matrix.
 
     ``rows`` is a list of equal-length lists of ints and is consumed.
-    Returns ``(rows, pivot_cols, d)``: the first ``len(pivot_cols)`` rows are
-    d times the reduced row echelon form, so each holds d at its own pivot
-    column and 0 at every other pivot column, and the remaining rows are
-    zero.  d is the last pivot (1 when there is none).  Each step is the
-    Bareiss update applied to every other row, rows above the pivot
-    included; all entries stay minors of the input, so every division is
-    exact.
+    Returns ``(rows, pivot_cols, d, sign)``: the first ``len(pivot_cols)``
+    rows are d times the reduced row echelon form, so each holds d at its
+    own pivot column and 0 at every other pivot column, and the remaining
+    rows are zero.  d is the last pivot (1 when there is none) and sign is
+    the parity of the row swaps, +1 or -1.  Each step is the Bareiss update
+    applied to every other row, rows above the pivot included; all entries
+    stay minors of the input, so every division is exact, and the pivots
+    are the Bareiss pivots, so a square input of full rank has determinant
+    ``sign * d``.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivot_cols = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
@@ -551,6 +521,7 @@ def _gauss_jordan_int(rows):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
         row_r = rows[r]
         piv = row_r[c]
         for i in range(nrows):
@@ -564,7 +535,7 @@ def _gauss_jordan_int(rows):
         prev = piv
         pivot_cols.append(c)
         r += 1
-    return rows, pivot_cols, prev
+    return rows, pivot_cols, prev, sign
 
 
 def _int_kernel(rows, ncols: int) -> tuple:
@@ -575,7 +546,7 @@ def _int_kernel(rows, ncols: int) -> tuple:
     every other free column and minus the reduced rows' entries in column f
     at the pivot columns.
     """
-    ech, pivots, d = _gauss_jordan_int(rows)
+    ech, pivots, d, _ = _gauss_jordan_int(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -609,35 +580,22 @@ def _fractions(ints, d) -> list:
 def _exact_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One exact solution of a X = b, or None when inconsistent.
 
-    Free variables are set to zero.  ``b`` may have several columns.
+    Free variables are set to zero.  ``b`` may have several columns.  One
+    reduction of [L a | L b] leaves d times the reduced row echelon form,
+    so entry (p, j) of X, with p the pivot column of row r, is
+    ``row_r[a.cols + j] / d``.
     """
     if a.rows != b.rows:
         raise ShapeError("solve shape mismatch")
-    flat = []
-    for i in range(a.rows):
-        flat.extend(a.entries[i * a.cols:(i + 1) * a.cols])
-        flat.extend(b.entries[i * b.cols:(i + 1) * b.cols])
-    aug = Matrix(a.field, a.rows, a.cols + b.cols, tuple(flat))
-    rows, _ = _int_rows(aug)
-    ech, pivots, _ = _echelon_int(rows)
-    ncols_a = a.cols
-    for r, pc in enumerate(pivots):
-        if pc >= ncols_a:
-            return None  # pivot in the right-hand block: inconsistent
-    nsol = b.cols
-    sol = [[Fraction(0)] * nsol for _ in range(ncols_a)]
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = ech[r]
-        for col in range(nsol):
-            acc = Fraction(row[ncols_a + col])
-            for j in range(pc + 1, ncols_a):
-                sj = sol[j][col]
-                if sj:
-                    acc -= row[j] * sj
-            sol[pc][col] = acc / row[pc]
-    flat = tuple(sol[i][j] for i in range(ncols_a) for j in range(nsol))
-    return Matrix(a.field, ncols_a, nsol, flat)
+    (arows, brows), _ = _int_matrices([a, b])
+    ech, pivots, d, _ = _gauss_jordan_int([ra + rb for ra, rb in zip(arows, brows)])
+    m = a.cols
+    if pivots and pivots[-1] >= m:
+        return None  # pivot in the right-hand block: inconsistent
+    sol = [[Fraction(0)] * b.cols] * m
+    for row, pc in zip(ech, pivots):
+        sol[pc] = _fractions(row[m:], d)
+    return Matrix(a.field, m, b.cols, tuple(v for r in sol for v in r))
 
 
 def solve_linear(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[Matrix]:

@@ -197,7 +197,7 @@ def commutant(mats: Sequence[Matrix], n: Optional[int] = None,
 
 @dataclass(frozen=True)
 class SubringReport:
-    coefficients: tuple         # sampled (0,0)-corner entries, sorted
+    coefficients: tuple         # sampled (0,0)-corner entries, sorted; one NaN last if any
     closure_ok: bool
     reconstruction_ok: bool
     violations: tuple
@@ -224,6 +224,10 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     products, and the answer is the same to the last bit.  A corner that is
     NaN, as an overflowing float product can make it, counts as a
     violation.
+
+    ``coefficients`` holds the distinct sampled corners that are not NaN,
+    sorted (complex ones by magnitude, then repr), followed by the first
+    NaN corner when there is one.
     """
     if not generators:
         raise MissingUnitsError("empty generating set")
@@ -290,7 +294,9 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
             violations.append(("reconstruction", x.entries, None))
             break
 
-    coeffs = sorted({corner(m) for m in sample}, key=lambda v: (abs(v), repr(v))) \
-        if field.is_complex else sorted({corner(m) for m in sample})
+    corners = [corner(m) for m in sample]
+    key = (lambda v: (abs(v), repr(v))) if field.is_complex else None
+    coeffs = sorted({c for c in corners if c == c}, key=key)
+    coeffs += [c for c in corners if c != c][:1]  # NaN has no order: one, last
     return SubringReport(tuple(coeffs), not any(v[0] == "mul" for v in violations),
                          recon_ok, tuple(violations), len(sample))

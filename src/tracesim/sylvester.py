@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import ShapeError, ZeroPolynomialError
 from .fields import Field
-from .matrices import Matrix, solve_linear
+from .matrices import Matrix, _power_traces, solve_linear
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,7 @@ def char_poly_from_traces(a: Matrix) -> Polynomial:
         raise ShapeError("characteristic polynomial of a non-square matrix")
     n = a.rows
     field = a.field
-    power_sums = [field.zero()]
-    acc = a
-    for _ in range(n):
-        power_sums.append(acc.trace())
-        acc = acc * a
+    power_sums = [field.zero()] + _power_traces(a, n)
     elem = [field.one()] + [field.zero()] * n
     for k in range(1, n + 1):
         s = field.zero()

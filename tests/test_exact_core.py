@@ -27,8 +27,8 @@ from tracesim import (Field, Kind, KindMismatchError, Matrix, MatrixTuple, NonFi
                       ShapeError, StarMode, TupleFileError, enumerate_canonical, eval_word,
                       fingerprint, fingerprints_equal, intertwiner_basis, load_corpus,
                       load_tuple, specht_equivalent)
-from tracesim.intertwiner import _float_system, _krylov_chains, _power_traces
-from tracesim.matrices import _int_matrices, _int_nullspace
+from tracesim.intertwiner import _float_system, _krylov_chains
+from tracesim.matrices import _int_matrices, _int_nullspace, _power_traces
 from tracesim.tupleio import parse_entry
 
 FQ = Field.rational()

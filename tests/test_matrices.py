@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import rand_int_matrix, rand_invertible_int
 from tracesim import (Field, Matrix, ShapeError, SingularMatrixError, StarMode, det,
                       inverse, nullspace, rank, solve_linear, star, trace)
-from tracesim.matrices import _det_int, _echelon_int
+from tracesim.matrices import _det_int, _gauss_jordan_int
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -276,24 +276,98 @@ def test_det_matches_cofactor():
             assert _det_int([r[:] for r in rows]) == cofactor_det(rows)
 
 
-def test_echelon_rank_and_det():
+def test_gauss_jordan_pivots_and_det():
     rng = random.Random(2)
     for _ in range(40):
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
         rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-        ech, pivots, sign = _echelon_int([r[:] for r in rows])
-        # pivots are strictly increasing and nonzero
-        assert pivots == sorted(set(pivots))
+        ech, pivots, d, sign = _gauss_jordan_int([r[:] for r in rows])
+        assert pivots == sorted(set(pivots)) and sign in (1, -1)
+        # d at its own pivot, zeros left of it and at every other pivot column
         for r, pc in enumerate(pivots):
-            assert ech[r][pc] != 0
+            assert ech[r][pc] == d != 0
             assert all(ech[r][c] == 0 for c in range(pc))
+            assert all(ech[r][c] == 0 for c in pivots if c != pc)
+        assert all(v == 0 for row in ech[len(pivots):] for v in row)
         if n == m:
             expected = cofactor_det(rows)
             if len(pivots) < n:
                 assert expected == 0
             else:
-                assert sign * ech[n - 1][pivots[-1]] == expected
+                assert sign * d == expected
+
+
+def fraction_rref(rows):
+    """Reference: plain Gauss-Jordan over Fractions; (reduced rows, pivot columns)."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                a[i] = [v - a[i][c] * w for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def reference_solve(a, b):
+    """(X, pivot columns) with a X = b and free variables zero, by
+    ``fraction_rref``; None when inconsistent."""
+    ra, rb = a.row_list(), b.row_list()
+    red, pivots = fraction_rref([x + y for x, y in zip(ra, rb)])
+    if any(pc >= a.cols for pc in pivots):
+        return None
+    sol = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for row, pc in zip(red, pivots):
+        sol[pc] = row[a.cols:]
+    return Matrix.from_rows(FQ, sol), pivots
+
+
+def rand_fraction_matrix(rng, rows, cols):
+    return Matrix.from_rows(FQ, [[Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7]))
+                                  for _ in range(cols)] for _ in range(rows)])
+
+
+def test_exact_solve_and_inverse_match_fraction_reference():
+    rng = random.Random(11)
+    counts = {"solved": 0, "inconsistent": 0, "free": 0, "inverse": 0}
+    for _ in range(120):
+        n, m, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        a = rand_fraction_matrix(rng, n, m)
+        if rng.random() < 0.5 and min(n, m) > 1:  # rank deficient: a product through rank < min
+            inner = rng.randint(1, min(n, m) - 1)
+            a = rand_fraction_matrix(rng, n, inner) * rand_fraction_matrix(rng, inner, m)
+        # half consistent by construction, half random right-hand sides
+        if rng.random() < 0.5:
+            b = a * rand_fraction_matrix(rng, m, k)
+        else:
+            b = rand_fraction_matrix(rng, n, k)
+        x = solve_linear(a, b)
+        ref = reference_solve(a, b)
+        if ref is None:
+            assert x is None
+            counts["inconsistent"] += 1
+            continue
+        expected, pivots = ref
+        assert x == expected and a * x == b
+        free = [c for c in range(m) if c not in pivots]
+        assert all(x.at(c, j) == 0 for c in free for j in range(k))
+        counts["solved"] += 1
+        counts["free"] += bool(free)
+        if n == m:
+            if len(pivots) == n:
+                assert inverse(a) == reference_solve(a, Matrix.identity(FQ, n))[0]
+                counts["inverse"] += 1
+            else:
+                with pytest.raises(SingularMatrixError):
+                    inverse(a)
+    assert min(counts.values()) >= 5, counts
 
 
 def test_nan_entries_count_as_nonzero_and_unequal():

@@ -362,6 +362,17 @@ def test_overflowing_subring_corner_is_a_violation():
     assert not rep.closure_ok and not rep.reconstruction_ok
 
 
+def test_overflowing_subring_coefficients_are_sorted_with_one_nan_last():
+    gens = [m for row in float_std(2) for m in row]
+    rep = extract_subring_coefficients(gens + [Matrix.from_rows(FR, [[1e200, 0], [0, 1]])])
+    assert repr(rep.coefficients) == "(0.0, 1.0, 1e+200, inf, nan)"
+    # (1e200 + 1e200j)^2 = (inf - inf) + inf j: a complex NaN
+    gens = [Matrix.unit(FC, 2, i, j) for i in range(2) for j in range(2)]
+    rep = extract_subring_coefficients(gens + [Matrix.from_rows(FC, [[1e200 + 1e200j, 0], [0, 1]])])
+    *ordered, last = rep.coefficients
+    assert ordered == [0j, 1 + 0j, 1e200 + 1e200j] and last != last
+
+
 def test_negative_tolerance_is_rejected():
     family = float_std(2)
     system = UnitSystem.standard(FR, 2)
