@@ -15,7 +15,7 @@ import sys
 from .corpus import load_corpus, run_fixture
 from .errors import TracesimError
 from .fields import value_str
-from .intertwiner import DEFAULT_GRID_BUDGET, gl_similar
+from .intertwiner import gl_similar
 from .matrices import Matrix
 from .matrix_units import check_epsilon, commutant
 from .orthogonal import orthogonal_witness
@@ -61,13 +61,12 @@ _VERDICT_TEXT = {
 def cmd_similar(args, out) -> int:
     x = load_tuple(args.x)
     y = load_tuple(args.y)
-    mode = args.mode.replace("-", "_")
     if args.orthogonal:
-        res = orthogonal_witness(x, y, seed=args.seed, mode=mode, budget=args.budget)
+        res = orthogonal_witness(x, y, seed=args.seed)
         witness = res.witness.o if res.witness is not None else None
         note = "exact-witness-unavailable" if res.verdict == "exact_witness_unavailable" else None
     else:
-        res = gl_similar(x, y, mode=mode, seed=args.seed, budget=args.budget)
+        res = gl_similar(x, y, seed=args.seed)
         witness = res.witness
         note = None
     text = _VERDICT_TEXT[res.verdict]
@@ -188,11 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--orthogonal", action="store_true")
-    p.add_argument("--mode", choices=["auto", "deterministic", "monte-carlo"],
-                   default="auto")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_GRID_BUDGET)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("units", help="check matrix-unit relations of an N^2-tuple file")

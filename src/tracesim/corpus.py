@@ -110,7 +110,7 @@ class FixtureResult:
 def run_fixture(fx: Fixture, seed: int = 0) -> FixtureResult:
     """Reproduce a fixture's expectations with the live procedures."""
     checks = []
-    gl = gl_similar(fx.x, fx.y, mode="auto", seed=seed)
+    gl = gl_similar(fx.x, fx.y, seed=seed)
     checks.append(FixtureCheck("gl_similar", fx.expected.gl_similar, gl.is_similar))
     orth = orthogonal_witness(fx.x, fx.y, seed=seed)
     checks.append(FixtureCheck("orth_similar", fx.expected.orth_similar, orth.is_equivalent))

@@ -26,7 +26,7 @@ class SingularMatrixError(TracesimError):
 
 
 class BudgetExceededError(TracesimError):
-    """An enumeration or invertibility search would exceed its configured budget."""
+    """A trace-word enumeration would exceed its configured budget."""
 
 
 class LetterIndexError(TracesimError):

@@ -23,19 +23,15 @@ stacked system, so it does not depend on the chains or the staging.  The
 float kinds stack all equations into one numpy system, since restricting
 under float pivot thresholds would change which directions count as kernel.
 
-Invertible elements are found by polynomial identity testing on the
-determinant restricted to the span:
-
-* Monte Carlo: seeded integer coefficient vectors in {-S..S}^k; by
-  Schwartz-Zippel a nonzero determinant polynomial survives each trial
-  with failure probability <= n/(2S+1).  Found witnesses are certified
-  (determinant recomputed exactly in rational mode), so only the negative
-  answer is probabilistic.
-* Deterministic: the degree-n coefficient simplex
-  {a in N^k : a_1 + ... + a_k = n}, C(n+k-1, n) points.  det restricted
-  to the span is homogeneous of degree n, and the simplex hits every
-  nonzero homogeneous polynomial of degree n (see ``find_invertible``), so
-  exhausting it is a proof that no invertible element exists.
+Invertible elements are found by one seeded draw loop (``_draws``) of
+A = sum c_j B_j, c_j uniform in {-S..S}.  An invertible A is the witness
+candidate.  A singular A starts the second Wong sequence
+(``_shrunk_subspace``), which either escapes, and the loop draws again, or
+finds U with dim sum_j B_j U < dim U.  Every P in the span maps U into that
+smaller space, so U proves that no P is invertible.  Only ``trials`` draws
+that all escape leave a probable answer, with the Schwartz-Zippel bound
+(n/(2S+1))^trials.  The float kinds take every rank decision against 1e-9 of
+the basis scale (``_orth``), so their negatives are numerical verdicts.
 
 ``_search`` runs this decision for GL similarity here and, on the starred
 space, for orthogonal similarity in ``orthogonal``.
@@ -43,28 +39,25 @@ space, for orthogonal similarity in ``orthogonal``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal
 from operator import mul
 from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, ShapeError
+from .errors import ShapeError
 from .fields import Field
-from .matrices import (Matrix, MatrixTuple, _clear_denominators, _det_int, _float_kernel,
-                       _float_tol, _fractions, _gauss_jordan_int, _int_kernel, _int_matrices,
-                       _power_traces, _require_exact_tol)
+from .matrices import (Matrix, MatrixTuple, _det_int, _float_kernel, _float_tol, _fractions,
+                       _gauss_jordan_int, _int_kernel, _int_matrices, _power_traces,
+                       _require_exact_tol)
 from .words import fingerprint, fingerprints_equal
 
 DEFAULT_TRIALS = 20
 DEFAULT_SAMPLE_BOUND = 10 ** 6
-DEFAULT_GRID_BUDGET = 10 ** 7
 _FLOAT_DET_REL_TOL = 1e-9
-_FLOAT_BATCH = 32768  # largest batch of simplex points evaluated at once
 
 
 @dataclass(frozen=True)
@@ -287,114 +280,127 @@ def _primitive(v: list) -> list:
 
 # -- invertible element search -------------------------------------------------
 
-def _int_basis(b: IntertwinerBasis):
-    """Common-denominator integer copies of the basis (rational mode).
-
-    det(sum c_j B_j) != 0 iff det(sum c_j B'_j) != 0 since B' = L*B for one
-    global L > 0.
-    """
-    ints, _ = _clear_denominators([e for m in b.basis for e in m.entries])
-    nn = b.n * b.n
-    return [ints[k:k + nn] for k in range(0, len(ints), nn)]
+def _check_draws(trials: int, sample_bound: int):
+    if trials < 1 or sample_bound < 1:
+        raise ShapeError("the search needs trials >= 1 and sample_bound >= 1")
 
 
-def _exact_combo_invertible(int_basis, coeffs, n) -> bool:
-    flat = [0] * (n * n)
-    for c, vec in zip(coeffs, int_basis):
-        if c:
-            for t in range(n * n):
-                flat[t] += c * vec[t]
-    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-    return _det_int(rows) != 0
+def _working_basis(b: IntertwinerBasis):
+    """The basis the draws work on: integer row lists over one common
+    denominator (L > 0 changes no rank) for the exact kind, and a (k, n, n)
+    array scaled once so its largest entry is 1 for the float kinds."""
+    if b.field.is_exact:
+        return _int_matrices(b.basis)[0]
+    stack = np.stack([m.to_numpy() for m in b.basis])
+    return stack / np.max(np.abs(stack))
 
 
-def _float_det_ok(dets, amaxes, n) -> np.ndarray:
-    thresh = _FLOAT_DET_REL_TOL * np.maximum(amaxes, 1e-300) ** n
-    return np.abs(dets) > thresh
-
-
-def _simplex(n: int, k: int):
-    """The points of {a in N^k : a_1 + ... + a_k = n} in lexicographic order.
-
-    A point is read off its k - 1 bar positions among n + k - 1 slots (stars
-    and bars); bar tuples in lexicographic order give the points in
-    lexicographic order.  There are C(n+k-1, n) of them.
-    """
-    last = (n + k - 1,)
-    for bars in itertools.combinations(range(n + k - 1), k - 1):
-        yield tuple(e - s - 1 for e, s in zip(bars + last, (-1,) + bars))
+def _draws(b: IntertwinerBasis, mats, seed: int, trials: int, sample_bound: int):
+    """Yields (coeffs, A, A is invertible) for ``trials`` seeded draws
+    A = sum c_j B_j, c_j uniform in {-S..S} with S = ``sample_bound``, A in
+    the form of ``mats``; float draws take c_j / S, keeping the basis scale."""
+    rng = random.Random(seed)
+    exact = b.field.is_exact
+    entries = list(zip(*([e for row in m for e in row] for m in mats))) if exact else None
+    for _ in range(trials):
+        coeffs = [rng.randint(-sample_bound, sample_bound) for _ in range(b.dim)]
+        if exact:
+            flat = [sum(map(mul, coeffs, e)) for e in entries]
+            a = [flat[i:i + b.n] for i in range(0, b.n * b.n, b.n)]
+            yield coeffs, a, _det_int(a) != 0
+        else:
+            a = np.tensordot(np.array(coeffs, dtype=float) / sample_bound, mats, axes=1)
+            # each residual _orth keeps is >= sigma_min(a) >= |det a| / ||a||_F^(n-1)
+            big = abs(np.linalg.det(a)) > _FLOAT_DET_REL_TOL * np.linalg.norm(a) ** (b.n - 1)
+            yield coeffs, a, big or len(_orth(a)) == b.n
 
 
 def find_invertible(b: IntertwinerBasis, seed: int = 0, trials: int = DEFAULT_TRIALS,
-                    sample_bound: int = DEFAULT_SAMPLE_BOUND,
-                    budget: int = DEFAULT_GRID_BUDGET) -> Optional[Matrix]:
-    """Search the span of the basis for an invertible element.
+                    sample_bound: int = DEFAULT_SAMPLE_BOUND) -> Optional[Matrix]:
+    """The first invertible one of ``trials`` seeded draws from the span
+    (``_draws``), or None.  det A has degree n in the c_j, so a span with an
+    invertible element gives a singular draw with probability at most
+    n/(2S+1) (Schwartz-Zippel).  None proves nothing; ``_decide_span`` proves
+    a span singular by the second Wong sequence of a singular draw, a U that
+    every P in the span maps into the smaller sum_j B_j U.  Raises
+    ``ShapeError`` unless trials >= 1 and sample_bound >= 1."""
+    _check_draws(trials, sample_bound)
+    draws = _draws(b, _working_basis(b), seed, trials, sample_bound) if b.dim else ()
+    return next((b.combo(c) for c, _, invertible in draws if invertible), None)
 
-    trials > 0: seeded Monte Carlo over {-sample_bound..sample_bound}^dim;
-    returns None after the given number of misses (inconclusive).
 
-    trials == 0: deterministic walk of the degree-n coefficient simplex
-    {a in N^dim : a_1 + ... + a_dim = n} in lexicographic order, returning
-    the first invertible point; None is then a proof that every element of
-    the span is singular.  With k = dim, f(c) = det(sum c_j B_j) is
-    homogeneous of degree n.  If f is nonzero, so is
-    g(c_1..c_{k-1}) = f(c_1, .., c_{k-1}, n - c_1 - .. - c_{k-1}), since f
-    is recovered from g by homogenising; g has total degree <= n.  The
-    principal lattice {a in N^(k-1) : sum a <= n}, which is the simplex
-    without its last coordinate, is unisolvent for such polynomials (induct
-    on the last variable), so g is nonzero on one of its points.  The
-    simplex has C(n+k-1, n) points, a subset of the full grid {0..n}^k.
-    Float points go through numpy in batches that start at one point and
-    double up to 32768, so an early hit costs little.
+def _orth(m: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of ``m``: Gram-Schmidt that keeps
+    the row of largest residual (projected once more) until no residual
+    exceeds ``_FLOAT_DET_REL_TOL`` at the basis scale.  numpy's SVD or QR
+    would add over 1 MB of LAPACK code to a process using only its LU."""
+    m = np.array(m, dtype=np.result_type(m, float))
+    kept = np.zeros((min(m.shape), m.shape[1]), dtype=m.dtype)
+    for r in range(len(kept)):
+        sq = np.einsum("ij,ij->i", m.conj(), m).real
+        j = int(np.argmax(sq))
+        if not sq[j] > _FLOAT_DET_REL_TOL ** 2:
+            return kept[:r]
+        v = m[j] / np.sqrt(sq[j])
+        v -= (kept[:r].conj() @ v) @ kept[:r]
+        kept[r] = v / np.linalg.norm(v)
+        m -= np.outer(m @ kept[r].conj(), kept[r])
+    return kept
+
+
+def _shrunk_subspace(b: IntertwinerBasis, mats, a) -> Optional[tuple]:
+    """The second Wong sequence from a singular draw A (Ivanyos-Karpinski-
+    Saxena 2010): (U as basis columns, dim sum_j B_j U), or None on escape.
+
+    From W_0 = 0 it takes U_i = A^{-1}(W_i), W_{i+1} = sum_j B_j U_i, and
+    stops once dim W_{i+1} < dim U_i.  Else W_{i+1} must lie in im A, so
+    dim U_{i+1} = dim ker A + dim W_{i+1} > dim U_i and U grows: at most n
+    steps.  A^{-1}(W) is the kernel of [A | -W] cut to n entries (integer
+    vectors) or of (I - W W^*) A (orthonormal rows), and W lies in im A iff
+    it has dim ker A + dim W vectors; otherwise A lacks the largest rank.
     """
-    k = b.dim
-    n = b.n
-    if k == 0:
-        return None
-    exact = b.field.is_exact
-    if trials > 0:
-        rng = random.Random(seed)
-        int_basis = _int_basis(b) if exact else None
-        stack = None if exact else np.stack([m.to_numpy() for m in b.basis])
-        for _ in range(trials):
-            coeffs = [rng.randint(-sample_bound, sample_bound) for _ in range(k)]
-            if exact:
-                if _exact_combo_invertible(int_basis, coeffs, n):
-                    return b.combo([Fraction(c) for c in coeffs])
-            else:
-                p = np.tensordot(np.array(coeffs, dtype=float), stack, axes=1)
-                amax = np.max(np.abs(p))
-                if amax > 0 and _float_det_ok(np.linalg.det(p), amax, n):
-                    return b.combo(coeffs)
-        return None
-
-    points = math.comb(n + k - 1, n)
-    if points > budget:
-        raise BudgetExceededError(
-            "deterministic invertibility search exceeds budget: the degree-%d coefficient "
-            "simplex has C(%d+%d-1, %d) = %d points > %d" % (n, n, k, n, points, budget))
+    n, exact = b.n, b.field.is_exact
     if exact:
-        int_basis = _int_basis(b)
-        for coeffs in _simplex(n, k):
-            if _exact_combo_invertible(int_basis, coeffs, n):
-                return b.combo([Fraction(c) for c in coeffs])
-        return None
-    stack = np.stack([m.to_numpy() for m in b.basis])
-    walk = _simplex(n, k)
-    size = 1
+        def images(u):
+            ech, pivots, _, _ = _gauss_jordan_int([[sum(map(mul, row, v)) for row in m]
+                                                   for m in mats for v in u])
+            return [_primitive(row) for row in ech[:len(pivots)]]
+
+        def preimage(w):
+            kernel, _ = _int_kernel([row + [-v[i] for v in w] for i, row in enumerate(a)],
+                                    n + len(w))
+            return [_primitive(v[:n]) for v in kernel]
+    else:
+        def images(u):
+            return _orth(np.concatenate([u @ m.T for m in mats]))
+
+        def preimage(w):  # the kernel is orthogonal to the conjugated rows
+            rows = _orth((a - w.T @ (w.conj() @ a)).conj())
+            return _orth(np.eye(n) - rows.conj().T @ rows)
+    u = preimage([] if exact else np.zeros((0, n)))
+    nullity = len(u)
     while True:
-        block = list(itertools.islice(walk, size))
-        if not block:
+        w = images(u)
+        if len(w) < len(u):
+            cols = (Matrix.from_rows(b.field, [list(r) for r in zip(*u)]) if exact
+                    else Matrix.from_numpy(b.field, u.T))
+            return cols, len(w)
+        u = preimage(w)
+        if len(u) < nullity + len(w):
             return None
-        cs = np.array(block, dtype=float)
-        ps = np.tensordot(cs, stack, axes=1)
-        amaxes = np.max(np.abs(ps), axis=(1, 2))
-        dets = np.linalg.det(ps)
-        ok = _float_det_ok(dets, amaxes, n) & (amaxes > 0)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return b.combo(block[int(hits[0])])
-        size = min(2 * size, _FLOAT_BATCH)
+
+
+def _certifies(b: IntertwinerBasis, mats, u: Matrix, image_dim: int) -> bool:
+    """The recheck before U is claimed as a proof, from the basis and the
+    columns of U alone: they are independent, and rank [B_1 U | .. | B_k U]
+    = image_dim < dim U (k products and two ranks, in integers).  Float
+    negatives are numerical verdicts and keep the loop's own ranks."""
+    if not b.field.is_exact:
+        return True
+    cols = [list(c) for c in zip(*_int_matrices([u])[0][0])]
+    images = [[sum(map(mul, row, v)) for row in m] for m in mats for v in cols]
+    return (len(_gauss_jordan_int(cols)[1]) == u.cols
+            and len(_gauss_jordan_int(images)[1]) == image_dim < u.cols)
 
 
 # -- GL similarity --------------------------------------------------------------
@@ -439,64 +445,61 @@ def _filter_not_similar(x: MatrixTuple, y: MatrixTuple) -> Optional[str]:
 
 def _verify_intertwiner(p: Matrix, x: MatrixTuple, y: MatrixTuple, with_star: bool) -> bool:
     tol = 0.0 if x.field.is_exact else 1e-10 * max(1.0, p.maxabs()) * max(1.0, x.maxabs())
-    for xi, yi in zip(x.matrices, y.matrices):
-        if not (p * xi - yi * p).is_zero(tol):
-            return False
+    pairs = list(zip(x.matrices, y.matrices))
     if with_star:
-        for xi, yi in zip(x.stars(), y.stars()):
-            if not (p * xi - yi * p).is_zero(tol):
-                return False
-    return True
+        pairs += zip(x.stars(), y.stars())
+    return all((p * xi - yi * p).is_zero(tol) for xi, yi in pairs)
 
 
-def _search(x: MatrixTuple, y: MatrixTuple, with_star: bool, mode: str, seed: int,
-            trials: int, sample_bound: int, budget: int, reject):
-    """The search shared by GL and orthogonal similarity.
+def _decide_span(b: IntertwinerBasis, seed: int, trials: int, sample_bound: int):
+    """(P, U, detail): P an invertible draw, still to be verified, or U a
+    certified shrunk subspace (I for a zero span), or neither after every
+    draw escaped, with the Schwartz-Zippel bound in the detail."""
+    what = "star-intertwiner" if b.with_star else "intertwiner"
+    if b.dim == 0:
+        return None, Matrix.identity(b.field, b.n), "%s space is zero" % what
+    mats = _working_basis(b)
+    for draw, (coeffs, a, invertible) in enumerate(
+            _draws(b, mats, seed, trials, sample_bound), start=1):
+        if invertible:
+            return b.combo(coeffs), None, None
+        found = _shrunk_subspace(b, mats, a)
+        if found is not None and _certifies(b, mats, *found):
+            return None, found[0], (
+                "shrunk subspace: dim U = %d > dim sum_j B_j U = %d, so no %s is invertible "
+                "(second Wong sequence, draw %d)" % (found[0].cols, found[1], what, draw))
+    bound = (Decimal(b.n) / (2 * sample_bound + 1)) ** trials
+    return None, None, (
+        "%d Monte Carlo draws found no invertible %s and no shrunk subspace; "
+        "Schwartz-Zippel error bound (%d/%d)^%d = %s"
+        % (trials, what, b.n, 2 * sample_bound + 1, trials, format(bound, ".2e")))
 
-    Checks the pair and the mode, then runs ``reject`` (a certified filter
-    returning a reason or None, skipped when None), then looks for an
-    invertible element of the intertwiner space, starred when ``with_star``.
-    Returns (basis, P or None, proof, detail).  P is a candidate still to be
-    verified; without one, ``proof`` says whether its absence is certain and
-    ``detail`` says why.  The basis is None when the filter decided.
-    """
+
+def _search(x: MatrixTuple, y: MatrixTuple, with_star: bool, seed: int, trials: int,
+            sample_bound: int, reject):
+    """The search of GL and orthogonal similarity: the certified filter
+    ``reject`` (a reason or None; may itself be None), then ``_decide_span``
+    on the (starred) intertwiner space.  Returns (basis, P, U, detail), with
+    basis None when the filter decided."""
     _check_pair(x, y)
-    if mode not in ("auto", "deterministic", "monte_carlo"):
-        raise ShapeError("unknown mode %r" % mode)
+    _check_draws(trials, sample_bound)
     reason = reject() if reject is not None else None
     if reason is not None:
-        return None, None, True, reason
-    what = "star-intertwiner" if with_star else "intertwiner"
+        return None, None, None, reason
     basis = intertwiner_basis(x, y, with_star=with_star)
-    if basis.dim == 0:
-        return basis, None, True, "%s space is zero" % what
-    points = math.comb(x.n + basis.dim - 1, x.n)
-    if mode == "auto":
-        mode = "deterministic" if points <= budget else "monte_carlo"
-    if mode == "deterministic":
-        p = find_invertible(basis, trials=0, budget=budget)
-        where = "all %d points" % points if points > 1 else "the one point"
-        return basis, p, True, ("determinant vanishes on %s of the degree-%d coefficient "
-                                "simplex" % (where, x.n))
-    p = find_invertible(basis, seed=seed, trials=trials, sample_bound=sample_bound)
-    return basis, p, False, "%d Monte Carlo trials found no invertible %s" % (trials, what)
+    return (basis,) + _decide_span(basis, seed, trials, sample_bound)
 
 
-def gl_similar(x: MatrixTuple, y: MatrixTuple, mode: str = "auto", seed: int = 0,
-               trials: int = DEFAULT_TRIALS, sample_bound: int = DEFAULT_SAMPLE_BOUND,
-               budget: int = DEFAULT_GRID_BUDGET, filters: bool = True) -> GLVerdict:
-    """Decide simultaneous similarity; a `similar` verdict carries a verified P.
-
-    mode 'deterministic' walks the coefficient simplex (complete; may refuse
-    on budget), 'monte_carlo' is probabilistic on the negative side only,
-    'auto' picks deterministic when the simplex fits the budget.
-    """
+def gl_similar(x: MatrixTuple, y: MatrixTuple, seed: int = 0, trials: int = DEFAULT_TRIALS,
+               sample_bound: int = DEFAULT_SAMPLE_BOUND, filters: bool = True) -> GLVerdict:
+    """Decide simultaneous similarity; a `similar` verdict carries a verified P,
+    `not_similar` a proof (a certified filter, a zero space or a shrunk
+    subspace), and `not_similar_probable` follows only ``trials`` escaped draws."""
     reject = (lambda: _filter_not_similar(x, y)) if filters else None
-    _, p, proof, detail = _search(x, y, False, mode, seed, trials, sample_bound, budget,
-                                  reject)
+    basis, p, u, detail = _search(x, y, False, seed, trials, sample_bound, reject)
     if p is None:
-        return GLVerdict("not_similar" if proof else "not_similar_probable", None, detail)
+        proved = basis is None or u is not None
+        return GLVerdict("not_similar" if proved else "not_similar_probable", None, detail)
     if not _verify_intertwiner(p, x, y, with_star=False):
-        return GLVerdict("not_similar_probable", None,
-                         "candidate witness failed verification")
+        return GLVerdict("not_similar_probable", None, "candidate witness failed verification")
     return GLVerdict("similar", p, "verified intertwiner witness")

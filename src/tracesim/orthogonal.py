@@ -34,8 +34,8 @@ from .errors import (BudgetExceededError, ConvergenceError, IndefiniteMatrixErro
                      KindMismatchError, NonSymmetricError, ShapeError,
                      WitnessConstructionError)
 from .fields import Field, StarMode, abs_value
-from .intertwiner import (DEFAULT_GRID_BUDGET, DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS,
-                          IntertwinerBasis, _check_pair, _search, find_invertible)
+from .intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, IntertwinerBasis, _check_pair,
+                          _search, find_invertible)
 from .matrices import Matrix, MatrixTuple
 from .words import (DEFAULT_BUDGET, FingerprintDiff, fingerprint, fingerprints_equal)
 
@@ -241,15 +241,15 @@ def _np_star(a: np.ndarray, field: Field):
     return a.T
 
 
-def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, mode: str = "auto",
-                       tol: float = 1e-8, filter_degree: int = 2,
-                       trials: int = DEFAULT_TRIALS, sample_bound: int = DEFAULT_SAMPLE_BOUND,
-                       budget: int = DEFAULT_GRID_BUDGET) -> OrthVerdict:
+def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, tol: float = 1e-8,
+                       filter_degree: int = 2, trials: int = DEFAULT_TRIALS,
+                       sample_bound: int = DEFAULT_SAMPLE_BOUND) -> OrthVerdict:
     """Decide simultaneous orthogonal/unitary similarity and build a witness O.
 
     A positive verdict always rests on an invertible star-intertwiner; the
     returned O satisfies O star(O) = I and O X_i star(O) = Y_i within the
     reported residuals (exactly, in the rational scalar-square case).
+    Negatives follow ``gl_similar``, on the starred space.
     """
     def reject():
         try:
@@ -258,11 +258,11 @@ def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, mode: str 
             return None
         return None if equal else "trace-word filter: %s" % diff
 
-    basis, p, proof, detail = _search(x, y, True, mode, seed, trials, sample_bound, budget,
-                                      reject if filter_degree else None)
+    basis, p, u, detail = _search(x, y, True, seed, trials, sample_bound,
+                                  reject if filter_degree else None)
     if p is None:
-        return OrthVerdict("not_equivalent" if proof else "not_equivalent_probable",
-                           None, None, detail)
+        verdict = "not_equivalent" if basis is None or u is not None else "not_equivalent_probable"
+        return OrthVerdict(verdict, None, None, detail)
     if x.field.is_exact:
         g = p * p.star()
         lam = _scalar_of(g)

@@ -11,13 +11,14 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from certificate import shrinks
 from conftest import givens_orthogonal, pythagorean_rotation, rand_invertible_int
 from tracesim import (Field, Matrix, MatrixTuple, StarMode, UnitSystem, Word,
                       char_poly_from_traces, check_epsilon, coeff_product, commutant,
-                      enumerate_canonical, eval_word, find_invertible, fingerprint,
-                      fingerprints_equal, gl_similar, intertwiner_basis, load_corpus,
-                      orthogonal_witness, specht_equivalent, specht_property_check,
-                      theta_embedding, trace)
+                      enumerate_canonical, eval_word, fingerprint, fingerprints_equal,
+                      gl_similar, load_corpus, orthogonal_witness, specht_equivalent,
+                      specht_property_check, theta_embedding, trace)
+from tracesim.intertwiner import DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _search
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -41,6 +42,19 @@ def corpus_by_name():
     return {fx.name: fx for fx in load_corpus()}
 
 
+def unfiltered_search(x, y, with_star):
+    """(basis, P, U) of the intertwiner search with no filter in front."""
+    basis, p, u, _ = _search(x, y, with_star, 0, DEFAULT_TRIALS, DEFAULT_SAMPLE_BOUND, None)
+    return basis, p, u
+
+
+def assert_certified_not_similar(x, y):
+    """The search alone proves the pair not similar, and its shrunk subspace
+    passes the standalone check."""
+    basis, p, u = unfiltered_search(x, y, False)
+    assert p is None and shrinks(basis.basis, u)
+
+
 def test_criterion_1_no_trace_pair():
     with criterion(1, "no-trace pair: degree-1 fingerprints 5 vs 4, not similar", 1.0):
         fx = corpus_by_name()["no-trace"]
@@ -48,8 +62,9 @@ def test_criterion_1_no_trace_pair():
         assert not equal
         assert str(diff.word) == "x1"
         assert diff.value_a == Fraction(5) and diff.value_b == Fraction(4)
-        verdict = gl_similar(fx.x, fx.y, mode="deterministic")
+        verdict = gl_similar(fx.x, fx.y)
         assert verdict.verdict == "not_similar"
+        assert_certified_not_similar(fx.x, fx.y)
 
 
 def test_criterion_2_transpose_needed_pair():
@@ -64,8 +79,9 @@ def test_criterion_2_transpose_needed_pair():
         assert not equal
         assert str(diff.word) == "x1 x1*"
         assert diff.value_a == Fraction(2) and diff.value_b == Fraction(1)
-        verdict = gl_similar(fx.x, fx.y, mode="deterministic")
+        verdict = gl_similar(fx.x, fx.y)
         assert verdict.verdict == "not_similar"
+        assert_certified_not_similar(fx.x, fx.y)
 
 
 def test_criterion_3_complex_plain_transpose_failure():
@@ -78,7 +94,7 @@ def test_criterion_3_complex_plain_transpose_failure():
         equal, diff = specht_equivalent(fx.x, fx.y, 16, budget=10 ** 7)
         assert equal, diff
         assert fx.x[0].rank() == 1 and fx.y[0].rank() == 2
-        verdict = gl_similar(fx.x, fx.y, mode="deterministic")
+        verdict = gl_similar(fx.x, fx.y)
         assert verdict.verdict == "not_similar"
         report = specht_property_check(fx.x, fx.y, 16)
         assert report.fingerprints_equal is True
@@ -121,7 +137,7 @@ def test_criterion_5_gl_round_trips_exact():
                 for _ in range(d)))
             p0 = rand_invertible_int(rng, FQ, n, -3, 3)
             y = x.conjugated(p0)
-            verdict = gl_similar(x, y, mode="monte_carlo", seed=trial)
+            verdict = gl_similar(x, y, seed=trial)
             assert verdict.verdict == "similar", (trial, verdict.detail)
             p = verdict.witness
             assert p.det() != 0
@@ -162,8 +178,9 @@ def test_criterion_6_specht_sufficiency_desk_scale():
             x = MatrixTuple.of(x_mat)
             y = MatrixTuple.of(y_mat)
             fp_equal, _ = fingerprints_equal(fingerprint(x, 4), fingerprint(y, 4))
-            basis = intertwiner_basis(x, y, with_star=True)
-            witness_exists = find_invertible(basis, trials=0) is not None
+            basis, p, u = unfiltered_search(x, y, True)
+            assert p is not None or shrinks(basis.basis, u)  # certified either way
+            witness_exists = p is not None
             assert fp_equal == witness_exists, \
                 (case, x_mat.entries, y_mat.entries, fp_equal, witness_exists)
 

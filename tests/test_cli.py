@@ -153,8 +153,7 @@ def test_similar_seeded_runs_are_byte_identical(tmp_path):
     y = x.conjugated(p)
     fx = write_tuple(tmp_path, "x.json", x)
     fy = write_tuple(tmp_path, "y.json", y)
-    runs = {run_cli("similar", fx, fy, "--mode", "monte-carlo", "--seed", "3",
-                    "--witness")
+    runs = {run_cli("similar", fx, fy, "--seed", "3", "--witness")
             for _ in range(3)}
     assert len(runs) == 1
     code, out = next(iter(runs))

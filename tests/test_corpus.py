@@ -1,7 +1,11 @@
 from fractions import Fraction
 
-from tracesim import (Kind, StarMode, gl_similar, intertwiner_basis, load_corpus, run_corpus,
-                      run_fixture)
+import pytest
+
+from certificate import shrinks
+from tracesim import (Field, Kind, StarMode, gl_similar, intertwiner_basis, load_corpus,
+                      orthogonal_witness, run_corpus, run_fixture)
+from tracesim.intertwiner import DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _search
 
 
 def by_name():
@@ -58,7 +62,23 @@ def test_hom_dimension_fixture_is_not_settled_by_dimensions():
         assert intertwiner_basis(a, b, with_star=False).dim == 1
     v = gl_similar(x, y)
     assert (v.verdict, v.detail) == (
-        "not_similar", "determinant vanishes on the one point of the degree-2 coefficient simplex")
+        "not_similar", "shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no intertwiner "
+        "is invertible (second Wong sequence, draw 1)")
+
+
+@pytest.mark.parametrize("name, with_star", [
+    ("no-trace", False), ("no-trace", True), ("needs-transpose", False),
+    ("needs-transpose", True), ("hom-dimension", False),
+])
+def test_exact_negative_fixtures_carry_checked_certificates(name, with_star):
+    """With no filter in front, the search alone proves each exact negative
+    fixture, plain and starred, by a shrunk subspace that the standalone
+    check accepts.  (The starred space of hom-dimension is zero.)"""
+    fx = by_name()[name]
+    basis, p, u, detail = _search(fx.x, fx.y, with_star, 0, DEFAULT_TRIALS,
+                                  DEFAULT_SAMPLE_BOUND, None)
+    assert p is None and detail.startswith("shrunk subspace")
+    assert shrinks(basis.basis, u)
 
 
 def test_expected_records_are_internally_consistent():
@@ -81,3 +101,18 @@ def test_run_fixture_reports_labels():
     labels = {c.label for c in res.checks}
     assert "gl_similar" in labels and "orth_similar" in labels
     assert any(l.startswith("fingerprint_equal") for l in labels)
+
+
+@pytest.mark.parametrize("name", ["no-trace", "needs-transpose", "complex-transpose",
+                                  "gl-positive", "orthogonal-positive", "hom-dimension"])
+def test_float_fixtures_keep_their_verdicts(name):
+    """The float64 copy of each fixture (complex-transpose is float already)
+    gets the fixture's verdicts, with the filters on and off."""
+    fx = by_name()[name]
+    x, y = fx.x, fx.y
+    if x.field.is_exact:
+        x, y = x.astype(Field.real64()), y.astype(Field.real64())
+    for filters in (True, False):
+        assert gl_similar(x, y, filters=filters).is_similar == fx.expected.gl_similar
+        orth = orthogonal_witness(x, y, filter_degree=2 if filters else 0)
+        assert orth.is_equivalent == fx.expected.orth_similar

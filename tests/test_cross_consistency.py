@@ -5,7 +5,7 @@ implication lattice
     orthogonally equivalent  =>  starred fingerprints equal
 
 on a zoo of constructed-positive, constructed-negative and random pairs,
-with all verdicts in certified (deterministic/auto) mode.
+with every verdict certified: no probable negative may appear.
 """
 
 import random

@@ -1,22 +1,36 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificate import fraction_rank, shrinks
 from conftest import rand_invertible_int, rand_rational_tuple
-from tracesim import (BudgetExceededError, Field, IntertwinerBasis, Matrix, MatrixTuple,
-                      ShapeError, find_invertible, gl_similar, intertwiner_basis,
-                      orthogonal_witness)
-from tracesim.intertwiner import _simplex, _verify_intertwiner
+from tracesim import (Field, IntertwinerBasis, Matrix, MatrixTuple, ShapeError,
+                      find_invertible, gl_similar, intertwiner_basis, orthogonal_witness)
+from tracesim import intertwiner
+from tracesim.intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _decide_span, _search,
+                                  _verify_intertwiner)
 from tracesim.matrices import _det_int
 
 FQ = Field.rational()
 FR = Field.real64()
+
+
+def decide(b):
+    """(P, U, detail) of the default search on a span."""
+    return _decide_span(b, 0, DEFAULT_TRIALS, DEFAULT_SAMPLE_BOUND)
+
+
+def wong_certificate(x, y, with_star=False):
+    """(basis, U) of the unfiltered search on a pair."""
+    basis, p, u, _ = _search(x, y, with_star, 0, DEFAULT_TRIALS, DEFAULT_SAMPLE_BOUND, None)
+    assert p is None and u is not None
+    return basis.basis, u
 
 
 def basis_satisfies_equations(basis, x, y, tol=0.0):
@@ -51,9 +65,12 @@ def test_no_trace_pair_has_only_singular_intertwiners():
     y = MatrixTuple.of(Matrix.diagonal(FQ, [1, 1, 2]))
     b = intertwiner_basis(x, y, with_star=False)
     assert b.dim == 4
-    assert find_invertible(b, trials=0) is None  # proof via the simplex
-    verdict = gl_similar(x, y, mode="deterministic", filters=False)
-    assert verdict.verdict == "not_similar"
+    assert find_invertible(b) is None
+    verdict = gl_similar(x, y, filters=False)
+    assert (verdict.verdict, verdict.detail) == (
+        "not_similar", "shrunk subspace: dim U = 2 > dim sum_j B_j U = 1, so no intertwiner "
+        "is invertible (second Wong sequence, draw 1)")
+    assert shrinks(*wong_certificate(x, y))
 
 
 def test_basis_linear_independence():
@@ -104,14 +121,17 @@ def test_scalar_tuple_space_is_at_least_n():
 def test_full_matrix_space_contains_identity():
     basis = tuple(Matrix.unit(FQ, 2, i, j) for i in range(2) for j in range(2))
     b = IntertwinerBasis(2, False, FQ, basis)
-    p = find_invertible(b, trials=0)
+    p = find_invertible(b)
     assert p is not None and p.det() != 0
 
 
 def test_nilpotent_line_is_proven_singular():
     b = IntertwinerBasis(2, False, FQ, (Matrix.unit(FQ, 2, 0, 1),))
-    assert find_invertible(b, trials=0) is None
     assert find_invertible(b, seed=1, trials=10) is None
+    p, u, detail = decide(b)
+    assert p is None and shrinks(b.basis, u)
+    assert detail == ("shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no intertwiner "
+                      "is invertible (second Wong sequence, draw 1)")
 
 
 def test_diagonal_span_monte_carlo_finds_witness():
@@ -121,28 +141,32 @@ def test_diagonal_span_monte_carlo_finds_witness():
     assert p is not None and p.det() != 0
 
 
-def test_deterministic_grid_budget_guard():
-    basis = tuple(Matrix.unit(FQ, 4, i, j) for i in range(4) for j in range(4))
-    b = IntertwinerBasis(4, False, FQ, basis)
-    with pytest.raises(BudgetExceededError, match=r"C\(4\+16-1, 4\) = 3876 points > 100"):
-        find_invertible(b, trials=0, budget=100)
-
-
 def test_empty_basis_has_no_invertible():
     b = IntertwinerBasis(2, False, FQ, ())
-    assert find_invertible(b, trials=0) is None
+    assert find_invertible(b) is None
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-@pytest.mark.parametrize("k", range(1, 6))
-def test_simplex_is_the_sum_n_part_of_the_grid_in_order(n, k):
-    grid = [a for a in itertools.product(range(n + 1), repeat=k) if sum(a) == n]
-    assert list(_simplex(n, k)) == grid
-    assert len(grid) == math.comb(n + k - 1, n)
+_DIAG = ([1, 2], [2, 1])  # similar, and every filter agrees
+
+
+@pytest.mark.parametrize("call", ["find_invertible", "gl_similar", "orthogonal_witness"])
+@pytest.mark.parametrize("params", [{"trials": 0}, {"trials": -3}, {"sample_bound": 0}],
+                         ids=["no-trials", "negative-trials", "zero-bound"])
+def test_draw_parameters_are_validated(call, params):
+    x, y = (MatrixTuple.of(Matrix.diagonal(FQ, v)) for v in _DIAG)
+    run = {"find_invertible": lambda: find_invertible(intertwiner_basis(x, y, False), **params),
+           "gl_similar": lambda: gl_similar(x, y, **params),
+           "orthogonal_witness": lambda: orthogonal_witness(x, y, **params)}[call]
+    with pytest.raises(ShapeError, match="the search needs trials >= 1 and sample_bound >= 1"):
+        run()
 
 
 def grid_has_invertible(b):
-    """Reference: some point of the full grid {0..n}^k has nonzero determinant."""
+    """Reference: some point of the full grid {0..n}^k has nonzero determinant.
+
+    det(sum c_j B_j) is a polynomial of degree n in each c_j, and the grid
+    holds n + 1 values of each, so it hits every nonzero such polynomial.
+    """
     n = b.n
     denom = math.lcm(*(e.denominator for m in b.basis for e in m.entries))
     span = [[int(e * denom) for e in m.entries] for m in b.basis]
@@ -189,83 +213,194 @@ def random_pair_spans(rng, count):
     return out
 
 
-def test_simplex_verdict_matches_the_full_grid():
+def test_search_verdict_matches_the_full_grid():
     rng = random.Random(78)
     spans = random_spans(rng, 60) + random_pair_spans(rng, 40)
     singular = 0
     for b in spans:
-        found = find_invertible(b, trials=0)
-        assert (found is not None) == grid_has_invertible(b)
-        if found is None:
+        p, u, _ = decide(b)
+        assert (p is not None) == grid_has_invertible(b)
+        if p is None:
             singular += 1
+            assert shrinks(b.basis, u)  # every singular span here is certified
         else:
-            assert found.det() != 0
+            assert p.det() != 0
     assert 20 <= singular <= len(spans) - 20
 
 
-def jordan(sizes):
-    """The nilpotent Jordan matrix with blocks of the given sizes."""
+def skew_span(field, with_star=False):
+    """The 3 x 3 skew-symmetric matrices: every element is singular (odd
+    size), yet the span has no shrunk subspace, so every Wong sequence
+    escapes and only the Monte Carlo bound remains."""
+    def e(i, j):
+        return Matrix.unit(field, 3, i, j) - Matrix.unit(field, 3, j, i)
+    return IntertwinerBasis(3, with_star, field, (e(0, 1), e(0, 2), e(1, 2)))
+
+
+def test_monte_carlo_negative_is_labeled_probable(monkeypatch):
+    bound = "Schwartz-Zippel error bound (3/2000001)^20 = 3.33e-117"
+    for field in (FQ, FR):
+        monkeypatch.setattr(intertwiner, "intertwiner_basis",
+                            lambda x, y, with_star: skew_span(field, with_star))
+        x = MatrixTuple.of(Matrix.identity(field, 3))
+        v = gl_similar(x, x, filters=False)
+        assert (v.verdict, v.detail) == (
+            "not_similar_probable",
+            "20 Monte Carlo draws found no invertible intertwiner and no shrunk subspace; "
+            + bound)
+        v = orthogonal_witness(x, x, filter_degree=0)
+        assert (v.verdict, v.detail) == (
+            "not_equivalent_probable",
+            "20 Monte Carlo draws found no invertible star-intertwiner and no shrunk "
+            "subspace; " + bound)
+    p, u, detail = _decide_span(skew_span(FQ), 4, 3, 1)
+    assert (p, u) == (None, None)
+    assert detail.endswith("bound (3/3)^3 = 1.00e+0")
+
+
+def jordan(sizes, eigenvalues=None):
+    """The Jordan matrix with blocks of the given sizes and eigenvalues
+    (nilpotent by default)."""
+    eigenvalues = eigenvalues or [0] * len(sizes)
     n = sum(sizes)
-    ones, start = set(), 0
-    for size in sizes:
-        ones.update(range(start, start + size - 1))
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size, lam in zip(sizes, eigenvalues):
+        for i in range(start, start + size):
+            rows[i][i] = lam
+            if i + 1 < start + size:
+                rows[i][i + 1] = 1
         start += size
-    return MatrixTuple.of(Matrix.from_rows(FQ, [[1 if j == i + 1 and i in ones else 0
-                                                 for j in range(n)] for i in range(n)]))
+    return MatrixTuple.of(Matrix.from_rows(FQ, rows))
 
 
-@pytest.mark.parametrize("xs, ys, dim, points", [
-    ((3, 1, 1), (2, 2, 1), 11, 3003),
-    ((2, 2), (3, 1), 6, 126),
+@pytest.mark.parametrize("xs, ys, dim, dim_u, dim_image", [
+    ((3, 1, 1), (2, 2, 1), 11, 1, 0),
+    ((2, 2), (3, 1), 6, 2, 1),
+    ((2, 2, 2), (3, 2, 1), 15, 3, 2),
+    ((3, 3, 2), (3, 3, 1, 1), 22, 3, 2),
+    ((2, 2, 2, 2), (3, 2, 2, 1), 28, 4, 3),
 ])
-def test_jordan_pairs_are_proven_not_similar(xs, ys, dim, points):
+def test_jordan_pairs_are_proven_not_similar(xs, ys, dim, dim_u, dim_image):
     x, y = jordan(xs), jordan(ys)
-    assert intertwiner_basis(x, y, with_star=False).dim == dim
+    t0 = time.perf_counter()
     v = gl_similar(x, y, filters=False)
+    assert time.perf_counter() - t0 < 1.0
+    assert intertwiner_basis(x, y, with_star=False).dim == dim
     assert (v.verdict, v.detail) == (
-        "not_similar", "determinant vanishes on all %d points of the degree-%d coefficient "
-        "simplex" % (points, x.n))
+        "not_similar", "shrunk subspace: dim U = %d > dim sum_j B_j U = %d, so no "
+        "intertwiner is invertible (second Wong sequence, draw 1)" % (dim_u, dim_image))
+    assert shrinks(*wong_certificate(x, y))
 
 
-def triangular_span(field):
-    """Upper triangular span of dimension 5 in M_3 whose first invertible
-    simplex point is the 22nd, (1, 0, 0, 1, 1): det is c1 (c1+..+c5) (2 c1 - c5)."""
-    def mat(diagonal, upper):
-        m = Matrix.diagonal(FQ, diagonal)
-        for i, j in upper:
-            m = m + Matrix.unit(FQ, 3, i, j)
-        return m.astype(field)
-    return IntertwinerBasis(3, False, field, (
-        mat([1, 1, 2], []), mat([0, 1, 0], [(0, 1)]), mat([0, 1, 0], [(0, 2)]),
-        mat([0, 1, 0], [(1, 2)]), mat([0, 1, -1], [])))
+def partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
 
 
-def test_float_batches_find_the_same_point_as_the_exact_walk():
-    exact = triangular_span(FQ)
-    points = list(_simplex(3, 5))
-    first = next(i for i, a in enumerate(points)
-                 if exact.combo([Fraction(c) for c in a]).det() != 0)
-    assert (first, points[first]) == (21, (1, 0, 0, 1, 1))  # inside the fifth batch
-    p = find_invertible(exact, trials=0)
-    assert p == exact.combo([Fraction(c) for c in points[first]])
-    q = find_invertible(triangular_span(FR), trials=0)
-    assert q.entries == tuple(float(e) for e in p.entries)
+def jordan_types(n):
+    """Every Jordan matrix of size n with eigenvalues in {0, 1}."""
+    for n0 in range(n + 1):
+        for p0 in partitions(n0):
+            for p1 in partitions(n - n0):
+                yield jordan(p0 + p1, [0] * len(p0) + [1] * len(p1))
 
 
-def test_float_batches_visit_every_simplex_point_once(monkeypatch):
-    # every element of this span has a zero first column
-    basis = tuple(Matrix.unit(FR, 3, i, j) for i, j in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
-    sizes = []
-    det = np.linalg.det
+@pytest.mark.parametrize("n", range(1, 6))
+def test_d1_verdicts_match_the_hom_dimension_identity(n):
+    """For one matrix, X ~ Y iff dim C(X,X) + dim C(Y,Y) = 2 dim C(X,Y): an
+    independent route that uses only intertwiner dimensions.  Y is conjugated
+    by a fixed unimodular P so the pairs are not both in Jordan form."""
+    p = Matrix.from_rows(FQ, [[1 if j >= i else 0 for j in range(n)] for i in range(n)])
+    types = list(jordan_types(n))
+    self_dims = [intertwiner_basis(x, x, False).dim for x in types]
+    negatives = 0
+    for i, x in enumerate(types):
+        for j in range(i, len(types)):
+            y = types[j].conjugated(p)
+            similar = self_dims[i] + self_dims[j] == 2 * intertwiner_basis(x, y, False).dim
+            v = gl_similar(x, y, filters=False)
+            assert v.verdict == ("similar" if similar else "not_similar"), (i, j, v.detail)
+            negatives += not similar
+    assert negatives == len(types) * (len(types) - 1) // 2  # only i == j is similar
 
-    def counting_det(a):
-        sizes.append(a.shape[0])
-        return det(a)
 
-    monkeypatch.setattr(np.linalg, "det", counting_det)
-    assert find_invertible(IntertwinerBasis(3, False, FR, basis), trials=0) is None
-    assert sizes == [1, 2, 4, 8, 16, 4]
-    assert sum(sizes) == math.comb(3 + 5 - 1, 3)
+@pytest.mark.parametrize("field", [FR, Field.complex128()], ids=["float64", "complex128"])
+@pytest.mark.parametrize("xs, ys", [((3, 1, 1), (2, 2, 1)), ((2, 2), (3, 1)),
+                                    ((2, 2, 2), (3, 2, 1)), ((3, 3, 2), (3, 3, 1, 1)),
+                                    ((2, 2, 2, 2), (3, 2, 2, 1))])
+def test_float_jordan_pairs_are_not_similar(field, xs, ys):
+    """The float search decides the Jordan pairs on its first draw: the
+    rank decisions against the fixed scale drop the rounding noise of
+    B_j ker A instead of keeping it as directions."""
+    x, y = jordan(xs).astype(field), jordan(ys).astype(field)
+    v = gl_similar(x, y, filters=False)
+    assert v.verdict == "not_similar"
+    assert v.detail.startswith("shrunk subspace") and v.detail.endswith("draw 1)")
+    assert gl_similar(x, x, filters=False).verdict == "similar"
+
+
+def extension(a, b, c):
+    """The tuple [[A_i, C_i], [0, B_i]]."""
+    na, nb = a[0].rows, b[0].rows
+    mats = []
+    for ai, bi, ci in zip(a, b, c):
+        rows = [ai.row_list()[r] + ci.row_list()[r] for r in range(na)]
+        rows += [[0] * na + bi.row_list()[r] for r in range(nb)]
+        mats.append(Matrix.from_rows(FQ, rows))
+    return MatrixTuple.of(*mats)
+
+
+def splits(a, b, c):
+    """Whether A_i X - X B_i = C_i has a common solution X, solved in Fractions
+    over the entries of X; then the extension is similar to the direct sum."""
+    na, nb = a[0].rows, b[0].rows
+    rows, rhs = [], []
+    for ai, bi, ci in zip(a, b, c):
+        for r in range(na):
+            for s in range(nb):
+                row = [Fraction(0)] * (na * nb)
+                for t in range(na):
+                    row[t * nb + s] += ai.at(r, t)
+                for t in range(nb):
+                    row[r * nb + t] -= bi.at(t, s)
+                rows.append(row)
+                rhs.append(ci.at(r, s))
+    return fraction_rank(rows) == fraction_rank([r + [v] for r, v in zip(rows, rhs)])
+
+
+def random_triangular(rng, m):
+    """An upper triangular m x m matrix with entries in {0, 1}."""
+    return Matrix.from_rows(FQ, [[rng.choice([0, 1]) if j >= i else 0 for j in range(m)]
+                                 for i in range(m)])
+
+
+def test_extension_pairs_are_certified():
+    """[[A, C], [0, B]] against [[A, 0], [0, B]]: block triangular, so every
+    trace word agrees.  The pair is similar iff the extension splits, which
+    a Sylvester system decides independently; every other pair must come
+    back as a certified not_similar."""
+    rng = random.Random(31)
+    counts = {True: 0, False: 0}
+    for _ in range(60):
+        d, na, nb = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+        a = [random_triangular(rng, na) for _ in range(d)]
+        b = [random_triangular(rng, nb) for _ in range(d)]
+        c = [Matrix.from_rows(FQ, [[rng.randint(-1, 1) for _ in range(nb)]
+                                   for _ in range(na)]) for _ in range(d)]
+        zero = [Matrix.zeros(FQ, na, nb)] * d
+        x, y = extension(a, b, c), extension(a, b, zero)
+        similar = splits(a, b, c)
+        v = gl_similar(x, y, filters=False)
+        assert v.verdict == ("similar" if similar else "not_similar"), v.detail
+        if not similar:
+            assert shrinks(*wong_certificate(x, y))
+        counts[similar] += 1
+    assert min(counts.values()) >= 10, counts
 
 
 # -- gl_similar ----------------------------------------------------------------------
@@ -291,17 +426,18 @@ def test_gl_similar_nilpotent_scaling():
 def test_gl_similar_rejects_rank_gap():
     x = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1) + Matrix.unit(FQ, 4, 2, 3))
     y = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1))
-    v = gl_similar(x, y, mode="deterministic")
+    v = gl_similar(x, y)
     assert v.verdict == "not_similar"
     assert "rank" in v.detail
 
 
-def test_gl_similar_grid_proof_without_filters():
+def test_gl_similar_shrunk_subspace_proof_without_filters():
     x = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1) + Matrix.unit(FQ, 4, 2, 3))
     y = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1))
-    v = gl_similar(x, y, mode="deterministic", filters=False)
+    v = gl_similar(x, y, filters=False)
     assert v.verdict == "not_similar"
-    assert "simplex" in v.detail
+    assert v.detail.startswith("shrunk subspace")
+    assert shrinks(*wong_certificate(x, y))
 
 
 def test_gl_similar_symmetric_verdicts():
@@ -309,8 +445,8 @@ def test_gl_similar_symmetric_verdicts():
     for _ in range(6):
         x = rand_rational_tuple(rng, 2, 2, -2, 2)
         y = rand_rational_tuple(rng, 2, 2, -2, 2)
-        vxy = gl_similar(x, y, mode="deterministic")
-        vyx = gl_similar(y, x, mode="deterministic")
+        vxy = gl_similar(x, y)
+        vyx = gl_similar(y, x)
         assert vxy.verdict == vyx.verdict
 
 
@@ -322,19 +458,12 @@ def test_gl_round_trip_with_exact_witness():
         x = rand_rational_tuple(rng, n, d, -3, 3)
         p0 = rand_invertible_int(rng, FQ, n, -3, 3)
         y = x.conjugated(p0)
-        v = gl_similar(x, y, mode="monte_carlo", seed=5)
+        v = gl_similar(x, y, seed=5)
         assert v.verdict == "similar"
         p = v.witness
         assert p.det() != 0
         for xi, yi in zip(x, y):
             assert p * xi == yi * p  # exact
-
-
-def test_monte_carlo_negative_is_labeled_probable():
-    x = MatrixTuple.of(Matrix.diagonal(FQ, [1, 2, 2]))
-    y = MatrixTuple.of(Matrix.diagonal(FQ, [1, 1, 2]))
-    v = gl_similar(x, y, mode="monte_carlo", filters=False)
-    assert v.verdict == "not_similar_probable"
 
 
 def test_float_round_trip():
@@ -345,7 +474,7 @@ def test_float_round_trip():
         p_rows = [[rng.gauss(0, 1) for _ in range(3)] for _ in range(3)]
         p0 = Matrix.from_rows(FR, p_rows)
         y = x.conjugated(p0)
-        v = gl_similar(x, y, mode="monte_carlo", seed=9)
+        v = gl_similar(x, y, seed=9)
         assert v.verdict == "similar"
         p = v.witness
         scale = max(1.0, p.maxabs()) * max(1.0, x.maxabs())
@@ -398,42 +527,42 @@ def test_verify_intertwiner_rejects_overflowing_residual():
 
 
 # Every branch of the shared search, pinned verbatim for both deciders: the
-# CLI and the benchmark checks read these verdict and detail strings.
+# CLI and the benchmark checks read these verdict and detail strings.  The
+# Monte Carlo fallback is pinned in test_monte_carlo_negative_is_labeled_probable.
 _ZERO = ([1, 2], [3, 4])        # no nonzero intertwiner, starred or not
 _SINGULAR = ([1, 0], [1, 1])    # nonzero intertwiners, all singular; the filters see it
 
 
-def _gl(x, y, mode, filters):
-    return gl_similar(x, y, mode=mode, filters=filters)
+def _gl(x, y, filters, **params):
+    return gl_similar(x, y, filters=filters, **params)
 
 
-def _orth(x, y, mode, filters):
-    return orthogonal_witness(x, y, mode=mode, filter_degree=2 if filters else 0)
+def _orth(x, y, filters, **params):
+    return orthogonal_witness(x, y, filter_degree=2 if filters else 0, **params)
 
 
-@pytest.mark.parametrize("decide, pair, mode, verdict, detail", [
-    (_gl, _ZERO, "auto", "not_similar", "intertwiner space is zero"),
-    (_gl, _SINGULAR, "auto", "not_similar",
-     "determinant vanishes on all 3 points of the degree-2 coefficient simplex"),
-    (_gl, _SINGULAR, "monte_carlo", "not_similar_probable",
-     "20 Monte Carlo trials found no invertible intertwiner"),
-    (_gl, _SINGULAR, "bogus", ShapeError, "rank of component 1 differs: 1 vs 2"),
-    (_orth, _ZERO, "auto", "not_equivalent", "star-intertwiner space is zero"),
-    (_orth, _SINGULAR, "auto", "not_equivalent",
-     "determinant vanishes on all 3 points of the degree-2 coefficient simplex"),
-    (_orth, _SINGULAR, "monte_carlo", "not_equivalent_probable",
-     "20 Monte Carlo trials found no invertible star-intertwiner"),
-    (_orth, _SINGULAR, "bogus", ShapeError,
-     "trace-word filter: first differing word x1: 1 vs 2"),
-], ids=["gl-zero", "gl-grid", "gl-monte-carlo", "gl-bad-mode", "orth-zero", "orth-grid",
-        "orth-monte-carlo", "orth-bad-mode"])
-def test_decider_branches(decide, pair, mode, verdict, detail):
+@pytest.mark.parametrize("decide, pair, verdict, detail", [
+    (_gl, _ZERO, "not_similar", "intertwiner space is zero"),
+    (_gl, _SINGULAR, "not_similar",
+     "shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no intertwiner is invertible "
+     "(second Wong sequence, draw 1)"),
+    (_gl, _SINGULAR, ShapeError, "rank of component 1 differs: 1 vs 2"),
+    (_orth, _ZERO, "not_equivalent", "star-intertwiner space is zero"),
+    (_orth, _SINGULAR, "not_equivalent",
+     "shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no star-intertwiner is "
+     "invertible (second Wong sequence, draw 1)"),
+    (_orth, _SINGULAR, ShapeError, "trace-word filter: first differing word x1: 1 vs 2"),
+], ids=["gl-zero", "gl-shrunk", "gl-bad-draws", "orth-zero", "orth-shrunk", "orth-bad-draws"])
+def test_decider_branches(decide, pair, verdict, detail):
     x, y = (MatrixTuple.of(Matrix.diagonal(FQ, v)) for v in pair)
     if verdict is ShapeError:
-        # the filter settles the pair, yet an unknown mode is refused first
-        assert decide(x, y, "auto", filters=True).detail == detail
-        with pytest.raises(ShapeError, match="unknown mode 'bogus'"):
-            decide(x, y, mode, filters=True)
+        # the filter settles the pair, yet bad draw parameters are refused first
+        assert decide(x, y, filters=True).detail == detail
+        with pytest.raises(ShapeError, match="trials >= 1"):
+            decide(x, y, filters=True, trials=0)
         return
-    v = decide(x, y, mode, filters=False)
+    v = decide(x, y, filters=False)
     assert (v.verdict, v.detail) == (verdict, detail)
+    if v.detail.startswith("shrunk"):
+        basis, u = wong_certificate(x, y, with_star=decide is _orth)
+        assert shrinks(basis, u)

@@ -223,9 +223,9 @@ def test_exact_witness_via_rational_rotation():
 
 def test_exact_witness_unavailable_falls_back_to_float():
     # X = Y = diag(1,2): the star-intertwiner space is the diagonal matrices;
-    # a generic Monte Carlo pick has P star(P) non-scalar.
+    # a generic draw has P star(P) non-scalar.
     x = MatrixTuple.of(Matrix.diagonal(FQ, [1, 2]))
-    res = orthogonal_witness(x, x, mode="monte_carlo", seed=0)
+    res = orthogonal_witness(x, x, seed=0)
     assert res.verdict in ("equivalent", "exact_witness_unavailable")
     if res.verdict == "exact_witness_unavailable":
         w = res.witness
