@@ -527,10 +527,11 @@ def test_verify_intertwiner_rejects_overflowing_residual():
 
 
 # Every branch of the shared search, pinned verbatim for both deciders: the
-# CLI and the benchmark checks read these verdict and detail strings.  The
-# Monte Carlo fallback is pinned in test_monte_carlo_negative_is_labeled_probable.
+# CLI and the benchmark checks read these verdict and detail strings.
 _ZERO = ([1, 2], [3, 4])        # no nonzero intertwiner, starred or not
 _SINGULAR = ([1, 0], [1, 1])    # nonzero intertwiners, all singular; the filters see it
+_SKEW = None                    # the skew span: every draw singular, no shrunk subspace
+_BOUND = "Schwartz-Zippel error bound (3/2000001)^20 = 3.33e-117"
 
 
 def _gl(x, y, filters, **params):
@@ -552,9 +553,20 @@ def _orth(x, y, filters, **params):
      "shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no star-intertwiner is "
      "invertible (second Wong sequence, draw 1)"),
     (_orth, _SINGULAR, ShapeError, "trace-word filter: first differing word x1: 1 vs 2"),
-], ids=["gl-zero", "gl-shrunk", "gl-bad-draws", "orth-zero", "orth-shrunk", "orth-bad-draws"])
-def test_decider_branches(decide, pair, verdict, detail):
-    x, y = (MatrixTuple.of(Matrix.diagonal(FQ, v)) for v in pair)
+    (_gl, _SKEW, "not_similar_probable",
+     "20 Monte Carlo draws found no invertible intertwiner and no shrunk subspace; " + _BOUND),
+    (_orth, _SKEW, "not_equivalent_probable",
+     "20 Monte Carlo draws found no invertible star-intertwiner and no shrunk subspace; "
+     + _BOUND),
+], ids=["gl-zero", "gl-shrunk", "gl-bad-draws", "orth-zero", "orth-shrunk", "orth-bad-draws",
+        "gl-monte-carlo", "orth-monte-carlo"])
+def test_decider_branches(decide, pair, verdict, detail, monkeypatch):
+    if pair is _SKEW:
+        monkeypatch.setattr(intertwiner, "intertwiner_basis",
+                            lambda x, y, with_star: skew_span(FQ, with_star))
+        x = y = MatrixTuple.of(Matrix.identity(FQ, 3))
+    else:
+        x, y = (MatrixTuple.of(Matrix.diagonal(FQ, v)) for v in pair)
     if verdict is ShapeError:
         # the filter settles the pair, yet bad draw parameters are refused first
         assert decide(x, y, filters=True).detail == detail
