@@ -296,9 +296,11 @@ def _working_basis(b: IntertwinerBasis):
 
 
 def _draws(b: IntertwinerBasis, mats, seed: int, trials: int, sample_bound: int):
-    """Yields (coeffs, A, A is invertible) for ``trials`` seeded draws
+    """Yields (coeffs, A, A is invertible, rows) for ``trials`` seeded draws
     A = sum c_j B_j, c_j uniform in {-S..S} with S = ``sample_bound``, A in
-    the form of ``mats``; float draws take c_j / S, keeping the basis scale."""
+    the form of ``mats``; float draws take c_j / S, keeping the basis scale.
+    ``rows`` is ``_orth(conj A)`` when a float rank test took it, the start
+    of ``_shrunk_subspace``, and None otherwise."""
     rng = random.Random(seed)
     exact = b.field.is_exact
     entries = list(zip(*([e for row in m for e in row] for m in mats))) if exact else None
@@ -307,12 +309,13 @@ def _draws(b: IntertwinerBasis, mats, seed: int, trials: int, sample_bound: int)
         if exact:
             flat = [sum(map(mul, coeffs, e)) for e in entries]
             a = [flat[i:i + b.n] for i in range(0, b.n * b.n, b.n)]
-            yield coeffs, a, _det_int(a) != 0
+            yield coeffs, a, _det_int(a) != 0, None
         else:
             a = np.tensordot(np.array(coeffs, dtype=float) / sample_bound, mats, axes=1)
             # each residual _orth keeps is >= sigma_min(a) >= |det a| / ||a||_F^(n-1)
             big = abs(np.linalg.det(a)) > _FLOAT_DET_REL_TOL * np.linalg.norm(a) ** (b.n - 1)
-            yield coeffs, a, big or len(_orth(a)) == b.n
+            rows = None if big else _orth(a.conj())
+            yield coeffs, a, big or len(rows) == b.n, rows
 
 
 def find_invertible(b: IntertwinerBasis, seed: int = 0, trials: int = DEFAULT_TRIALS,
@@ -326,7 +329,7 @@ def find_invertible(b: IntertwinerBasis, seed: int = 0, trials: int = DEFAULT_TR
     ``ShapeError`` unless trials >= 1 and sample_bound >= 1."""
     _check_draws(trials, sample_bound)
     draws = _draws(b, _working_basis(b), seed, trials, sample_bound) if b.dim else ()
-    return next((b.combo(c) for c, _, invertible in draws if invertible), None)
+    return next((b.combo(c) for c, _, invertible, _ in draws if invertible), None)
 
 
 def _orth(m: np.ndarray) -> np.ndarray:
@@ -348,7 +351,7 @@ def _orth(m: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _shrunk_subspace(b: IntertwinerBasis, mats, a) -> Optional[tuple]:
+def _shrunk_subspace(b: IntertwinerBasis, mats, a, rows) -> Optional[tuple]:
     """The second Wong sequence from a singular draw A (Ivanyos-Karpinski-
     Saxena 2010): (U as basis columns, dim sum_j B_j U), or None on escape.
 
@@ -358,6 +361,8 @@ def _shrunk_subspace(b: IntertwinerBasis, mats, a) -> Optional[tuple]:
     steps.  A^{-1}(W) is the kernel of [A | -W] cut to n entries (integer
     vectors) or of (I - W W^*) A (orthonormal rows), and W lies in im A iff
     it has dim ker A + dim W vectors; otherwise A lacks the largest rank.
+    A float run starts from ``rows``, the orthonormal rows of conj A that
+    ``_draws`` kept for its rank test, so ker A = A^{-1}(0) is not redone.
     """
     n, exact = b.n, b.field.is_exact
     if exact:
@@ -374,10 +379,12 @@ def _shrunk_subspace(b: IntertwinerBasis, mats, a) -> Optional[tuple]:
         def images(u):
             return _orth(np.concatenate([u @ m.T for m in mats]))
 
-        def preimage(w):  # the kernel is orthogonal to the conjugated rows
-            rows = _orth((a - w.T @ (w.conj() @ a)).conj())
+        def kernel(rows):  # the kernel is orthogonal to the conjugated rows
             return _orth(np.eye(n) - rows.conj().T @ rows)
-    u = preimage([] if exact else np.zeros((0, n)))
+
+        def preimage(w):
+            return kernel(_orth((a - w.T @ (w.conj() @ a)).conj()))
+    u = preimage([]) if exact else kernel(rows)
     nullity = len(u)
     while True:
         w = images(u)
@@ -459,11 +466,11 @@ def _decide_span(b: IntertwinerBasis, seed: int, trials: int, sample_bound: int)
     if b.dim == 0:
         return None, Matrix.identity(b.field, b.n), "%s space is zero" % what
     mats = _working_basis(b)
-    for draw, (coeffs, a, invertible) in enumerate(
+    for draw, (coeffs, a, invertible, rows) in enumerate(
             _draws(b, mats, seed, trials, sample_bound), start=1):
         if invertible:
             return b.combo(coeffs), None, None
-        found = _shrunk_subspace(b, mats, a)
+        found = _shrunk_subspace(b, mats, a, rows)
         if found is not None and _certifies(b, mats, *found):
             return None, found[0], (
                 "shrunk subspace: dim U = %d > dim sum_j B_j U = %d, so no %s is invertible "

@@ -14,29 +14,34 @@ trace; equality of fingerprints is the orbit-separating invariant the
 similarity decisions use as a necessary condition (and, for the star
 alphabet at D = n^2 over the right fields, a sufficient one).
 
-Rational fingerprints are computed in Python ints: one L clears every
-denominator of the tuple, and tr w(X) = tr w(L X) / L^deg(w).  Words are
-visited in lexicographic order so each reuses the integer product of the
-prefix it shares with the previous word, and the last letter is folded
-into the trace in O(n^2).  Float kinds multiply numpy arrays word by word
-and compare values with a tolerance relative to n * max(1, s)^deg(w), s
-the largest Frobenius norm among the tuples' matrices.
+Canonical words are generated directly as necklaces (``_necklaces``), so
+the work scales with the number of orbits, about a^D / D for an alphabet
+of a letters, not with the a^D raw words.
+
+Both evaluators share one walk (``_prefix_walk``): words are visited in
+lexicographic order so each reuses the product of the prefix it shares
+with the previous word, and only the trace of the prefix times the last
+letter is taken.  Rational fingerprints are computed in Python ints: one L
+clears every denominator of the tuple, tr w(X) = tr w(L X) / L^deg(w), and
+the last letter is folded into the trace in O(n^2).  Float kinds multiply
+numpy arrays left to right, ((X_a X_b) X_c) .., as a word-by-word product
+would, so every value is the same to the last bit; they compare values
+with a tolerance relative to n * max(1, s)^deg(w), s the largest Frobenius
+norm among the tuples' matrices.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
 
 import numpy as np
 
 from .errors import BudgetExceededError, KindMismatchError, LetterIndexError, ShapeError
-from .fields import Field, Kind
+from .fields import Field, Kind, StarMode
 from .matrices import Matrix, MatrixTuple, _int_matrices
 
 DEFAULT_BUDGET = 10_000_000
@@ -141,18 +146,45 @@ def _alphabet(d: int, include_star: bool) -> list:
     return [2 * i for i in range(d)]
 
 
+def _necklaces(k: int, a: int):
+    """Necklaces of length k over {0..a-1}, the least rotations of their
+    classes, in lexicographic order.  The FKM loop visits the prenecklaces
+    in increasing order; a prenecklace is a necklace iff the Lyndon word it
+    repeats has a length p dividing k."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        p = len(w)
+        while len(w) < k:
+            w.append(w[len(w) - p])
+        if k % p == 0:
+            yield tuple(w)
+        while w and w[-1] == a - 1:
+            w.pop()
+
+
 @functools.lru_cache(maxsize=128)
 def _enumerate_cached(d: int, max_degree: int, include_star: bool, budget: int) -> tuple:
+    """Canonical words in (degree, codes) order, generated as the
+    necklaces of each degree by the FKM algorithm (Fredricksen, Kessler and
+    Maiorana 1978; Ruskey, Savage and Wang 1992), about a^k / k of them
+    where there are a^k raw words.  A necklace is least among its own
+    rotations; a starred one is canonical iff no rotation of its
+    star-reversal is smaller.  A pure necklace always is: its star-reversal
+    has only starred letters, each above the least letter of the word.
+    The budget still counts the a^D raw words."""
     alphabet = _alphabet(d, include_star)
     a = len(alphabet)
     if a > 1 and a ** max_degree > budget:
         raise BudgetExceededError(
             "enumeration budget exceeded: %d^%d raw words > %d" % (a, max_degree, budget))
-    seen = set()
+    out = []
     for k in range(1, max_degree + 1):
-        for codes in itertools.product(alphabet, repeat=k):
-            seen.add(_min_rotation(codes))
-    return tuple(Word(c) for c in sorted(seen, key=lambda c: (len(c), c)))
+        for neck in _necklaces(k, a):
+            codes = tuple(alphabet[i] for i in neck)
+            if not include_star or _min_rotation(codes) == codes:
+                out.append(Word(codes))
+    return tuple(out)
 
 
 def enumerate_canonical(d: int, max_degree: int, include_star: bool = True,
@@ -211,32 +243,23 @@ def fingerprint(x: MatrixTuple, max_degree: int, include_star: bool = True,
                 budget: int = DEFAULT_BUDGET) -> Fingerprint:
     """Trace of every canonical word of degree <= max_degree on the tuple."""
     words = enumerate_canonical(x.d, max_degree, include_star, budget)
+    arrays = [m.to_numpy() for m in x.matrices]
     if x.field.kind is Kind.RATIONAL:
         values = _eval_traces_exact(words, x)
     else:
-        values = _eval_traces_float(words, x)
-    norm = max(float(np.linalg.norm(m.to_numpy())) for m in x.matrices)
+        values = _eval_traces_float(words, x, arrays)
+    norm = max(float(np.linalg.norm(arr)) for arr in arrays)
     return Fingerprint(x.d, max_degree, include_star, x.field,
                        dict(zip(words, values)), x.n, norm)
 
 
-def _eval_traces_exact(words: Iterable[Word], x: MatrixTuple) -> list:
-    """Exact traces in Python ints: tr w(X) = tr w(L X) / L^deg(w).
+def _prefix_walk(words: list, letters: dict, times):
+    """Yields (position, P, last code) for every word, P the product of all
+    its letters but the last (None for a degree-1 word).
 
-    L clears every denominator of the tuple once.  Words are visited in
-    lexicographic order of their codes so each one reuses the integer
-    product of the prefix it shares with the previous word; the last
-    letter is folded straight into the trace.
-    """
-    words = list(words)
-    n = x.n
-    int_mats, denom = _int_matrices(x.matrices)
-    mats, cols = {}, {}
-    for i, rows in enumerate(int_mats):
-        t = [list(c) for c in zip(*rows)]
-        mats[2 * i], mats[2 * i + 1] = rows, t  # the exact star is the transpose
-        cols[2 * i], cols[2 * i + 1] = t, rows
-    out = [None] * len(words)
+    Words are visited in lexicographic order of their codes, and the
+    running products of the prefix shared with the previous word are kept:
+    a product starts from ``letters[c]`` and ``times(P, c)`` extends it."""
     prefix = ()  # codes whose running products sit in ``stack``
     stack = []
     for k in sorted(range(len(words)), key=lambda k: words[k].codes):
@@ -247,33 +270,53 @@ def _eval_traces_exact(words: Iterable[Word], x: MatrixTuple) -> list:
             keep += 1
         del stack[keep:]
         for c in head[keep:]:
-            if stack:
-                b = cols[c]
-                stack.append([[sum(map(mul, row, col)) for col in b] for row in stack[-1]])
-            else:
-                stack.append(mats[c])
+            stack.append(times(stack[-1], c) if stack else letters[c])
         prefix = head
-        last = cols[codes[-1]]
-        if stack:
-            tr = sum(sum(map(mul, row, col)) for row, col in zip(stack[-1], last))
-        else:
+        yield k, (stack[-1] if stack else None), codes[-1]
+
+
+def _eval_traces_exact(words: list, x: MatrixTuple) -> list:
+    """Exact traces in Python ints: tr w(X) = tr w(L X) / L^deg(w).
+
+    L clears every denominator of the tuple once.  The last letter is
+    folded straight into the trace of the ``_prefix_walk`` product.
+    """
+    n = x.n
+    int_mats, denom = _int_matrices(x.matrices)
+    mats, cols = {}, {}
+    for i, rows in enumerate(int_mats):
+        t = [list(c) for c in zip(*rows)]
+        mats[2 * i], mats[2 * i + 1] = rows, t  # the exact star is the transpose
+        cols[2 * i], cols[2 * i + 1] = t, rows
+
+    def times(p, c):
+        return [[sum(map(mul, row, col)) for col in cols[c]] for row in p]
+
+    out = [None] * len(words)
+    for k, p, c in _prefix_walk(words, mats, times):
+        last = cols[c]
+        if p is None:
             tr = sum(last[i][i] for i in range(n))
-        out[k] = Fraction(tr, denom ** len(codes))
+        else:
+            tr = sum(sum(map(mul, row, col)) for row, col in zip(p, last))
+        out[k] = Fraction(tr, denom ** words[k].degree)
     return out
 
 
-def _eval_traces_float(words: Iterable[Word], x: MatrixTuple) -> list:
+def _eval_traces_float(words: list, x: MatrixTuple, arrays: list) -> list:
+    """Float traces tr(P @ X_c) of the ``_prefix_walk`` products, from the
+    tuple's numpy ``arrays``.  Each star is a C-contiguous copy, as a
+    converted ``Matrix.star`` would be, so every product takes the same
+    kernel path and every value is the one a word-by-word product gives."""
+    conjugate = x.field.star_mode is StarMode.CONJUGATE_TRANSPOSE
     mats = {}
-    for i, m in enumerate(x.matrices):
-        mats[2 * i] = m.to_numpy()
-        mats[2 * i + 1] = m.star().to_numpy()
+    for i, arr in enumerate(arrays):
+        mats[2 * i] = arr
+        mats[2 * i + 1] = np.ascontiguousarray((arr.conj() if conjugate else arr).T)
     caster = complex if x.field.is_complex else float
-    out = []
-    for w in words:
-        acc = mats[w.codes[0]]
-        for c in w.codes[1:]:
-            acc = acc @ mats[c]
-        out.append(caster(np.trace(acc)))
+    out = [None] * len(words)
+    for k, p, c in _prefix_walk(words, mats, lambda p, c: p @ mats[c]):
+        out[k] = caster(np.trace(mats[c] if p is None else p @ mats[c]))
     return out
 
 

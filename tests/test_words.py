@@ -1,13 +1,16 @@
+import functools
 import itertools
 import random
+
+import numpy as np
 
 import pytest
 
 from conftest import rand_float_tuple, rand_invertible_int, rand_rational_tuple
 from tracesim import (BudgetExceededError, Field, LetterIndexError, Letter, Matrix,
-                      MatrixTuple, ShapeError, Word, canonicalize, enumerate_canonical,
+                      MatrixTuple, ShapeError, StarMode, Word, canonicalize, enumerate_canonical,
                       eval_word, fingerprint, fingerprints_equal, trace)
-from tracesim.words import _min_rotation
+from tracesim.words import _eval_traces_float, _min_rotation
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -77,6 +80,8 @@ def brute_canonical_set(d, degree, include_star):
 
 @pytest.mark.parametrize("d,degree,include_star", [
     (1, 6, True), (1, 6, False), (2, 6, True), (2, 6, False),
+    (1, 12, True),  # necklaces of composite lengths 4, 6, 8, 9, 10, 12
+    (3, 4, True), (3, 5, False), (2, 7, True),
 ])
 def test_enumeration_matches_bruteforce_dedup(d, degree, include_star):
     assert enumerate_canonical(d, degree, include_star) == \
@@ -86,6 +91,12 @@ def test_enumeration_matches_bruteforce_dedup(d, degree, include_star):
 def test_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError):
         enumerate_canonical(3, 10, True, budget=1000)
+
+
+def test_enumeration_budget_counts_raw_words():
+    assert len(enumerate_canonical(2, 5, True, budget=4 ** 5)) > 0
+    with pytest.raises(BudgetExceededError):
+        enumerate_canonical(2, 5, True, budget=4 ** 5 - 1)
 
 
 def test_pure_words_stay_pure():
@@ -177,6 +188,35 @@ def test_cyclic_trace_invariance_float():
         for r in range(k):
             assert abs(trace(eval_word(word.rotate(r), x)) - t) <= 1e-10 * scale
         assert abs(trace(eval_word(word.star_reverse(), x)) - t) <= 1e-10 * scale
+
+
+def _complex_tuple(rng, n, d, star_mode):
+    field = Field.complex128(star_mode)
+    return MatrixTuple.of(*(Matrix.from_rows(field, [[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                                      for _ in range(n)] for _ in range(n)])
+                            for _ in range(d)))
+
+
+@pytest.mark.parametrize("kind", ["float64", "complex-transpose", "complex-conjugate"])
+@pytest.mark.parametrize("n,d,degree", [(3, 1, 10), (2, 2, 6), (3, 3, 5)])
+def test_float_traces_match_a_naive_product_bit_for_bit(kind, n, d, degree):
+    rng = random.Random("%s:%d:%d:%d" % (kind, n, d, degree))
+    if kind == "float64":
+        x = rand_float_tuple(rng, n, d)
+    else:
+        x = _complex_tuple(rng, n, d, StarMode.TRANSPOSE if kind == "complex-transpose"
+                           else StarMode.CONJUGATE_TRANSPOSE)
+    letters = {}
+    for i, m in enumerate(x.matrices):
+        letters[2 * i], letters[2 * i + 1] = m.to_numpy(), m.star().to_numpy()
+    words = enumerate_canonical(d, degree, True)
+    words.append(words[len(words) // 2])  # a duplicate gets its own value back
+    rng.shuffle(words)
+    values = _eval_traces_float(words, x, [m.to_numpy() for m in x.matrices])
+    caster = complex if x.field.is_complex else float
+    for word, value in zip(words, values):
+        naive = np.trace(functools.reduce(np.matmul, [letters[c] for c in word.codes]))
+        assert value == caster(naive), word
 
 
 # -- fingerprints ---------------------------------------------------------------------
