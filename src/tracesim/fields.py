@@ -91,11 +91,6 @@ class Field:
             return _finite(complex, value)
         raise KindMismatchError("complex128 field expects a number, got %r" % (value,))
 
-    def star_scalar(self, value):
-        if self.star_mode is StarMode.CONJUGATE_TRANSPOSE and self.kind is Kind.COMPLEX128:
-            return value.conjugate()
-        return value
-
     def conj_scalar(self, value):
         """Complex conjugation of the scalar (identity on rationals/reals)."""
         if self.kind is Kind.COMPLEX128:

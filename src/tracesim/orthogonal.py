@@ -3,8 +3,8 @@
 The decision is the constructive one: the tuples are orthogonally
 (unitarily) equivalent iff the star-intertwiner space
 {P : P X_i = Y_i P and P star(X_i) = star(Y_i) P} contains an invertible
-element.  Low-degree fingerprint comparison runs first as a fast certified
-filter; the intertwiner search is the complete check.
+element.  The search shared with ``gl_similar`` decides it, with the
+starred words of degree <= 2 as its certified filter.
 
 From an invertible star-intertwiner P the witness is built as follows.
 Writing G = P star(P), the two families of equations give
@@ -242,26 +242,18 @@ def _np_star(a: np.ndarray, field: Field):
 
 
 def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, tol: float = 1e-8,
-                       filter_degree: int = 2, trials: int = DEFAULT_TRIALS,
+                       filters: bool = True, trials: int = DEFAULT_TRIALS,
                        sample_bound: int = DEFAULT_SAMPLE_BOUND) -> OrthVerdict:
     """Decide simultaneous orthogonal/unitary similarity and build a witness O.
 
     A positive verdict always rests on an invertible star-intertwiner; the
     returned O satisfies O star(O) = I and O X_i star(O) = Y_i within the
     reported residuals (exactly, in the rational scalar-square case).
-    Negatives follow ``gl_similar``, on the starred space.
+    Negatives follow ``gl_similar``, on the starred space and words.
     """
-    def reject():
-        try:
-            equal, diff = specht_equivalent(x, y, filter_degree, tol=1e-6)
-        except BudgetExceededError:
-            return None
-        return None if equal else "trace-word filter: %s" % diff
-
-    basis, p, u, detail = _search(x, y, True, seed, trials, sample_bound,
-                                  reject if filter_degree else None)
+    basis, p, proved, detail = _search(x, y, True, seed, trials, sample_bound, filters)
     if p is None:
-        verdict = "not_equivalent" if basis is None or u is not None else "not_equivalent_probable"
+        verdict = "not_equivalent" if proved else "not_equivalent_probable"
         return OrthVerdict(verdict, None, None, detail)
     if x.field.is_exact:
         g = p * p.star()
@@ -276,7 +268,7 @@ def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, tol: float
                                        "exact witness (scalar P star(P))")
         witness = _float_witness_with_retries(
             p, basis, x.astype(Field.real64()), y.astype(Field.real64()),
-            tol, seed, sample_bound, exact_p=True)
+            tol, seed, sample_bound)
         return OrthVerdict("exact_witness_unavailable", witness, p,
                            "equivalence certified exactly; witness computed in float64")
 
@@ -286,10 +278,11 @@ def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, tol: float
 
 def _float_witness_with_retries(p: Matrix, basis: IntertwinerBasis,
                                 xf: MatrixTuple, yf: MatrixTuple, tol: float,
-                                seed: int, sample_bound: int, exact_p: bool = False):
+                                seed: int, sample_bound: int):
     """The witness from P or, failing that, from up to three Monte Carlo
     retries (seeds seed+1..seed+3), each drawn only after the one before it
-    has failed; raises the last ``WitnessConstructionError``."""
+    has failed; raises the last ``WitnessConstructionError``.  Candidates are
+    cast to the kind of ``xf``: an exact one to float64, a float one as it is."""
     last = None
     for attempt in range(4):
         cand = p if attempt == 0 else find_invertible(basis, seed=seed + attempt, trials=5,
@@ -297,8 +290,7 @@ def _float_witness_with_retries(p: Matrix, basis: IntertwinerBasis,
         if cand is None:
             continue
         try:
-            return _construct_float_witness(cand.astype(xf.field) if exact_p else cand,
-                                            xf, yf, tol)
+            return _construct_float_witness(cand.astype(xf.field), xf, yf, tol)
         except WitnessConstructionError as exc:
             last = exc
     raise last

@@ -18,7 +18,8 @@ from tracesim import (Field, Matrix, MatrixTuple, StarMode, UnitSystem, Word,
                       enumerate_canonical, eval_word, fingerprint, fingerprints_equal,
                       gl_similar, load_corpus, orthogonal_witness, specht_equivalent,
                       specht_property_check, theta_embedding, trace)
-from tracesim.intertwiner import DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _search
+from tracesim.intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _decide_span,
+                                  intertwiner_basis)
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -44,7 +45,8 @@ def corpus_by_name():
 
 def unfiltered_search(x, y, with_star):
     """(basis, P, U) of the intertwiner search with no filter in front."""
-    basis, p, u, _ = _search(x, y, with_star, 0, DEFAULT_TRIALS, DEFAULT_SAMPLE_BOUND, None)
+    basis = intertwiner_basis(x, y, with_star)
+    p, u, _ = _decide_span(basis, 0, DEFAULT_TRIALS, DEFAULT_SAMPLE_BOUND)
     return basis, p, u
 
 

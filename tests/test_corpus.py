@@ -5,7 +5,7 @@ import pytest
 from certificate import shrinks
 from tracesim import (Field, Kind, StarMode, gl_similar, intertwiner_basis, load_corpus,
                       orthogonal_witness, run_corpus, run_fixture)
-from tracesim.intertwiner import DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _search
+from tracesim.intertwiner import DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _decide_span
 
 
 def by_name():
@@ -75,8 +75,8 @@ def test_exact_negative_fixtures_carry_checked_certificates(name, with_star):
     fixture, plain and starred, by a shrunk subspace that the standalone
     check accepts.  (The starred space of hom-dimension is zero.)"""
     fx = by_name()[name]
-    basis, p, u, detail = _search(fx.x, fx.y, with_star, 0, DEFAULT_TRIALS,
-                                  DEFAULT_SAMPLE_BOUND, None)
+    basis = intertwiner_basis(fx.x, fx.y, with_star)
+    p, u, detail = _decide_span(basis, 0, DEFAULT_TRIALS, DEFAULT_SAMPLE_BOUND)
     assert p is None and detail.startswith("shrunk subspace")
     assert shrinks(basis.basis, u)
 
@@ -114,5 +114,5 @@ def test_float_fixtures_keep_their_verdicts(name):
         x, y = x.astype(Field.real64()), y.astype(Field.real64())
     for filters in (True, False):
         assert gl_similar(x, y, filters=filters).is_similar == fx.expected.gl_similar
-        orth = orthogonal_witness(x, y, filter_degree=2 if filters else 0)
+        orth = orthogonal_witness(x, y, filters=filters)
         assert orth.is_equivalent == fx.expected.orth_similar

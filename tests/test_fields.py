@@ -50,14 +50,6 @@ def test_rational_values_are_normalized():
     assert v.numerator == -2 and v.denominator == 3
 
 
-def test_star_scalar():
-    fc = Field.complex128()
-    assert fc.star_scalar(1 + 2j) == 1 - 2j
-    ft = Field.complex128(StarMode.TRANSPOSE)
-    assert ft.star_scalar(1 + 2j) == 1 + 2j
-    assert Field.rational().star_scalar(Fraction(1, 2)) == Fraction(1, 2)
-
-
 def test_require_same_rejects_cross_kind():
     with pytest.raises(KindMismatchError):
         Field.rational().require_same(Field.real64())

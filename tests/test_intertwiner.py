@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from certificate import fraction_rank, shrinks
 from conftest import rand_invertible_int, rand_rational_tuple
-from tracesim import (Field, IntertwinerBasis, Matrix, MatrixTuple, ShapeError,
-                      find_invertible, gl_similar, intertwiner_basis, orthogonal_witness)
+from tracesim import (BudgetExceededError, Field, IntertwinerBasis, Matrix, MatrixTuple,
+                      ShapeError, find_invertible, fingerprint, gl_similar, intertwiner_basis,
+                      orthogonal_witness)
 from tracesim import intertwiner
-from tracesim.intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _decide_span, _search,
+from tracesim.intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _decide_span,
                                   _verify_intertwiner)
-from tracesim.matrices import _det_int
+from tracesim.matrices import _det_int, _power_traces
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -28,7 +29,8 @@ def decide(b):
 
 def wong_certificate(x, y, with_star=False):
     """(basis, U) of the unfiltered search on a pair."""
-    basis, p, u, _ = _search(x, y, with_star, 0, DEFAULT_TRIALS, DEFAULT_SAMPLE_BOUND, None)
+    basis = intertwiner_basis(x, y, with_star)
+    p, u, _ = decide(basis)
     assert p is None and u is not None
     return basis.basis, u
 
@@ -248,7 +250,7 @@ def test_monte_carlo_negative_is_labeled_probable(monkeypatch):
             "not_similar_probable",
             "20 Monte Carlo draws found no invertible intertwiner and no shrunk subspace; "
             + bound)
-        v = orthogonal_witness(x, x, filter_degree=0)
+        v = orthogonal_witness(x, x, filters=False)
         assert (v.verdict, v.detail) == (
             "not_equivalent_probable",
             "20 Monte Carlo draws found no invertible star-intertwiner and no shrunk "
@@ -423,12 +425,47 @@ def test_gl_similar_nilpotent_scaling():
     assert p.det() != 0
 
 
+_SHRUNK_2_1 = ("shrunk subspace: dim U = 2 > dim sum_j B_j U = 1, so no intertwiner is "
+               "invertible (second Wong sequence, draw 1)")
+
+
 def test_gl_similar_rejects_rank_gap():
-    x = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1) + Matrix.unit(FQ, 4, 2, 3))
-    y = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1))
+    """Ranks 2 vs 1 with every pure trace word 0: the filter passes the pair
+    and the search proves it apart, exactly and in float64."""
+    for field in (FQ, FR):
+        x = MatrixTuple.of(Matrix.unit(field, 4, 0, 1) + Matrix.unit(field, 4, 2, 3))
+        y = MatrixTuple.of(Matrix.unit(field, 4, 0, 1))
+        assert (x[0].rank(), y[0].rank()) == (2, 1)
+        v = gl_similar(x, y)
+        assert (v.verdict, v.detail) == ("not_similar", _SHRUNK_2_1)
+
+
+@pytest.mark.parametrize("field", [FQ, FR], ids=["rational", "float64"])
+def test_power_trace_gap_is_proved_by_the_search(field):
+    """diag(1, 4, 4) vs diag(2, 2, 5): equal rank, tr X and tr X^2, so the
+    degree-2 filter passes them; only tr X^3 differs (129 vs 141), and the
+    search proves the pair apart by its zero intertwiner space."""
+    x = MatrixTuple.of(Matrix.diagonal(field, [1, 4, 4]))
+    y = MatrixTuple.of(Matrix.diagonal(field, [2, 2, 5]))
+    assert x[0].rank() == y[0].rank()
+    assert _power_traces(x[0], 3) == [9, 33, 129] and _power_traces(y[0], 3) == [9, 33, 141]
     v = gl_similar(x, y)
-    assert v.verdict == "not_similar"
-    assert "rank" in v.detail
+    assert (v.verdict, v.detail) == ("not_similar", "intertwiner space is zero")
+    assert orthogonal_witness(x, y).detail == "star-intertwiner space is zero"
+
+
+def test_filter_skips_past_the_budget_for_both_deciders():
+    """3163 letters give 3163^2 > 10^7 words of degree 2, over the default
+    enumeration budget: both deciders skip the filter and the search decides."""
+    d = 3163
+    x = MatrixTuple.of(*(Matrix.from_rows(FQ, [[i % 5]]) for i in range(d)))
+    y = MatrixTuple.of(*(Matrix.from_rows(FQ, [[i % 5 if i else 7]]) for i in range(d)))
+    with pytest.raises(BudgetExceededError):
+        fingerprint(x, 2, include_star=False)
+    assert gl_similar(x, x).verdict == "similar"
+    assert orthogonal_witness(x, x).verdict == "equivalent"
+    assert gl_similar(x, y).detail == "intertwiner space is zero"
+    assert orthogonal_witness(x, y).detail == "star-intertwiner space is zero"
 
 
 def test_gl_similar_shrunk_subspace_proof_without_filters():
@@ -482,8 +519,9 @@ def test_float_round_trip():
             assert (p * xi - yi * p).maxabs() <= 1e-9 * scale
 
 
-def test_float_power_trace_gap_survives_huge_norms():
-    # scale^11 = 1e330 overflows; the gap becomes inf instead of raising
+def test_float_similarity_survives_huge_norms():
+    # entries of 1e30: the degree-2 word tolerances reach 1e60, and the
+    # search works on the basis scaled so its largest entry is 1
     n = 11
     m = Matrix.from_rows(FR, [[1e30 if j == i + 1 else 0.0 for j in range(n)]
                               for i in range(n)])
@@ -539,7 +577,7 @@ def _gl(x, y, filters, **params):
 
 
 def _orth(x, y, filters, **params):
-    return orthogonal_witness(x, y, filter_degree=2 if filters else 0, **params)
+    return orthogonal_witness(x, y, filters=filters, **params)
 
 
 @pytest.mark.parametrize("decide, pair, verdict, detail", [
@@ -547,7 +585,7 @@ def _orth(x, y, filters, **params):
     (_gl, _SINGULAR, "not_similar",
      "shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no intertwiner is invertible "
      "(second Wong sequence, draw 1)"),
-    (_gl, _SINGULAR, ShapeError, "rank of component 1 differs: 1 vs 2"),
+    (_gl, _SINGULAR, ShapeError, "trace-word filter: first differing word x1: 1 vs 2"),
     (_orth, _ZERO, "not_equivalent", "star-intertwiner space is zero"),
     (_orth, _SINGULAR, "not_equivalent",
      "shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no star-intertwiner is "

@@ -320,7 +320,7 @@ def test_witness_retry_matches_eager_candidates(monkeypatch):
     xf = xq.astype(FR)
     del calls[:]
     got = orthogonal._float_witness_with_retries(basis.basis[0], basis, xf, xf, 1e-8, 0,
-                                                 DEFAULT_SAMPLE_BOUND, exact_p=True)
+                                                 DEFAULT_SAMPLE_BOUND)
     assert calls == [1]
     assert got == eager_witness(basis.basis[0], basis, xf, xf, 1e-8, 0, exact_p=True)
 
