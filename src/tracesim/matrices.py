@@ -16,13 +16,15 @@ Two linear-algebra engines sit behind one interface:
   one per free column; float ``Matrix.nullspace`` wraps it, and the float
   intertwiner system, assembled as a numpy array, calls it directly.
 
-Products follow the same split.  Each exact matrix clears its denominators
-once, A = A'/La with A' integer, and keeps (A', La) as ``Matrix._ints`` for
-every later product it takes part in; a product takes every entry of A'B' as
-one integer dot product and returns A'B'/(La Lb).  A float or complex
-product accumulates each entry left to right from zero; ``sum()`` is avoided
-there because from Python 3.12 it compensates float sums, which would make
-results depend on the Python version.
+Products follow the same split, in one loop (``_raw_product``).  Each exact
+matrix clears its denominators once, A = A'/La with A' integer, and keeps
+(A', La) as ``Matrix._ints`` for every later product it takes part in; a
+product takes every entry of A'B' as one integer dot product and returns
+A'B'/(La Lb).  A float or complex product accumulates each entry left to
+right from zero; ``sum()`` is avoided there because from Python 3.12 it
+compensates float sums, which would make results depend on the Python
+version.  Callers that stack several matrices into one operand, or compare
+products without building them, use the raw entries directly.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -181,35 +183,23 @@ class Matrix:
         ints, denom = _clear_denominators(self.entries)
         return tuple(ints), denom
 
+    @property
+    def _raw(self) -> tuple:
+        """(values, L) with ``entries[e] == values[e] / L``: the cached
+        ``_ints`` for the exact kind, the entries themselves with L = 1 for
+        the float kinds.  ``_raw_product`` multiplies these."""
+        return self._ints if self.field.is_exact else (self.entries, 1)
+
     def _matmul(self, other: "Matrix") -> "Matrix":
         self._same_field(other)
         if self.cols != other.rows:
             raise ShapeError("product shape mismatch: %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        n, m, k = self.rows, self.cols, other.cols
-        if self.field.is_exact:
-            # (A B) = (La A)(Lb B) / (La Lb): one integer dot product per entry
-            a, la = self._ints
-            b, lb = other._ints
-            cols = [b[j::k] for j in range(k)]
-            dots = [sum(map(mul, a[i * m:(i + 1) * m], col)) for i in range(n) for col in cols]
-            denom = la * lb
-            if denom == 1:
-                return Matrix(self.field, n, k, tuple(map(Fraction, dots)))
-            return Matrix(self.field, n, k, tuple(Fraction(v, denom) for v in dots))
-        # floats accumulate left to right from zero; sum() would compensate
-        a, b = self.entries, other.entries
-        zero = self.field.zero()
-        cols = [b[j::k] for j in range(k)]
-        out = []
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            for col in cols:
-                acc = zero
-                for x, y in zip(arow, col):
-                    acc += x * y
-                out.append(acc)
-        return Matrix(self.field, n, k, tuple(out))
+        # (A B) = (La A)(Lb B) / (La Lb) for the exact kind
+        a, la = self._raw
+        b, lb = other._raw
+        return _from_raw(self.field, self.rows, other.cols,
+                         _raw_product(self.field, a, b, self.cols, other.cols), la * lb)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -310,6 +300,43 @@ class Matrix:
         if residual > 1e-6 * max(1.0, np.max(np.abs(a)) * np.max(np.abs(inv))):
             raise SingularMatrixError("inverse failed verification (residual %.3g)" % residual)
         return Matrix.from_numpy(self.field, inv)
+
+
+def _raw_product(field: Field, a, b, m: int, k: int) -> list:
+    """Row-major entries of the product of the row-major values ``a``, with m
+    columns, and ``b``, with m rows and k columns, given as ``Matrix._raw``
+    gives them.
+
+    The exact kind takes one integer dot product per entry, so the product
+    of A = a / La and B = b / Lb has entries ``out[e] / (La Lb)``.  The float
+    kinds accumulate each entry left to right from zero; ``sum()`` is avoided
+    because from Python 3.12 it compensates float sums.  Either operand may
+    stack several matrices, each with its own L: every entry is still the
+    dot product, in the same order, that the separate product takes.
+    """
+    rows = [a[i:i + m] for i in range(0, len(a), m)]
+    cols = [b[j::k] for j in range(k)]
+    if field.is_exact:
+        return [sum(map(mul, row, col)) for row in rows for col in cols]
+    zero = field.zero()
+    out = []
+    for row in rows:
+        for col in cols:
+            acc = zero
+            for x, y in zip(row, col):
+                acc += x * y
+            out.append(acc)
+    return out
+
+
+def _from_raw(field: Field, rows: int, cols: int, values, denom) -> Matrix:
+    """The rows x cols matrix with entries ``values[e] / denom``, read as
+    ``Matrix._raw`` gives them (denom is 1 for the float kinds)."""
+    if not field.is_exact:
+        return Matrix(field, rows, cols, tuple(values))
+    if denom == 1:
+        return Matrix(field, rows, cols, tuple(map(Fraction, values)))
+    return Matrix(field, rows, cols, tuple(Fraction(v, denom) for v in values))
 
 
 # -- free-function spellings of the core operations -------------------------

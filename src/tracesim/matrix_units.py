@@ -12,17 +12,31 @@ multiplicative because (sum x_ij a_ij)(sum y_ij a_ij) =
 sum_ij (sum_k x_ik y_kj) a_ij.  Commutants (hence centers: the commutant
 of a full unit system is the scalars) come from the same stacked linear
 system the intertwiner module uses.
+
+The relation checks take a few stacked products instead of one product per
+relation.  ``check_epsilon`` multiplies each a_ij by [a_00 | a_01 | ...];
+``theta_embedding`` and ``check_delta`` take [c_0; c_1; ...] [a_00 | ...] and
+[a_00; ...] [c_0 | c_1 | ...]; the subring sampler multiplies each element
+by all generators at once.  A block of a stacked product is the separate
+product entry for entry, each the same dot product in the same order, so
+every float value is the same to the last bit.  The products stay raw
+(``matrices._raw_product``): exact entries are integer dot products over a
+known denominator and are compared by cross-multiplying, and a ``Fraction``
+is built only for a returned value or a reported violation.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (MissingUnitsError, NonCentralCoefficientError, ShapeError)
 from .fields import Field
 from .intertwiner import intertwiner_basis
-from .matrices import Matrix, MatrixTuple, _float_tol
+from .matrices import Matrix, MatrixTuple, _float_tol, _from_raw, _raw_product
 
 RELATION_TOL = 1e-9  # scaled by the largest entry magnitude in float modes
 
@@ -68,26 +82,56 @@ def _rel_tol(units, tol):
     return RELATION_TOL * max(1.0, scale)
 
 
+def _hstack(parts, n: int) -> list:
+    """Row-major values of [p_0 | p_1 | ...] for row-major n x n parts."""
+    return [v for r in range(0, n * n, n) for p in parts for v in p[r:r + n]]
+
+
+def _block(values, k: int, i: int, j: int, n: int) -> list:
+    """Row-major n x n block (i, j) of row-major values with k columns."""
+    return [v for r in range(i * n, (i + 1) * n) for v in values[r * k + j * n:r * k + (j + 1) * n]]
+
+
+def _agree(field: Field, a, la, b, lb, eff: float) -> bool:
+    """a / la equals b / lb entry by entry (raw values as ``Matrix._raw``
+    gives them): integers cross-multiplied for the exact kind, within eff
+    for the float kinds, where a NaN difference counts as unequal."""
+    if field.is_exact:
+        if la == lb:
+            return list(a) == list(b)
+        return all(x * lb == y * la for x, y in zip(a, b))
+    return all(abs(x - y) <= eff for x, y in zip(a, b))
+
+
 def check_epsilon(units: Sequence[Sequence[Matrix]], tol: Optional[float] = None):
-    """Verify all N^4 unit relations; returns (ok, first violation or None)."""
-    n_outer, _, _ = _family_shape(units)
+    """Verify all N^4 unit relations; returns (ok, first violation or None).
+
+    Each left unit a_ij takes one product a_ij [a_00 | a_01 | ...], whose
+    block (s, t) is a_ij a_st entry for entry, and the blocks are checked in
+    (i, j, s, t) order.
+    """
+    n_outer, n, field = _family_shape(units)
     eff = _rel_tol(units, tol)
     for i in range(n_outer):
         for j in range(n_outer):
             if units[i][j].is_zero(eff):
                 return False, EpsilonViolation("zero", i, j)
+    raws = [[m._raw for m in row] for row in units]
+    width = n * n_outer * n_outer
+    right = _hstack([v for row in raws for v, _ in row], n)
+    zeros = (0,) * (n * n)
     for i in range(n_outer):
         for j in range(n_outer):
+            left, la = raws[i][j]
+            prod = _raw_product(field, left, right, n, width)
             for s in range(n_outer):
                 for t in range(n_outer):
-                    got = units[i][j] * units[s][t]
-                    if j == s:
-                        if not got.approx_eq(units[i][t], eff):
-                            return False, EpsilonViolation("product", i, j, s, t,
-                                                           units[i][t], got)
-                    elif not got.is_zero(eff):
-                        expected = Matrix.zeros(got.field, got.rows, got.cols)
-                        return False, EpsilonViolation("product", i, j, s, t, expected, got)
+                    got, denom = _block(prod, width, 0, s * n_outer + t, n), la * raws[s][t][1]
+                    want, lw = raws[i][t] if j == s else (zeros, 1)
+                    if not _agree(field, got, denom, want, lw, eff):
+                        expected = units[i][t] if j == s else Matrix.zeros(field, n, n)
+                        return False, EpsilonViolation("product", i, j, s, t, expected,
+                                                       _from_raw(field, n, n, got, denom))
     return True, None
 
 
@@ -128,21 +172,45 @@ class UnitSystem:
         return [m for row in self.units for m in row]
 
 
-def check_delta(v: Matrix, system: UnitSystem, tol: Optional[float] = None) -> bool:
-    """True iff v commutes with every unit of the system.
+def _first_noncentral(system: UnitSystem, coeffs: Sequence[Matrix],
+                      tol: Optional[float]) -> tuple:
+    """(k, cu): k indexes the first coefficient that fails to commute with
+    some unit, or is None; cu holds the raw entries of [c_0; c_1; ...]
+    [a_0 | a_1 | ...], units in row-major order.
 
-    v u and u v are compared entry by entry (``approx_eq``), as
-    ``check_epsilon`` compares its products, so no difference is formed.
+    Block (k, l) of cu is c_k a_l and block (l, k) of [a_0; a_1; ...]
+    [c_0 | c_1 | ...] is a_l c_k, entry for entry, both over the same
+    denominator, so two products test every pair.  The float tolerance is
+    RELATION_TOL * max(1, max|a|) * max(1, max|c_k|), since both products
+    scale with the coefficient too.  It is capped at the largest float, so
+    an infinite difference never passes.
     """
-    if (v.rows, v.cols) != (system.n, system.n):
-        raise ShapeError("candidate shape does not match the units")
-    v._same_field(system.at(0, 0))
+    n, units, field = system.n, system.flat(), system.field
+    for c in coeffs:
+        if (c.rows, c.cols) != (n, n):
+            raise ShapeError("candidate shape does not match the units")
+        c._same_field(units[0])
     eff = _rel_tol(system.units, tol)
-    for row in system.units:
-        for u in row:
-            if not (v * u).approx_eq(u * v, eff):
-                return False
-    return True
+    if field.is_exact or tol is not None:
+        effs = [eff] * len(coeffs)
+    else:
+        effs = [min(eff * max(1.0, c.maxabs()), sys.float_info.max) for c in coeffs]
+    u_raw = [u._raw[0] for u in units]
+    c_raw = [c._raw[0] for c in coeffs]
+    wu, wc = n * len(units), n * len(coeffs)
+    cu = _raw_product(field, [v for c in c_raw for v in c], _hstack(u_raw, n), n, wu)
+    uc = _raw_product(field, [v for u in u_raw for v in u], _hstack(c_raw, n), n, wc)
+    for k, bound in enumerate(effs):
+        if not all(_agree(field, _block(cu, wu, k, l, n), 1, _block(uc, wc, l, k, n), 1, bound)
+                   for l in range(len(units))):
+            return k, cu
+    return None, cu
+
+
+def check_delta(v: Matrix, system: UnitSystem, tol: Optional[float] = None) -> bool:
+    """True iff v commutes with every unit of the system: the one-coefficient
+    case of ``theta_embedding``'s check."""
+    return _first_noncentral(system, [v], tol)[0] is None
 
 
 def theta_embedding(system: UnitSystem, coeffs: Sequence[Sequence[Matrix]],
@@ -150,21 +218,29 @@ def theta_embedding(system: UnitSystem, coeffs: Sequence[Sequence[Matrix]],
     """sum_ij coeffs[i][j] * a_ij for central coefficient matrices.
 
     Each coefficient must commute with every unit (centrality relative to
-    the system, not to the whole matrix ring).
+    the system, not to the whole matrix ring).  The terms c_ij a_ij are the
+    diagonal blocks of the centrality check's first product, added in
+    row-major order from zero.
     """
-    n_units = system.n_units
+    n_units, n, field = system.n_units, system.n, system.field
     if len(coeffs) != n_units or any(len(row) != n_units for row in coeffs):
         raise ShapeError("coefficient family must be %d x %d" % (n_units, n_units))
-    for i, row in enumerate(coeffs):
-        for j, c in enumerate(row):
-            if not check_delta(c, system, tol):
-                raise NonCentralCoefficientError(
-                    "coefficient (%d,%d) does not commute with the units" % (i, j))
-    acc = Matrix.zeros(system.field, system.n, system.n)
-    for i in range(n_units):
-        for j in range(n_units):
-            acc = acc + coeffs[i][j] * system.at(i, j)
-    return acc
+    flat = [c for row in coeffs for c in row]
+    bad, cu = _first_noncentral(system, flat, tol)
+    if bad is not None:
+        raise NonCentralCoefficientError(
+            "coefficient (%d,%d) does not commute with the units" % divmod(bad, n_units))
+    width = n * len(flat)  # one block per unit, as many as coefficients
+    terms = [_block(cu, width, k, k, n) for k in range(len(flat))]
+    if not field.is_exact:
+        acc = [field.zero()] * (n * n)
+        for term in terms:
+            acc = [x + y for x, y in zip(acc, term)]
+        return Matrix(field, n, n, tuple(acc))
+    denoms = [c._raw[1] * u._raw[1] for c, u in zip(flat, system.flat())]
+    denom = math.lcm(*denoms)
+    acc = [sum(term[e] * (denom // d) for term, d in zip(terms, denoms)) for e in range(n * n)]
+    return _from_raw(field, n, n, acc, denom)
 
 
 def coeff_product(a: Sequence[Sequence[Matrix]], b: Sequence[Sequence[Matrix]]):
@@ -217,13 +293,23 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     them.  Additive closure needs no check: the corner of x + y is
     corner(x) + corner(y) by definition of matrix addition.
 
+    Each sample layer takes one product m [g_0 | g_1 | ...] per element m
+    of the layer before, whose blocks are the products m g.  Elements stay
+    raw (values and a denominator, exact ones in lowest terms, so equal
+    elements have equal keys).
+
     The closure check stacks row 0 of each checked element x_k into one
     matrix R.  Row k of (R E00) y E00 is row 0 of x_k E00 y E00, since each
-    of its entries is the same dot product, accumulated in the same order,
-    so column 0 gives every corner (x_k E00 y E00)_00 for one y from two
-    products, and the answer is the same to the last bit.  A corner that is
-    NaN, as an overflowing float product can make it, counts as a
-    violation.
+    of its entries is the same dot product, accumulated in the same order.
+    So (R E00) [y_0 | y_1 | ...], read as one row per (x_k, y) pair and
+    multiplied by column 0 of E00, gives every corner (x_k E00 y E00)_00
+    from three products, the same to the last bit.  A corner that is NaN,
+    as an overflowing float product can make it, counts as a violation.
+
+    E_0i X E_j0 is X_ij E_00, and its (0,0) entry is the dot product that
+    formed entry (i, j) of X, so the reconstruction is read off X itself
+    with no product formed: each rebuilt entry minus X's is zero unless the
+    entry is inf or NaN, exactly when the n + 3n^2 products would fail.
 
     ``coefficients`` holds the distinct sampled corners that are not NaN,
     sorted (complex ones by magnitude, then repr), followed by the first
@@ -242,20 +328,28 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
                 raise MissingUnitsError(
                     "generating set lacks standard unit E_%d%d" % (i, j))
 
-    # products of generators up to the depth, deduplicated
+    if any((g.rows, g.cols) != (n, n) for g in generators):
+        raise ShapeError("generators must be square matrices of one size")
+
+    # products of generators up to the depth, deduplicated; an element is
+    # kept raw, (values, L) as Matrix._raw gives it, with L as small as it
+    # goes for the exact kind, so equal elements have equal keys
+    raws = [g._raw for g in generators]
+    width = n * len(generators)
+    right = _hstack([v for v, _ in raws], n)
     sample = []
     seen = set()
-    layer = [Matrix.identity(field, n)]
+    layer = [Matrix.identity(field, n)._raw]
     for _ in range(depth):
         nxt = []
-        for m in layer:
-            for g in generators:
-                prod = m * g
-                key = prod.entries
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(prod)
-                    sample.append(prod)
+        for vals, lm in layer:
+            prod = _raw_product(field, vals, right, n, width)
+            for b, (_, lg) in enumerate(raws):
+                elem = _lowest_terms(field, _block(prod, width, 0, b, n), lm * lg)
+                if elem not in seen:
+                    seen.add(elem)
+                    nxt.append(elem)
+                    sample.append(elem)
                     if len(sample) >= max_products:
                         break
             if len(sample) >= max_products:
@@ -264,39 +358,48 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
             break
         layer = nxt
 
-    def differs(u, w):
+    def differs(u, w):  # raw values over one denominator
         if field.is_exact:
             return u != w
         return not abs(u - w) <= eff  # a NaN difference counts
 
-    violations = []
-    corner = lambda m: m.at(0, 0)
-    head = sample[:40]
-    e00 = std[0][0]
-    # R stacks row 0 of each head element; column 0 of (R E00) y E00 holds
-    # every corner for y (see the docstring)
-    r_e00 = Matrix(field, len(head), n, tuple(v for x in head for v in x.entries[:n])) * e00
-    corner_cols = [(r_e00 * y * e00).entries[::n] for y in head]
-    for k, x in enumerate(head):
-        for y, col in zip(head, corner_cols):
-            if differs(col[k], corner(x) * corner(y)):
-                violations.append(("mul", corner(x), corner(y)))
+    def value(v, denom):
+        return Fraction(v, denom) if field.is_exact else v
 
-    recon_ok = True
-    for x in head:
-        acc = Matrix.zeros(field, n, n)
-        for i in range(n):
-            e0i_x = std[0][i] * x
-            for j in range(n):
-                acc = acc + std[i][0] * (e0i_x * std[j][0]) * std[0][j]
-        if not (acc - x).is_zero(eff):
+    violations = []
+    head = sample[:40]
+    h = len(head)
+    e00, _ = std[0][0]._raw
+    # R stacks row 0 of each head element; (R E00) [y_0 | y_1 | ...] read
+    # as h*h rows of length n, times column 0 of E00, holds every corner
+    # (x_k E00 y E00)_00 at k*h + y (see the docstring)
+    r_e00 = _raw_product(field, [v for vals, _ in head for v in vals[:n]], e00, n, n)
+    r_e00_y = _raw_product(field, r_e00, _hstack([vals for vals, _ in head], n), n, h * n)
+    pair_corners = _raw_product(field, r_e00_y, e00[::n], n, 1)
+    for k, (x, lx) in enumerate(head):
+        for c, (y, ly) in zip(pair_corners[k * h:(k + 1) * h], head):
+            if differs(c, x[0] * y[0]):
+                violations.append(("mul", value(x[0], lx), value(y[0], ly)))
+
+    recon_ok = True  # each rebuilt entry is x's own (see the docstring)
+    for x, lx in head:
+        if any(differs(v, v) for v in x):
             recon_ok = False
-            violations.append(("reconstruction", x.entries, None))
+            violations.append(("reconstruction", tuple(value(v, lx) for v in x), None))
             break
 
-    corners = [corner(m) for m in sample]
+    corners = [value(vals[0], denom) for vals, denom in sample]
     key = (lambda v: (abs(v), repr(v))) if field.is_complex else None
     coeffs = sorted({c for c in corners if c == c}, key=key)
     coeffs += [c for c in corners if c != c][:1]  # NaN has no order: one, last
     return SubringReport(tuple(coeffs), not any(v[0] == "mul" for v in violations),
                          recon_ok, tuple(violations), len(sample))
+
+
+def _lowest_terms(field: Field, values, denom) -> tuple:
+    """(values, L) with values / L equal to values / denom and L as small as
+    it goes for the exact kind: the form ``Matrix._ints`` keeps."""
+    if not field.is_exact:
+        return tuple(values), 1
+    g = math.gcd(denom, *values)
+    return tuple(v // g for v in values), denom // g

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import rand_int_matrix, rand_invertible_int
 from tracesim import (Field, Matrix, ShapeError, SingularMatrixError, StarMode, det,
                       inverse, nullspace, rank, solve_linear, star, trace)
-from tracesim.matrices import _det_int, _gauss_jordan_int
+from tracesim.matrices import _det_int, _gauss_jordan_int, _raw_product
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -387,3 +387,32 @@ def test_nan_entries_count_as_nonzero_and_unequal():
     assert math.isnan(prod.at(0, 1))
     assert not (prod - prod).is_zero(math.inf)
     assert not prod.approx_eq(prod, math.inf)
+
+
+@pytest.mark.parametrize("field", [FR, FC], ids=["float64", "complex128"])
+@pytest.mark.parametrize("n,left,right", [(2, 3, 4), (3, 2, 3), (4, 1, 5)])
+def test_stacked_float_product_blocks_match_separate_products_bit_for_bit(field, n, left, right):
+    rng = random.Random("%s:%d:%d:%d" % (field.kind.value, n, left, right))
+
+    def value():  # magnitudes 1e-8..1e8, so the summation order shows in the last bits
+        v = rng.gauss(0, 1) * 10.0 ** rng.randint(-8, 8)
+        return complex(v, rng.gauss(0, 1) * 10.0 ** rng.randint(-8, 8)) if field.is_complex else v
+
+    def rand():
+        return Matrix(field, n, n, tuple(value() for _ in range(n * n)))
+
+    lefts, rights = [rand() for _ in range(left)], [rand() for _ in range(right)]
+    k = n * right
+    # [A_0; A_1; ...] [B_0 | B_1 | ...]: block (p, q) is A_p B_q
+    prod = _raw_product(field, [v for a in lefts for v in a.entries],
+                        [v for r in range(0, n * n, n) for b in rights for v in b.entries[r:r + n]],
+                        n, k)
+    reordered = 0
+    for p, a in enumerate(lefts):
+        for q, b in enumerate(rights):
+            block = tuple(prod[(p * n + r) * k + q * n + c] for r in range(n) for c in range(n))
+            assert block == a._matmul(b).entries, (p, q)
+            backwards = [sum(a.at(r, t) * b.at(t, c) for t in reversed(range(n)))
+                         for r in range(n) for c in range(n)]
+            reordered += list(block) != backwards
+    assert reordered or n == 2  # another order would show; two terms add either way

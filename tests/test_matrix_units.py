@@ -8,6 +8,7 @@ from conftest import rand_invertible_int
 from tracesim import (Field, Kind, Matrix, MissingUnitsError, NonCentralCoefficientError,
                       ShapeError, SubringReport, UnitSystem, check_delta, check_epsilon,
                       coeff_product, commutant, extract_subring_coefficients, theta_embedding)
+from tracesim.matrix_units import EpsilonViolation, _agree
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -294,7 +295,8 @@ def test_overflowing_subring_reports_violations():
 
 
 def delta_by_subtraction(v, system):
-    eff = 0.0 if v.field.is_exact else 1e-9 * max(1.0, max(u.maxabs() for u in system.flat()))
+    scale = max(1.0, max(u.maxabs() for u in system.flat())) * max(1.0, v.maxabs())
+    eff = 0.0 if v.field.is_exact else 1e-9 * scale
     return all((v * u - u * v).is_zero(eff) for u in system.flat())
 
 
@@ -337,6 +339,125 @@ def test_check_delta_and_theta_match_subtraction_form(field, n_units, m):
                 theta_embedding(system, coeffs)
     assert all(check_delta(c, system) for row in commuting for c in row)
     assert not all(check_delta(c, system) for row in other for c in row)
+
+
+@pytest.mark.parametrize("magnitude", [1e6, 1e9])
+def test_large_central_float_coefficients_pass_and_perturbed_ones_fail(magnitude):
+    # units P (E_ij (x) I_2) P^-1, coefficients P (I_2 (x) C) P^-1 with |C| ~ magnitude:
+    # c u - u c grows with |c|, so a bound that ignores |c| rejects central ones
+    rng = random.Random(magnitude)
+    for _ in range(20):
+        p = Matrix.from_rows(FR, [[rng.gauss(0, 1) for _ in range(4)] for _ in range(4)])
+        system = UnitSystem.from_family(kron_family(
+            FR, p, 2, 2, lambda i, j: [[int(r // 2 == i and c // 2 == j and r % 2 == c % 2)
+                                        for c in range(4)] for r in range(4)]))
+        mats = [[[rng.gauss(0, magnitude) for _ in range(2)] for _ in range(2)] for _ in range(4)]
+
+        def blocks(i, j, bump=0.0):
+            rows = [[mats[2 * i + j][r % 2][c % 2] if r // 2 == c // 2 else 0.0
+                     for c in range(4)] for r in range(4)]
+            rows[0][0] += bump
+            return rows
+
+        central = kron_family(FR, p, 2, 2, blocks)
+        assert all(check_delta(c, system) for row in central for c in row)
+        theta_embedding(system, central)
+        # a relative 1e-3 change in one corner of C_11 no longer commutes with the units
+        perturbed = kron_family(FR, p, 2, 2, lambda i, j: blocks(i, j, 1e-3 * magnitude * i * j))
+        assert [check_delta(c, system) for row in perturbed for c in row] == [True] * 3 + [False]
+        with pytest.raises(NonCentralCoefficientError, match=r"\(1,1\)"):
+            theta_embedding(system, perturbed)
+
+
+def epsilon_by_pairs(units, tol=None):
+    """check_epsilon as a plain loop: one product units[i][j] * units[s][t]
+    per relation, compared with approx_eq / is_zero at the same tolerance."""
+    flat = [m for row in units for m in row]
+    if flat[0].field.is_exact:
+        eff = 0.0
+    else:
+        eff = tol if tol is not None else 1e-9 * max(1.0, max(m.maxabs() for m in flat))
+    n_outer = len(units)
+    for i in range(n_outer):
+        for j in range(n_outer):
+            if units[i][j].is_zero(eff):
+                return False, EpsilonViolation("zero", i, j)
+    for i in range(n_outer):
+        for j in range(n_outer):
+            for s in range(n_outer):
+                for t in range(n_outer):
+                    got = units[i][j] * units[s][t]
+                    expected = units[i][t] if j == s else Matrix.zeros(got.field, got.rows, got.cols)
+                    if not got.approx_eq(expected, eff):
+                        return False, EpsilonViolation("product", i, j, s, t, expected, got)
+    return True, None
+
+
+def epsilon_families(field):
+    rng = random.Random("epsilon-%s" % field.kind.value)
+    out = []
+    for n_units, m in [(2, 1), (2, 2), (3, 1)]:
+        n = n_units * m
+        u = rand_invertible_int(rng, FQ, n).astype(field)
+        family = kron_family(
+            field, u, n_units, m,
+            lambda i, j: [[int(r // m == i and c // m == j and r % m == c % m) for c in range(n)]
+                          for r in range(n)])
+        out.append(("valid-%d-%d" % (n_units, m), family))
+        for k in range(3):  # one entry of one unit off by one
+            broken = [list(row) for row in family]
+            i, j, e = rng.randrange(n_units), rng.randrange(n_units), rng.randrange(n * n)
+            ent = list(broken[i][j].entries)
+            ent[e] += 1
+            broken[i][j] = Matrix(field, n, n, tuple(ent))
+            out.append(("broken-%d-%d-%d" % (n_units, m, k), broken))
+    if not field.is_exact:
+        nan = complex(math.nan, 0.0) if field.is_complex else math.nan
+        std = [[Matrix.unit(field, 2, i, j) for j in range(2)] for i in range(2)]
+        for i, j, e in [(0, 0, 3), (0, 1, 1), (1, 1, 0)]:
+            family = [list(row) for row in std]
+            ent = list(family[i][j].entries)
+            ent[e] = nan
+            family[i][j] = Matrix(field, 2, 2, tuple(ent))
+            out.append(("nan-%d%d-%d" % (i, j, e), family))
+        # every product of 1e200 E_ij overflows; at the default tolerance, which
+        # scales with the entries, only such a family gets past the zero check
+        out.append(("overflow-all", [[m.scale(1e200) for m in row] for row in std]))
+        # a_01 a_10 = 1e400 E_00 overflows; so does 1e200 a_11 a_11 inside a 3x3 system
+        big = [list(row) for row in std]
+        big[0][1], big[1][0] = big[0][1].scale(1e200), big[1][0].scale(1e200)
+        out.append(("overflow-01-10", big))
+        std3 = [[Matrix.unit(field, 3, i, j) for j in range(3)] for i in range(3)]
+        std3[1][1] = std3[1][1].scale(1e200)
+        out.append(("overflow-11", std3))
+    # float families run at the default scaled tolerance and at an absolute one
+    tols = [None] if field.is_exact else [None, 1e-6]
+    return [pytest.param(family, tol, id="%s-%s-%s" % (field.kind.value, name, tol))
+            for name, family in out for tol in tols]
+
+
+@pytest.mark.parametrize("family,tol", [f for field in (FQ, FR, FC) for f in epsilon_families(field)])
+def test_check_epsilon_matches_pair_loop(family, tol):
+    got, want = check_epsilon(family, tol), epsilon_by_pairs(family, tol)
+    assert repr(got) == repr(want)  # NaN entries compare by repr
+    if not any(v != v for row in family for m in row for v in m.entries):
+        assert got == want
+
+
+def test_exact_cross_multiplied_comparison_matches_fraction_equality():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        a = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6, 9])) for _ in range(4)]
+        b = list(a)
+        if rng.random() < 0.5:
+            b[rng.randrange(4)] += Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 5]))
+        (ia, la), (ib, lb) = Matrix(FQ, 2, 2, tuple(a))._raw, Matrix(FQ, 2, 2, tuple(b))._raw
+        k = rng.randint(1, 7)  # the same values over another denominator, as a product gives them
+        ib, lb = [v * k for v in ib], lb * k
+        assert _agree(FQ, ia, la, ib, lb, 0.0) == (a == b) == _agree(FQ, ib, lb, ia, la, 0.0)
+        seen.add((a == b, la == lb))
+    assert (True, False) in seen and (False, False) in seen  # both verdicts on mixed denominators
 
 
 # -- NaN residuals and tolerances ----------------------------------------------------------
