@@ -10,9 +10,8 @@ Sylvester's equation.
 """
 
 from .corpus import Expected, Fixture, FixtureResult, load_corpus, run_corpus, run_fixture
-from .errors import (BudgetExceededError, ConvergenceError, IndefiniteMatrixError,
-                     KindMismatchError, LetterIndexError, MissingUnitsError,
-                     NonCentralCoefficientError, NonFiniteError, NonSymmetricError,
+from .errors import (BudgetExceededError, KindMismatchError, LetterIndexError,
+                     MissingUnitsError, NonCentralCoefficientError, NonFiniteError,
                      ShapeError, SingularMatrixError, TracesimError, TupleFileError,
                      WitnessConstructionError, ZeroPolynomialError)
 from .fields import Field, Kind, StarMode
@@ -23,9 +22,8 @@ from .matrices import (Matrix, MatrixTuple, det, inverse, nullspace, rank, solve
 from .matrix_units import (SubringReport, UnitSystem, check_delta, check_epsilon,
                            coeff_product, commutant, extract_subring_coefficients,
                            theta_embedding)
-from .orthogonal import (OrthogonalWitness, OrthVerdict, SpechtReport, jacobi_eig,
-                         orthogonal_witness, specht_equivalent, specht_property_check,
-                         sqrt_spd)
+from .orthogonal import (OrthogonalWitness, OrthVerdict, SpechtReport, orthogonal_witness,
+                         specht_equivalent, specht_property_check)
 from .sylvester import (Polynomial, char_poly_from_traces, resultant, sylvester_solve,
                         sylvester_unique)
 from .tupleio import dump_tuple, load_tuple, save_tuple, tuple_from_dict, tuple_to_dict
@@ -45,8 +43,8 @@ __all__ = [
     # intertwiners / similarity
     "IntertwinerBasis", "GLVerdict", "intertwiner_basis", "find_invertible", "gl_similar",
     # orthogonal
-    "OrthogonalWitness", "OrthVerdict", "SpechtReport", "jacobi_eig", "sqrt_spd",
-    "specht_equivalent", "orthogonal_witness", "specht_property_check",
+    "OrthogonalWitness", "OrthVerdict", "SpechtReport", "specht_equivalent",
+    "orthogonal_witness", "specht_property_check",
     # matrix units
     "UnitSystem", "SubringReport", "check_epsilon", "check_delta", "theta_embedding",
     "coeff_product", "commutant", "extract_subring_coefficients",
@@ -59,7 +57,7 @@ __all__ = [
     "load_tuple", "save_tuple", "dump_tuple", "tuple_from_dict", "tuple_to_dict",
     # errors
     "TracesimError", "KindMismatchError", "ShapeError", "SingularMatrixError",
-    "BudgetExceededError", "LetterIndexError", "NonSymmetricError", "ConvergenceError",
-    "IndefiniteMatrixError", "NonCentralCoefficientError", "MissingUnitsError",
-    "WitnessConstructionError", "ZeroPolynomialError", "TupleFileError", "NonFiniteError",
+    "BudgetExceededError", "LetterIndexError", "NonCentralCoefficientError",
+    "MissingUnitsError", "WitnessConstructionError", "ZeroPolynomialError", "TupleFileError",
+    "NonFiniteError",
 ]

@@ -33,18 +33,6 @@ class LetterIndexError(TracesimError):
     """A word letter refers to an index outside the tuple arity."""
 
 
-class NonSymmetricError(TracesimError):
-    """Symmetric/Hermitian input expected."""
-
-
-class ConvergenceError(TracesimError):
-    """Iteration failed to reach the requested tolerance."""
-
-
-class IndefiniteMatrixError(TracesimError):
-    """Positive definite input expected."""
-
-
 class NonCentralCoefficientError(TracesimError):
     """Coefficient does not commute with the given matrix-unit family."""
 

@@ -8,9 +8,14 @@ starred words of degree <= 2 as its certified filter.
 
 From an invertible star-intertwiner P the witness is built as follows.
 Writing G = P star(P), the two families of equations give
-G Y_i = Y_i G and G star(Y_i) = star(Y_i) G.  G is symmetric (Hermitian)
-positive definite, so it has a symmetric square root H commuting with
-everything G commutes with, and O = H^{-1} P satisfies
+G Y_i = Y_i G and G star(Y_i) = star(Y_i) G, and star(G) = G.  Take H a
+primary square root of G, found by one Denman-Beavers iteration in all
+three star modes.  A primary root is a polynomial in G, so H commutes with
+everything G commutes with.  Under the plain transpose every polynomial in
+the symmetric G is symmetric, so H^t = H; over C that G is complex
+symmetric, not Hermitian, and may have any nonzero spectrum.  Under the
+conjugate transpose G is positive definite and H is its positive root, so
+star(H) = H again.  Then O = H^{-1} P satisfies
 
     O star(O) = H^{-1} P star(P) H^{-1} = H^{-1} G H^{-1} = I
     O X_i star(O) = H^{-1} (P X_i star(P)) H^{-1}
@@ -23,6 +28,7 @@ verdict stays exact but the witness is recomputed in float64.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BudgetExceededError, ConvergenceError, IndefiniteMatrixError,
-                     KindMismatchError, NonSymmetricError, ShapeError,
-                     WitnessConstructionError)
+from .errors import BudgetExceededError, WitnessConstructionError
 from .fields import Field, StarMode, abs_value
 from .intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, IntertwinerBasis, _check_pair,
                           _search, find_invertible)
@@ -40,95 +44,40 @@ from .matrices import Matrix, MatrixTuple
 from .words import (DEFAULT_BUDGET, FingerprintDiff, fingerprint, fingerprints_equal)
 
 
-# -- dense symmetric/Hermitian eigensolver --------------------------------------
+# -- inverse square root ------------------------------------------------------------
 
-def _off_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
-
-
-def _jacobi_np(a: np.ndarray, tol: float, max_sweeps: int):
-    """Cyclic Jacobi on a Hermitian array; returns (V, eigenvalues)."""
-    n = a.shape[0]
-    complex_input = np.iscomplexobj(a)
-    a = a.astype(np.complex128 if complex_input else np.float64).copy()
-    v = np.eye(n, dtype=a.dtype)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return v, np.zeros(n)
-    skip = tol * norm / (n * n)
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= tol * norm:
-            return v, np.real(np.diag(a)).copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                m = abs(apq)
-                if m <= skip:
-                    continue
-                alpha = apq / m
-                tau = (np.real(a[q, q]) - np.real(a[p, p])) / (2.0 * m)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rowp = c * a[p, :] - s * alpha * a[q, :]
-                rowq = s * np.conj(alpha) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rowp, rowq
-                colp = c * a[:, p] - s * np.conj(alpha) * a[:, q]
-                colq = s * alpha * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = colp, colq
-                vp = c * v[:, p] - s * np.conj(alpha) * v[:, q]
-                vq = s * alpha * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-    if _off_norm(a) <= tol * norm:
-        return v, np.real(np.diag(a)).copy()
-    raise ConvergenceError("Jacobi sweeps did not converge within %d sweeps" % max_sweeps)
+# Rotations e^{i theta} tried in turn, the iteration cap and the bound on
+# max |Y Z - I| that ends the Denman-Beavers iteration.
+_ROOT_ANGLES = (0.0, 0.5 * math.pi, -0.5 * math.pi, 0.25 * math.pi, -0.25 * math.pi)
+_ROOT_STEPS = 50
+_ROOT_TOL = 1e-10
 
 
-def _require_float(m: Matrix, what: str):
-    if m.field.is_exact:
-        raise KindMismatchError("%s works on float kinds; convert with astype first" % what)
+def _inverse_root(g: np.ndarray) -> Optional[np.ndarray]:
+    """A primary inverse square root of G, or None if no angle converges.
 
-
-def _check_hermitian(a: np.ndarray, tol: float, scale: float):
-    gap = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if gap > max(tol, 1e-12) * max(1.0, scale):
-        raise NonSymmetricError(
-            "input is not symmetric/Hermitian within tolerance (gap %.3g)" % gap)
-
-
-def jacobi_eig(s: Matrix, tol: float = 1e-12, max_sweeps: int = 100):
-    """Rotations-based eigendecomposition of a symmetric/Hermitian matrix.
-
-    Returns (V, eigenvalues) with V * star(V) = I and star(V) * S * V
-    diagonal within tol * ||S||_F.
+    Denman-Beavers (Higham, *Functions of Matrices*, 2008, ch. 6) on
+    A = e^{i theta} G: Y -> A^{1/2} and Z -> A^{-1/2}, so e^{i theta/2} Z
+    squares to G^{-1} and is a polynomial in G.  theta = 0 serves a positive
+    definite G; a complex G may need its spectrum turned off the negative
+    real axis first.  Since Y = A Z, the stopping test on Y Z - I = A Z^2 - I
+    is relative to every eigenvalue, which a test of Y^2 - A against max |G|
+    is not on an ill-conditioned G; one step past it gives Z to full
+    precision.
     """
-    _require_float(s, "jacobi_eig")
-    if not s.is_square:
-        raise ShapeError("eigendecomposition of a non-square matrix")
-    a = s.to_numpy()
-    _check_hermitian(a, tol, s.maxabs())
-    v, lam = _jacobi_np(a, tol, max_sweeps)
-    return Matrix.from_numpy(s.field, v), [float(x) for x in lam]
-
-
-def sqrt_spd(s: Matrix, tol: float = 1e-12) -> Matrix:
-    """Symmetric/Hermitian square root H of a positive definite S (H*H = S).
-
-    tol is relative to the largest eigenvalue; anything not safely positive
-    definite is rejected.
-    """
-    _require_float(s, "sqrt_spd")
-    v, lam = jacobi_eig(s, tol=min(tol, 1e-12))
-    top = max(abs(x) for x in lam) if lam else 0.0
-    if top == 0.0 or min(lam) <= tol * top:
-        raise IndefiniteMatrixError("matrix is not positive definite at tolerance")
-    vn = v.to_numpy()
-    h = (vn * np.sqrt(np.array(lam))) @ vn.conj().T
-    h = (h + h.conj().T) / 2.0
-    return Matrix.from_numpy(s.field, h)
+    eye = np.eye(len(g))
+    for theta in _ROOT_ANGLES if np.iscomplexobj(g) else _ROOT_ANGLES[:1]:
+        a = g * cmath.exp(1j * theta) if theta else g
+        y, z = a, eye
+        try:
+            for _ in range(_ROOT_STEPS):
+                y, z = (y + np.linalg.inv(z)) / 2, (z + np.linalg.inv(y)) / 2
+                if np.max(np.abs(y @ z - eye)) <= _ROOT_TOL:
+                    z = (z + np.linalg.inv(y)) / 2
+                    return z * cmath.exp(0.5j * theta) if theta else z
+        except np.linalg.LinAlgError:
+            pass
+    return None
 
 
 # -- fingerprint-level equivalence ----------------------------------------------
@@ -213,19 +162,9 @@ def _construct_float_witness(p: Matrix, x: MatrixTuple, y: MatrixTuple, tol: flo
         raise WitnessConstructionError("zero intertwiner", p)
     pn = pn / amax
     field = x.field
-    g = pn @ _np_star(pn, field)
-    if field.is_complex and field.star_mode is StarMode.TRANSPOSE:
-        # P P^t is complex symmetric; the square-root route needs Hermitian.
-        if float(np.max(np.abs(g.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
-            raise WitnessConstructionError(
-                "witness construction unavailable: P P^t is not Hermitian "
-                "in complex transpose mode", p)
-        g = g.real
-    v, lam = _jacobi_np(np.asarray(g), 1e-13, 200)
-    top = max(abs(float(lv)) for lv in lam)
-    if top == 0.0 or min(lam) <= 1e-13 * top:
+    hinv = _inverse_root(pn @ _np_star(pn, field))
+    if hinv is None:
         raise WitnessConstructionError("intertwiner is numerically singular", p)
-    hinv = (v / np.sqrt(np.array(lam))) @ v.conj().T
     o = Matrix.from_numpy(field, hinv @ pn)
     r_orth, r_conj = _witness_residuals(o, x, y)
     scale = max(1.0, x.maxabs(), y.maxabs())

@@ -32,6 +32,24 @@ def rand_float_tuple(rng: random.Random, n: int, d: int) -> MatrixTuple:
     return MatrixTuple.of(*(rand_float_matrix(rng, n) for _ in range(d)))
 
 
+def rand_complex_tuple(rng: random.Random, field: Field, n: int, d: int) -> MatrixTuple:
+    return MatrixTuple.of(*(Matrix.from_rows(field, [[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                                      for _ in range(n)] for _ in range(n)])
+                            for _ in range(d)))
+
+
+def cayley_orthogonal(rng: random.Random, field: Field, n: int) -> Matrix:
+    """Complex orthogonal O = (I - K)^{-1} (I + K), O O^t = I, from a random
+    complex skew-symmetric K; not unitary, so only the plain transpose fixes it."""
+    k = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            k[i, j] = complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5))
+            k[j, i] = -k[i, j]
+    eye = np.eye(n)
+    return Matrix.from_numpy(field, np.linalg.solve(eye - k, eye + k))
+
+
 def givens_orthogonal(rng: random.Random, n: int) -> Matrix:
     """Product of random Givens rotations; an exactly orthogonal float matrix."""
     o = np.eye(n)

@@ -4,7 +4,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from tracesim import Field, Matrix, MatrixTuple, UnitSystem, dump_tuple, load_tuple
+from tracesim import (Field, Matrix, MatrixTuple, StarMode, UnitSystem, dump_tuple,
+                      load_tuple)
 from tracesim.cli import main
 from tracesim.tupleio import tuple_from_dict, tuple_to_dict
 
@@ -127,6 +128,22 @@ def test_similar_orthogonal_round_trip_with_witness(tmp_path):
     lines = out.splitlines()
     assert lines[0] == "similar"
     assert "witness:" in lines
+
+
+def test_similar_orthogonal_complex_transpose_round_trip(tmp_path):
+    import random
+    from conftest import cayley_orthogonal, rand_complex_tuple
+    fct = Field.complex128(StarMode.TRANSPOSE)
+    rng = random.Random(0)
+    x = rand_complex_tuple(rng, fct, 3, 2)
+    y = x.star_conjugated(cayley_orthogonal(rng, fct, 3))
+    fx = write_tuple(tmp_path, "x.json", x)
+    fy = write_tuple(tmp_path, "y.json", y)
+    code, out = run_cli("similar", fx, fy, "--orthogonal", "--witness")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "similar"
+    assert lines[1] == "witness:" and len(lines) == 5
 
 
 def test_similar_json_output(diag_files):

@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from conftest import givens_orthogonal, pythagorean_rotation, rand_float_tuple
-from tracesim import (Field, IndefiniteMatrixError, KindMismatchError, Matrix,
-                      MatrixTuple, NonSymmetricError, StarMode, WitnessConstructionError,
-                      intertwiner_basis, jacobi_eig, orthogonal_witness, specht_equivalent,
-                      specht_property_check, sqrt_spd)
+from conftest import (cayley_orthogonal, givens_orthogonal, pythagorean_rotation,
+                      rand_complex_tuple, rand_float_tuple)
+from tracesim import (Field, Matrix, MatrixTuple, StarMode, WitnessConstructionError,
+                      gl_similar, intertwiner_basis, orthogonal_witness, specht_equivalent,
+                      specht_property_check)
 from tracesim import orthogonal
 from tracesim.intertwiner import DEFAULT_SAMPLE_BOUND, find_invertible
 
@@ -18,98 +18,12 @@ FC = Field.complex128()
 FCT = Field.complex128(StarMode.TRANSPOSE)
 
 
-# -- jacobi ------------------------------------------------------------------------
+# -- public names ------------------------------------------------------------------
 
-def test_jacobi_identity():
-    v, lam = jacobi_eig(Matrix.identity(FR, 3))
-    assert lam == [1.0, 1.0, 1.0]
-    assert (v - Matrix.identity(FR, 3)).maxabs() == 0.0
-
-
-def test_jacobi_2x2_known_eigensystem():
-    s = Matrix.from_rows(FR, [[2, 1], [1, 2]])
-    v, lam = jacobi_eig(s)
-    assert sorted(round(x, 10) for x in lam) == [1.0, 3.0]
-    vn = v.to_numpy()
-    for col, ev in zip(vn.T, lam):
-        assert np.max(np.abs(s.to_numpy() @ col - ev * col)) < 1e-10
-    # eigenvector of 1 is proportional to (1,-1), of 3 to (1,1)
-    for col, ev in zip(vn.T, lam):
-        target = np.array([1.0, -1.0]) if round(ev) == 1 else np.array([1.0, 1.0])
-        cosang = abs(col @ target) / (np.linalg.norm(col) * np.linalg.norm(target))
-        assert cosang > 1 - 1e-12
-
-
-def test_jacobi_diagonal_is_immediate():
-    v, lam = jacobi_eig(Matrix.diagonal(FR, [4, 9]))
-    assert sorted(lam) == [4.0, 9.0]
-
-
-def test_jacobi_diagonalizes_random_symmetric():
-    rng = random.Random(0)
-    for n in (2, 3, 5):
-        a = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
-        s = Matrix.from_numpy(FR, (a + a.T) / 2)
-        v, lam = jacobi_eig(s)
-        vn = v.to_numpy()
-        assert np.max(np.abs(vn @ vn.T - np.eye(n))) < 1e-10
-        d = vn.T @ s.to_numpy() @ vn
-        assert np.max(np.abs(d - np.diag(lam))) < 1e-9
-
-
-def test_jacobi_hermitian_complex():
-    rng = random.Random(1)
-    n = 4
-    a = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-                  for _ in range(n)])
-    s = Matrix.from_numpy(FC, (a + a.conj().T) / 2)
-    v, lam = jacobi_eig(s)
-    vn = v.to_numpy()
-    assert np.max(np.abs(vn @ vn.conj().T - np.eye(n))) < 1e-10
-    d = vn.conj().T @ s.to_numpy() @ vn
-    assert np.max(np.abs(d - np.diag(lam))) < 1e-9
-
-
-def test_jacobi_rejects_non_symmetric_and_exact_kind():
-    with pytest.raises(NonSymmetricError):
-        jacobi_eig(Matrix.from_rows(FR, [[0, 1], [0, 0]]))
-    with pytest.raises(KindMismatchError):
-        jacobi_eig(Matrix.identity(FQ, 2))
-
-
-def test_jacobi_reports_non_convergence():
-    from tracesim import ConvergenceError
-    s = Matrix.from_rows(FR, [[2, 1], [1, 2]])
-    with pytest.raises(ConvergenceError):
-        jacobi_eig(s, max_sweeps=0)
-
-
-# -- sqrt_spd ---------------------------------------------------------------------
-
-def test_sqrt_examples():
-    assert (sqrt_spd(Matrix.identity(FR, 3)) - Matrix.identity(FR, 3)).maxabs() < 1e-12
-    h = sqrt_spd(Matrix.diagonal(FR, [4, 9]))
-    assert (h - Matrix.diagonal(FR, [2, 3])).maxabs() < 1e-12
-    s = Matrix.from_rows(FR, [[2, 1], [1, 2]])
-    assert (sqrt_spd(s) * sqrt_spd(s) - s).maxabs() < 1e-12
-
-
-def test_sqrt_rejects_indefinite_and_singular():
-    with pytest.raises(IndefiniteMatrixError):
-        sqrt_spd(Matrix.diagonal(FR, [1, -1]))
-    with pytest.raises(IndefiniteMatrixError):
-        sqrt_spd(Matrix.diagonal(FR, [1, 0]))
-
-
-def test_sqrt_reconstruction_random_spd():
-    rng = random.Random(2)
-    for n in (2, 4, 6):
-        a = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
-        spd = a @ a.T + n * np.eye(n)
-        s = Matrix.from_numpy(FR, spd)
-        h = sqrt_spd(s)
-        err = (h * h - s).maxabs()
-        assert err <= 1e-10 * np.linalg.norm(spd)
+def test_every_exported_name_resolves():
+    import tracesim
+    missing = [name for name in tracesim.__all__ if not hasattr(tracesim, name)]
+    assert missing == []
 
 
 # -- specht_equivalent ---------------------------------------------------------------
@@ -262,6 +176,94 @@ def test_complex_unitary_round_trip():
     assert res.verdict == "equivalent"
     assert res.witness.residual_orth <= 1e-8
     assert res.witness.residual_conj <= 1e-8 * max(1.0, x.maxabs())
+
+
+# -- complex orthogonal round trips (plain transpose) ----------------------------------
+
+@pytest.mark.parametrize("d", range(1, 4))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_complex_orthogonal_round_trips(n, d):
+    # Y = O X O^t with O complex orthogonal but not unitary: G = P P^t is
+    # complex symmetric, not Hermitian, and the witness needs its primary root
+    rng = random.Random(100 * n + d)
+    eye = Matrix.identity(FCT, n)
+    for _ in range(20):
+        x = rand_complex_tuple(rng, FCT, n, d)
+        o = cayley_orthogonal(rng, FCT, n)
+        on = o.to_numpy()
+        assert (o * o.star() - eye).maxabs() < 1e-10
+        assert np.max(np.abs(on @ on.conj().T - np.eye(n))) > 1e-3
+        y = x.star_conjugated(o)
+        assert gl_similar(x, y).verdict == "similar"
+        res = orthogonal_witness(x, y)
+        assert res.verdict == "equivalent"
+        assert res.witness.residual_orth <= 1e-8
+        assert res.witness.residual_conj <= 1e-8 * max(1.0, x.maxabs(), y.maxabs())
+
+
+# -- the inverse square root ------------------------------------------------------------
+
+def test_negative_spectrum_takes_a_rotated_root():
+    # P = diag(i, 1) star-intertwines diag(1, 2) with itself, and
+    # G = P P^t = diag(-1, 1): the unrotated iteration breaks down on -1
+    x = MatrixTuple.of(Matrix.diagonal(FCT, [1, 2]))
+    p = Matrix.from_rows(FCT, [[1j, 0], [0, 1]])
+    w = orthogonal._construct_float_witness(p, x, x, 1e-8)
+    assert w.residual_orth <= 1e-12 and w.residual_conj <= 1e-12
+    g = np.diag([-1.0 + 0j, 1.0])
+    hinv = orthogonal._inverse_root(g)
+    assert np.max(np.abs(hinv @ hinv @ g - np.eye(2))) < 1e-12
+
+
+def test_inverse_root_of_a_non_diagonalizable_matrix():
+    # N is complex symmetric with N^2 = 0, so (I + N)^{-1/2} = I - N/2
+    nil = np.array([[1, 1j], [1j, -1]])
+    hinv = orthogonal._inverse_root(np.eye(2) + nil)
+    assert np.max(np.abs(hinv - (np.eye(2) - nil / 2))) < 1e-12
+
+
+def test_inverse_root_of_positive_definite_is_the_positive_one():
+    hinv = orthogonal._inverse_root(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert hinv.dtype == np.float64
+    # eigenvalue 3 on (1, 1) and 1 on (1, -1)
+    a, b = 1 / math.sqrt(3), 1.0
+    assert np.max(np.abs(hinv - np.array([[a + b, a - b], [a - b, a + b]]) / 2)) < 1e-12
+    rng = random.Random(9)
+    a = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
+                  for _ in range(4)])
+    g = a @ a.conj().T + np.eye(4)
+    hinv = orthogonal._inverse_root(g)
+    assert np.max(np.abs(hinv - hinv.conj().T)) < 1e-12
+    assert np.max(np.abs(hinv @ g @ hinv - np.eye(4))) < 1e-12
+    assert min(np.linalg.eigvalsh(hinv)) > 0
+
+
+@pytest.mark.parametrize("field, digits", [(FR, 8), (FC, 8), (FCT, 5)])
+def test_ill_conditioned_intertwiner_still_gives_a_witness(field, digits):
+    # X = Y = I: every P star-intertwines.  Here G = P star(P) has condition
+    # number 10^digits (times that of the complex orthogonal factor), so the
+    # stopping test must hold on its smallest eigenvalue, not against max |G|
+    rng = random.Random(10)
+    left = cayley_orthogonal(rng, field, 4) if field is FCT else givens_orthogonal(rng, 4)
+    right = givens_orthogonal(rng, 4).to_numpy()
+    p = left.to_numpy() @ np.diag(np.logspace(0, -digits / 2, 4)) @ right
+    x = MatrixTuple.of(Matrix.identity(field, 4))
+    w = orthogonal._construct_float_witness(Matrix.from_numpy(field, p), x, x, 1e-8)
+    assert w.residual_orth <= 1e-8
+
+
+def test_inverse_root_of_an_indefinite_real_matrix_is_none():
+    # no real root of -2 exists, and a real G is never rotated
+    assert orthogonal._inverse_root(np.diag([1.0, -2.0])) is None
+
+
+@pytest.mark.parametrize("field, rows", [(FR, [[1, 0], [0, 0]]),
+                                         (FCT, [[1, 1j], [0, 0]])])
+def test_singular_intertwiner_fails_at_every_angle(field, rows):
+    # both give a singular G (the second G = P P^t is zero)
+    x = MatrixTuple.of(Matrix.diagonal(field, [1, 2]))
+    with pytest.raises(WitnessConstructionError, match="numerically singular"):
+        orthogonal._construct_float_witness(Matrix.from_rows(field, rows), x, x, 1e-8)
 
 
 # -- witness retries ------------------------------------------------------------------
