@@ -34,10 +34,9 @@ that all escape leave a probable answer, with the Schwartz-Zippel bound
 the basis scale (``_orth``), so their negatives are numerical verdicts.
 
 ``_search`` runs this decision for GL similarity here and, on the starred
-space, for orthogonal similarity in ``orthogonal``.  Both put one filter in
-front (``_trace_word_filter``): the traces of the words of degree <= 2, pure
-or starred as the space is, where a differing word is the proof.  The
-search settles every pair the filter passes, so the filter only saves time.
+space, for orthogonal similarity in ``orthogonal``.  Trace words are not
+consulted: they separate orbits only in the starred real case, and the
+search settles every pair.
 """
 
 from __future__ import annotations
@@ -51,16 +50,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, ShapeError
+from .errors import ShapeError
 from .fields import Field
 from .matrices import (Matrix, MatrixTuple, _det_int, _float_kernel, _float_tol, _fractions,
                        _gauss_jordan_int, _int_kernel, _int_matrices, _require_exact_tol)
-from .words import fingerprint, fingerprints_equal
 
 DEFAULT_TRIALS = 20
 DEFAULT_SAMPLE_BOUND = 10 ** 6
 _FLOAT_DET_REL_TOL = 1e-9
-_FILTER_DEGREE = 2  # the word degree of the filter in front of the search
 
 
 @dataclass(frozen=True)
@@ -458,44 +455,26 @@ def _decide_span(b: IntertwinerBasis, seed: int, trials: int, sample_bound: int)
         % (trials, what, b.n, 2 * sample_bound + 1, trials, format(bound, ".2e")))
 
 
-def _trace_word_filter(x: MatrixTuple, y: MatrixTuple, with_star: bool) -> Optional[str]:
-    """The certified filter of both deciders: the traces of every word of
-    degree <= 2 (starred ones too with ``with_star``); a difference proves
-    the pair apart.  A tuple whose words exceed the enumeration budget skips
-    the filter and leaves the decision to the search."""
-    try:
-        fx = fingerprint(x, _FILTER_DEGREE, include_star=with_star)
-        fy = fingerprint(y, _FILTER_DEGREE, include_star=with_star)
-    except BudgetExceededError:
-        return None
-    equal, diff = fingerprints_equal(fx, fy, tol=1e-6)
-    return None if equal else "trace-word filter: %s" % diff
-
-
 def _search(x: MatrixTuple, y: MatrixTuple, with_star: bool, seed: int, trials: int,
-            sample_bound: int, filters: bool):
-    """The decision of GL and orthogonal similarity: the trace-word filter
-    when ``filters`` is set, then ``_decide_span`` on the (starred)
-    intertwiner space.  Returns (basis, P, proved, detail): P an invertible
-    draw still to be verified, or None with ``proved`` telling a certified
-    negative (a differing word, a zero space or a shrunk subspace) from a
-    probable one; basis is None when the filter decided."""
+            sample_bound: int):
+    """The decision of GL and orthogonal similarity: ``_decide_span`` on the
+    (starred) intertwiner space.  Returns (basis, P, proved, detail): P an
+    invertible draw still to be verified, or None with ``proved`` telling a
+    certified negative (a zero space or a shrunk subspace) from a probable
+    one."""
     _check_pair(x, y)
     _check_draws(trials, sample_bound)
-    reason = _trace_word_filter(x, y, with_star) if filters else None
-    if reason is not None:
-        return None, None, True, reason
     basis = intertwiner_basis(x, y, with_star=with_star)
     p, u, detail = _decide_span(basis, seed, trials, sample_bound)
     return basis, p, u is not None, detail
 
 
 def gl_similar(x: MatrixTuple, y: MatrixTuple, seed: int = 0, trials: int = DEFAULT_TRIALS,
-               sample_bound: int = DEFAULT_SAMPLE_BOUND, filters: bool = True) -> GLVerdict:
+               sample_bound: int = DEFAULT_SAMPLE_BOUND) -> GLVerdict:
     """Decide simultaneous similarity; a `similar` verdict carries a verified P,
-    `not_similar` a proof (a differing trace word, a zero space or a shrunk
-    subspace), and `not_similar_probable` follows only ``trials`` escaped draws."""
-    _, p, proved, detail = _search(x, y, False, seed, trials, sample_bound, filters)
+    `not_similar` a proof (a zero space or a shrunk subspace), and
+    `not_similar_probable` follows only ``trials`` escaped draws."""
+    _, p, proved, detail = _search(x, y, False, seed, trials, sample_bound)
     if p is None:
         return GLVerdict("not_similar" if proved else "not_similar_probable", None, detail)
     if not _verify_intertwiner(p, x, y, with_star=False):

@@ -3,8 +3,7 @@
 The decision is the constructive one: the tuples are orthogonally
 (unitarily) equivalent iff the star-intertwiner space
 {P : P X_i = Y_i P and P star(X_i) = star(Y_i) P} contains an invertible
-element.  The search shared with ``gl_similar`` decides it, with the
-starred words of degree <= 2 as its certified filter.
+element.  The search shared with ``gl_similar`` decides it.
 
 From an invertible star-intertwiner P the witness is built as follows.
 Writing G = P star(P), the two families of equations give
@@ -181,16 +180,16 @@ def _np_star(a: np.ndarray, field: Field):
 
 
 def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, tol: float = 1e-8,
-                       filters: bool = True, trials: int = DEFAULT_TRIALS,
+                       trials: int = DEFAULT_TRIALS,
                        sample_bound: int = DEFAULT_SAMPLE_BOUND) -> OrthVerdict:
     """Decide simultaneous orthogonal/unitary similarity and build a witness O.
 
     A positive verdict always rests on an invertible star-intertwiner; the
     returned O satisfies O star(O) = I and O X_i star(O) = Y_i within the
     reported residuals (exactly, in the rational scalar-square case).
-    Negatives follow ``gl_similar``, on the starred space and words.
+    Negatives follow ``gl_similar``, on the starred space.
     """
-    basis, p, proved, detail = _search(x, y, True, seed, trials, sample_bound, filters)
+    basis, p, proved, detail = _search(x, y, True, seed, trials, sample_bound)
     if p is None:
         verdict = "not_equivalent" if proved else "not_equivalent_probable"
         return OrthVerdict(verdict, None, None, detail)

@@ -4,7 +4,7 @@ JSON object with keys:
 
     field     "rational" | "float64" | "complex128"
     star      "transpose" | "conjugate"   (optional; kind-appropriate default)
-    n, d      dimensions
+    n, d      dimensions, integers >= 1
     matrices  d arrays of n*n entries, row-major
 
 Entries are "p/q" or "p" strings for rationals (denominator positive by
@@ -30,14 +30,14 @@ _STAR_NAMES = {s.value: s for s in StarMode}
 
 
 def field_from_names(field_name: str, star_name: str | None) -> Field:
-    if field_name not in _FIELD_NAMES:
-        raise TupleFileError("unknown field %r" % field_name)
+    if not isinstance(field_name, str) or field_name not in _FIELD_NAMES:
+        raise TupleFileError("unknown field %r" % (field_name,))
     kind = _FIELD_NAMES[field_name]
     if star_name is None:
         star = StarMode.CONJUGATE_TRANSPOSE if kind is Kind.COMPLEX128 else StarMode.TRANSPOSE
     else:
-        if star_name not in _STAR_NAMES:
-            raise TupleFileError("unknown star mode %r" % star_name)
+        if not isinstance(star_name, str) or star_name not in _STAR_NAMES:
+            raise TupleFileError("unknown star mode %r" % (star_name,))
         star = _STAR_NAMES[star_name]
     try:
         return Field(kind, star)
@@ -79,16 +79,25 @@ def format_entry(field: Field, value):
     return [value.real, value.imag]
 
 
+def _header(doc, required: tuple, optional: tuple = ()) -> tuple:
+    """(field, dims, matrices) of a tuple or matrix document: ``dims`` maps
+    every ``required`` key and each ``optional`` key present to its value, an
+    int (not a bool) >= 1.  Anything else raises ``TupleFileError``."""
+    if not isinstance(doc, dict):
+        raise TupleFileError("top level must be an object")
+    for key in ("field", "matrices") + required:
+        if key not in doc:
+            raise TupleFileError("missing key %r" % key)
+    dims = {key: doc[key] for key in required + optional if key in doc}
+    for key, value in dims.items():
+        if type(value) is not int or value < 1:
+            raise TupleFileError("%s must be an integer >= 1, got %r" % (key, value))
+    return field_from_names(doc["field"], doc.get("star")), dims, doc["matrices"]
+
+
 def tuple_from_dict(doc: dict) -> MatrixTuple:
-    try:
-        field = field_from_names(doc["field"], doc.get("star"))
-        n = int(doc["n"])
-        d = int(doc["d"])
-        matrices = doc["matrices"]
-    except KeyError as exc:
-        raise TupleFileError("missing key %s" % exc)
-    if n < 1 or d < 1:
-        raise TupleFileError("n and d must be positive")
+    field, dims, matrices = _header(doc, ("n", "d"))
+    n, d = dims["n"], dims["d"]
     if not isinstance(matrices, list) or len(matrices) != d:
         raise TupleFileError("expected %d matrices" % d)
     mats = []
@@ -133,15 +142,10 @@ def load_rect_matrix(path: str) -> Matrix:
     Same format as a d=1 tuple file plus an optional "cols" key; entries
     are n*cols row-major.
     """
-    doc = _read_json(path)
-    try:
-        field = field_from_names(doc["field"], doc.get("star"))
-        n = int(doc["n"])
-        cols = int(doc.get("cols", n))
-        matrices = doc["matrices"]
-    except KeyError as exc:
-        raise TupleFileError("missing key %s" % exc)
-    if int(doc.get("d", 1)) != 1 or not isinstance(matrices, list) or len(matrices) != 1:
+    field, dims, matrices = _header(_read_json(path), ("n",), ("d", "cols"))
+    n = dims["n"]
+    cols = dims.get("cols", n)
+    if dims.get("d", 1) != 1 or not isinstance(matrices, list) or len(matrices) != 1:
         raise TupleFileError("expected a single matrix")
     entries = matrices[0]
     if not isinstance(entries, list) or len(entries) != n * cols:

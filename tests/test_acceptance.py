@@ -43,17 +43,17 @@ def corpus_by_name():
     return {fx.name: fx for fx in load_corpus()}
 
 
-def unfiltered_search(x, y, with_star):
-    """(basis, P, U) of the intertwiner search with no filter in front."""
+def search_certificate(x, y, with_star):
+    """(basis, P, U) of the intertwiner search."""
     basis = intertwiner_basis(x, y, with_star)
     p, u, _ = _decide_span(basis, 0, DEFAULT_TRIALS, DEFAULT_SAMPLE_BOUND)
     return basis, p, u
 
 
 def assert_certified_not_similar(x, y):
-    """The search alone proves the pair not similar, and its shrunk subspace
+    """The search proves the pair not similar, and its shrunk subspace
     passes the standalone check."""
-    basis, p, u = unfiltered_search(x, y, False)
+    basis, p, u = search_certificate(x, y, False)
     assert p is None and shrinks(basis.basis, u)
 
 
@@ -180,7 +180,7 @@ def test_criterion_6_specht_sufficiency_desk_scale():
             x = MatrixTuple.of(x_mat)
             y = MatrixTuple.of(y_mat)
             fp_equal, _ = fingerprints_equal(fingerprint(x, 4), fingerprint(y, 4))
-            basis, p, u = unfiltered_search(x, y, True)
+            basis, p, u = search_certificate(x, y, True)
             assert p is not None or shrinks(basis.basis, u)  # certified either way
             witness_exists = p is not None
             assert fp_equal == witness_exists, \

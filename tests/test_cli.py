@@ -7,7 +7,8 @@ import pytest
 from tracesim import (Field, Matrix, MatrixTuple, StarMode, UnitSystem, dump_tuple,
                       load_tuple)
 from tracesim.cli import main
-from tracesim.tupleio import tuple_from_dict, tuple_to_dict
+from tracesim import TupleFileError
+from tracesim.tupleio import load_rect_matrix, tuple_from_dict, tuple_to_dict
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -58,13 +59,72 @@ def test_tuple_file_round_trip_all_kinds(tmp_path):
 
 
 def test_malformed_rational_entry_rejected(tmp_path):
-    from tracesim import TupleFileError
     for bad in ("1/-2", "1/0", "0.5", 1.5):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"field": "rational", "n": 1, "d": 1,
                                     "matrices": [[bad]]}))
         with pytest.raises(TupleFileError):
             load_tuple(str(path))
+
+
+_HEADER = {"field": "rational", "n": 1, "d": 1, "matrices": [["1"]]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n": "x"}, "n must be an integer >= 1, got 'x'"),
+    ({"n": 1.9}, "n must be an integer >= 1, got 1.9"),
+    ({"n": 1.0}, "n must be an integer >= 1, got 1.0"),
+    ({"n": True}, "n must be an integer >= 1, got True"),
+    ({"n": 0}, "n must be an integer >= 1, got 0"),
+    ({"d": None}, "d must be an integer >= 1, got None"),
+    ({"field": ["rational"]}, r"unknown field \['rational'\]"),
+    ({"star": 1}, "unknown star mode 1"),
+], ids=["n-string", "n-fraction", "n-float", "n-bool", "n-zero", "d-null", "field-list",
+        "star-number"])
+def test_malformed_tuple_header_rejected(change, message):
+    with pytest.raises(TupleFileError, match=message):
+        tuple_from_dict({**_HEADER, **change})
+
+
+def test_tuple_document_must_be_an_object_with_every_key(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for load in (lambda: load_tuple(str(path)), lambda: tuple_from_dict([1, 2])):
+        with pytest.raises(TupleFileError, match="top level must be an object"):
+            load()
+    for key in ("field", "n", "d", "matrices"):
+        doc = {k: v for k, v in _HEADER.items() if k != key}
+        with pytest.raises(TupleFileError, match="missing key '%s'" % key):
+            tuple_from_dict(doc)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n": 0, "matrices": [[]]}, "n must be an integer >= 1, got 0"),
+    ({"n": "2"}, "n must be an integer >= 1, got '2'"),
+    ({"cols": 0, "matrices": [[]]}, "cols must be an integer >= 1, got 0"),
+    ({"cols": 1.5}, "cols must be an integer >= 1, got 1.5"),
+    ({"d": 2}, "expected a single matrix"),
+    ({"field": ["rational"]}, "unknown field"),
+], ids=["n-zero", "n-string", "cols-zero", "cols-fraction", "two-matrices", "field-list"])
+def test_malformed_rect_matrix_header_rejected(tmp_path, change, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"field": "rational", "n": 2, "cols": 1,
+                                "matrices": [["1", "1"]], **change}))
+    with pytest.raises(TupleFileError, match=message):
+        load_rect_matrix(str(path))
+    path.write_text("[]")
+    with pytest.raises(TupleFileError, match="top level must be an object"):
+        load_rect_matrix(str(path))
+
+
+def test_similar_reports_a_malformed_header(tmp_path, diag_files, capsys):
+    x, _ = diag_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**_HEADER, "n": "x"}))
+    code = main(["similar", str(bad), x])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: n must be an integer >= 1, got 'x'\n"
 
 
 # -- fingerprint command -------------------------------------------------------------

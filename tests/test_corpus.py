@@ -71,9 +71,9 @@ def test_hom_dimension_fixture_is_not_settled_by_dimensions():
     ("needs-transpose", True), ("hom-dimension", False),
 ])
 def test_exact_negative_fixtures_carry_checked_certificates(name, with_star):
-    """With no filter in front, the search alone proves each exact negative
-    fixture, plain and starred, by a shrunk subspace that the standalone
-    check accepts.  (The starred space of hom-dimension is zero.)"""
+    """The search proves each exact negative fixture, plain and starred, by
+    a shrunk subspace that the standalone check accepts.  (The starred space
+    of hom-dimension is zero.)"""
     fx = by_name()[name]
     basis = intertwiner_basis(fx.x, fx.y, with_star)
     p, u, detail = _decide_span(basis, 0, DEFAULT_TRIALS, DEFAULT_SAMPLE_BOUND)
@@ -107,12 +107,10 @@ def test_run_fixture_reports_labels():
                                   "gl-positive", "orthogonal-positive", "hom-dimension"])
 def test_float_fixtures_keep_their_verdicts(name):
     """The float64 copy of each fixture (complex-transpose is float already)
-    gets the fixture's verdicts, with the filters on and off."""
+    gets the fixture's verdicts."""
     fx = by_name()[name]
     x, y = fx.x, fx.y
     if x.field.is_exact:
         x, y = x.astype(Field.real64()), y.astype(Field.real64())
-    for filters in (True, False):
-        assert gl_similar(x, y, filters=filters).is_similar == fx.expected.gl_similar
-        orth = orthogonal_witness(x, y, filters=filters)
-        assert orth.is_equivalent == fx.expected.orth_similar
+    assert gl_similar(x, y).is_similar == fx.expected.gl_similar
+    assert orthogonal_witness(x, y).is_equivalent == fx.expected.orth_similar

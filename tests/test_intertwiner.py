@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from certificate import fraction_rank, shrinks
 from conftest import rand_invertible_int, rand_rational_tuple
-from tracesim import (BudgetExceededError, Field, IntertwinerBasis, Matrix, MatrixTuple,
-                      ShapeError, find_invertible, fingerprint, gl_similar, intertwiner_basis,
-                      orthogonal_witness)
-from tracesim import intertwiner
+from tracesim import (Field, IntertwinerBasis, Matrix, MatrixTuple, ShapeError,
+                      find_invertible, gl_similar, intertwiner_basis, orthogonal_witness)
+from tracesim import intertwiner, words
 from tracesim.intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _decide_span,
                                   _verify_intertwiner)
 from tracesim.matrices import _det_int, _power_traces
@@ -28,7 +27,7 @@ def decide(b):
 
 
 def wong_certificate(x, y, with_star=False):
-    """(basis, U) of the unfiltered search on a pair."""
+    """(basis, U) of the search on a pair."""
     basis = intertwiner_basis(x, y, with_star)
     p, u, _ = decide(basis)
     assert p is None and u is not None
@@ -68,7 +67,7 @@ def test_no_trace_pair_has_only_singular_intertwiners():
     b = intertwiner_basis(x, y, with_star=False)
     assert b.dim == 4
     assert find_invertible(b) is None
-    verdict = gl_similar(x, y, filters=False)
+    verdict = gl_similar(x, y)
     assert (verdict.verdict, verdict.detail) == (
         "not_similar", "shrunk subspace: dim U = 2 > dim sum_j B_j U = 1, so no intertwiner "
         "is invertible (second Wong sequence, draw 1)")
@@ -148,7 +147,7 @@ def test_empty_basis_has_no_invertible():
     assert find_invertible(b) is None
 
 
-_DIAG = ([1, 2], [2, 1])  # similar, and every filter agrees
+_DIAG = ([1, 2], [2, 1])  # similar
 
 
 @pytest.mark.parametrize("call", ["find_invertible", "gl_similar", "orthogonal_witness"])
@@ -245,12 +244,12 @@ def test_monte_carlo_negative_is_labeled_probable(monkeypatch):
         monkeypatch.setattr(intertwiner, "intertwiner_basis",
                             lambda x, y, with_star: skew_span(field, with_star))
         x = MatrixTuple.of(Matrix.identity(field, 3))
-        v = gl_similar(x, x, filters=False)
+        v = gl_similar(x, x)
         assert (v.verdict, v.detail) == (
             "not_similar_probable",
             "20 Monte Carlo draws found no invertible intertwiner and no shrunk subspace; "
             + bound)
-        v = orthogonal_witness(x, x, filters=False)
+        v = orthogonal_witness(x, x)
         assert (v.verdict, v.detail) == (
             "not_equivalent_probable",
             "20 Monte Carlo draws found no invertible star-intertwiner and no shrunk "
@@ -286,7 +285,7 @@ def jordan(sizes, eigenvalues=None):
 def test_jordan_pairs_are_proven_not_similar(xs, ys, dim, dim_u, dim_image):
     x, y = jordan(xs), jordan(ys)
     t0 = time.perf_counter()
-    v = gl_similar(x, y, filters=False)
+    v = gl_similar(x, y)
     assert time.perf_counter() - t0 < 1.0
     assert intertwiner_basis(x, y, with_star=False).dim == dim
     assert (v.verdict, v.detail) == (
@@ -325,7 +324,7 @@ def test_d1_verdicts_match_the_hom_dimension_identity(n):
         for j in range(i, len(types)):
             y = types[j].conjugated(p)
             similar = self_dims[i] + self_dims[j] == 2 * intertwiner_basis(x, y, False).dim
-            v = gl_similar(x, y, filters=False)
+            v = gl_similar(x, y)
             assert v.verdict == ("similar" if similar else "not_similar"), (i, j, v.detail)
             negatives += not similar
     assert negatives == len(types) * (len(types) - 1) // 2  # only i == j is similar
@@ -340,10 +339,10 @@ def test_float_jordan_pairs_are_not_similar(field, xs, ys):
     rank decisions against the fixed scale drop the rounding noise of
     B_j ker A instead of keeping it as directions."""
     x, y = jordan(xs).astype(field), jordan(ys).astype(field)
-    v = gl_similar(x, y, filters=False)
+    v = gl_similar(x, y)
     assert v.verdict == "not_similar"
     assert v.detail.startswith("shrunk subspace") and v.detail.endswith("draw 1)")
-    assert gl_similar(x, x, filters=False).verdict == "similar"
+    assert gl_similar(x, x).verdict == "similar"
 
 
 def extension(a, b, c):
@@ -397,7 +396,7 @@ def test_extension_pairs_are_certified():
         zero = [Matrix.zeros(FQ, na, nb)] * d
         x, y = extension(a, b, c), extension(a, b, zero)
         similar = splits(a, b, c)
-        v = gl_similar(x, y, filters=False)
+        v = gl_similar(x, y)
         assert v.verdict == ("similar" if similar else "not_similar"), v.detail
         if not similar:
             assert shrinks(*wong_certificate(x, y))
@@ -430,21 +429,24 @@ _SHRUNK_2_1 = ("shrunk subspace: dim U = 2 > dim sum_j B_j U = 1, so no intertwi
 
 
 def test_gl_similar_rejects_rank_gap():
-    """Ranks 2 vs 1 with every pure trace word 0: the filter passes the pair
-    and the search proves it apart, exactly and in float64."""
+    """Ranks 2 vs 1 with every pure trace word 0: the search proves the pair
+    apart, exactly and in float64, and the exact U passes the standalone
+    check."""
     for field in (FQ, FR):
         x = MatrixTuple.of(Matrix.unit(field, 4, 0, 1) + Matrix.unit(field, 4, 2, 3))
         y = MatrixTuple.of(Matrix.unit(field, 4, 0, 1))
         assert (x[0].rank(), y[0].rank()) == (2, 1)
         v = gl_similar(x, y)
         assert (v.verdict, v.detail) == ("not_similar", _SHRUNK_2_1)
+        if field.is_exact:
+            assert shrinks(*wong_certificate(x, y))
 
 
 @pytest.mark.parametrize("field", [FQ, FR], ids=["rational", "float64"])
 def test_power_trace_gap_is_proved_by_the_search(field):
-    """diag(1, 4, 4) vs diag(2, 2, 5): equal rank, tr X and tr X^2, so the
-    degree-2 filter passes them; only tr X^3 differs (129 vs 141), and the
-    search proves the pair apart by its zero intertwiner space."""
+    """diag(1, 4, 4) vs diag(2, 2, 5): equal rank, tr X and tr X^2; only
+    tr X^3 differs (129 vs 141), and the search proves the pair apart by its
+    zero intertwiner space."""
     x = MatrixTuple.of(Matrix.diagonal(field, [1, 4, 4]))
     y = MatrixTuple.of(Matrix.diagonal(field, [2, 2, 5]))
     assert x[0].rank() == y[0].rank()
@@ -454,27 +456,20 @@ def test_power_trace_gap_is_proved_by_the_search(field):
     assert orthogonal_witness(x, y).detail == "star-intertwiner space is zero"
 
 
-def test_filter_skips_past_the_budget_for_both_deciders():
-    """3163 letters give 3163^2 > 10^7 words of degree 2, over the default
-    enumeration budget: both deciders skip the filter and the search decides."""
-    d = 3163
+def test_deciders_enumerate_no_words(monkeypatch):
+    """300 letters give 90,000 words of degree 2, which a trace-word step
+    would take quadratic time over; both deciders settle the pairs from the
+    intertwiner space alone, without enumerating a single word."""
+    def no_words(*args):
+        raise AssertionError("a decider enumerated trace words")
+    monkeypatch.setattr(words, "_enumerate_cached", no_words)
+    d = 300
     x = MatrixTuple.of(*(Matrix.from_rows(FQ, [[i % 5]]) for i in range(d)))
     y = MatrixTuple.of(*(Matrix.from_rows(FQ, [[i % 5 if i else 7]]) for i in range(d)))
-    with pytest.raises(BudgetExceededError):
-        fingerprint(x, 2, include_star=False)
     assert gl_similar(x, x).verdict == "similar"
     assert orthogonal_witness(x, x).verdict == "equivalent"
     assert gl_similar(x, y).detail == "intertwiner space is zero"
     assert orthogonal_witness(x, y).detail == "star-intertwiner space is zero"
-
-
-def test_gl_similar_shrunk_subspace_proof_without_filters():
-    x = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1) + Matrix.unit(FQ, 4, 2, 3))
-    y = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1))
-    v = gl_similar(x, y, filters=False)
-    assert v.verdict == "not_similar"
-    assert v.detail.startswith("shrunk subspace")
-    assert shrinks(*wong_certificate(x, y))
 
 
 def test_gl_similar_symmetric_verdicts():
@@ -565,19 +560,13 @@ def test_verify_intertwiner_rejects_overflowing_residual():
 
 
 # Every branch of the shared search, pinned verbatim for both deciders: the
-# CLI and the benchmark checks read these verdict and detail strings.
+# CLI prints these verdict and detail strings, and the benchmark checks read
+# the verdicts.
 _ZERO = ([1, 2], [3, 4])        # no nonzero intertwiner, starred or not
-_SINGULAR = ([1, 0], [1, 1])    # nonzero intertwiners, all singular; the filters see it
+_SINGULAR = ([1, 0], [1, 1])    # nonzero intertwiners, all singular
 _SKEW = None                    # the skew span: every draw singular, no shrunk subspace
 _BOUND = "Schwartz-Zippel error bound (3/2000001)^20 = 3.33e-117"
-
-
-def _gl(x, y, filters, **params):
-    return gl_similar(x, y, filters=filters, **params)
-
-
-def _orth(x, y, filters, **params):
-    return orthogonal_witness(x, y, filters=filters, **params)
+_gl, _orth = gl_similar, orthogonal_witness
 
 
 @pytest.mark.parametrize("decide, pair, verdict, detail", [
@@ -585,12 +574,12 @@ def _orth(x, y, filters, **params):
     (_gl, _SINGULAR, "not_similar",
      "shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no intertwiner is invertible "
      "(second Wong sequence, draw 1)"),
-    (_gl, _SINGULAR, ShapeError, "trace-word filter: first differing word x1: 1 vs 2"),
+    (_gl, _SINGULAR, ShapeError, "the search needs trials >= 1 and sample_bound >= 1"),
     (_orth, _ZERO, "not_equivalent", "star-intertwiner space is zero"),
     (_orth, _SINGULAR, "not_equivalent",
      "shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no star-intertwiner is "
      "invertible (second Wong sequence, draw 1)"),
-    (_orth, _SINGULAR, ShapeError, "trace-word filter: first differing word x1: 1 vs 2"),
+    (_orth, _SINGULAR, ShapeError, "the search needs trials >= 1 and sample_bound >= 1"),
     (_gl, _SKEW, "not_similar_probable",
      "20 Monte Carlo draws found no invertible intertwiner and no shrunk subspace; " + _BOUND),
     (_orth, _SKEW, "not_equivalent_probable",
@@ -606,12 +595,11 @@ def test_decider_branches(decide, pair, verdict, detail, monkeypatch):
     else:
         x, y = (MatrixTuple.of(Matrix.diagonal(FQ, v)) for v in pair)
     if verdict is ShapeError:
-        # the filter settles the pair, yet bad draw parameters are refused first
-        assert decide(x, y, filters=True).detail == detail
-        with pytest.raises(ShapeError, match="trials >= 1"):
-            decide(x, y, filters=True, trials=0)
+        for params in ({"trials": 0}, {"sample_bound": 0}):
+            with pytest.raises(ShapeError, match=detail):
+                decide(x, y, **params)
         return
-    v = decide(x, y, filters=False)
+    v = decide(x, y)
     assert (v.verdict, v.detail) == (verdict, detail)
     if v.detail.startswith("shrunk"):
         basis, u = wong_certificate(x, y, with_star=decide is _orth)

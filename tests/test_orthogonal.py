@@ -86,7 +86,7 @@ def test_witness_rotation_conjugate_pair():
 
 def test_matching_low_degree_words_but_empty_star_space():
     # same trace and same sum of squares, disjoint spectra: the degree-2
-    # filter passes and the decision falls to the (empty) intertwiner space
+    # words agree and the (empty) intertwiner space decides
     x = MatrixTuple.of(Matrix.diagonal(FQ, [0, 3, 3]))
     y = MatrixTuple.of(Matrix.diagonal(FQ, [1, 1, 4]))
     equal, _ = specht_equivalent(x, y, 2)
@@ -101,9 +101,12 @@ def test_matching_low_degree_words_but_empty_star_space():
 def test_witness_rejects_sum_of_squares_gap():
     x = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1) + Matrix.unit(FQ, 4, 2, 3))
     y = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1))
+    equal, diff = specht_equivalent(x, y, 2)
+    assert not equal and str(diff.word) == "x1 x1*"
     res = orthogonal_witness(x, y)
-    assert res.verdict == "not_equivalent"
-    assert "x1 x1*" in res.detail
+    assert (res.verdict, res.detail) == (
+        "not_equivalent", "shrunk subspace: dim U = 4 > dim sum_j B_j U = 2, so no "
+        "star-intertwiner is invertible (second Wong sequence, draw 1)")
 
 
 def test_float_round_trips_small():
