@@ -442,6 +442,18 @@ def test_gl_similar_rejects_rank_gap():
             assert shrinks(*wong_certificate(x, y))
 
 
+def test_gl_similar_shrunk_subspace_proof_without_filters():
+    """With no trace-word step in front of it, the search alone proves the
+    rank-gap pair apart by a shrunk subspace, and its Wong certificate U
+    passes the standalone check."""
+    x = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1) + Matrix.unit(FQ, 4, 2, 3))
+    y = MatrixTuple.of(Matrix.unit(FQ, 4, 0, 1))
+    v = gl_similar(x, y)
+    assert v.verdict == "not_similar"
+    assert v.detail.startswith("shrunk subspace")
+    assert shrinks(*wong_certificate(x, y))
+
+
 @pytest.mark.parametrize("field", [FQ, FR], ids=["rational", "float64"])
 def test_power_trace_gap_is_proved_by_the_search(field):
     """diag(1, 4, 4) vs diag(2, 2, 5): equal rank, tr X and tr X^2; only
