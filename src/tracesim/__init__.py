@@ -1,12 +1,13 @@
-"""tracesim: simultaneous similarity of matrix tuples via trace-word invariants.
+"""tracesim: simultaneous similarity of matrix tuples, decided through
+intertwiner spaces.
 
 Decides whether two d-tuples of n x n matrices are simultaneously similar
 (conjugate by one invertible P) or simultaneously orthogonally/unitarily
-similar, produces certified witnesses, and exposes the supporting
-machinery: exact rational and float linear algebra, canonical trace words
-and fingerprints, matrix-unit recognition with the induced embedding,
-center/commutant extraction, and a trace-only unique-solvability test for
-Sylvester's equation.
+similar from the space of intertwiners, produces certified witnesses, and
+exposes the supporting machinery: exact rational and float linear
+algebra, canonical trace words and fingerprints, matrix-unit recognition
+with the induced embedding, center/commutant extraction, and a trace-only
+unique-solvability test for Sylvester's equation.
 """
 
 from .corpus import Expected, Fixture, FixtureResult, load_corpus, run_corpus, run_fixture

@@ -171,8 +171,8 @@ def cmd_corpus(args, out) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracesim",
-        description="Similarity and orthogonal similarity of matrix tuples "
-                    "via trace-word invariants.")
+        description="Similarity and orthogonal similarity of matrix tuples, "
+                    "decided through intertwiner spaces, with trace-word invariants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fingerprint", help="trace of every canonical word of a tuple")

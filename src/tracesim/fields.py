@@ -1,9 +1,10 @@
 """Scalar kinds and the star involution.
 
 Three kinds of scalars are supported: exact rationals (arbitrary-precision
-``fractions.Fraction``), real float64 and complex float128-pairs (Python
-``complex``).  A :class:`Field` bundles the kind with the star mode, i.e.
-whether ``star`` acts as plain transposition or conjugate transposition.
+``fractions.Fraction``), real float64 and complex128, a pair of float64
+(Python ``complex``).  A :class:`Field` bundles the kind with the star
+mode, i.e. whether ``star`` acts as plain transposition or conjugate
+transposition.
 Exact kinds never round; float kinds never pretend to be exact.
 
 Rationals and reals force the transpose star.  Complex scalars default to
@@ -91,12 +92,6 @@ class Field:
             return _finite(complex, value)
         raise KindMismatchError("complex128 field expects a number, got %r" % (value,))
 
-    def conj_scalar(self, value):
-        """Complex conjugation of the scalar (identity on rationals/reals)."""
-        if self.kind is Kind.COMPLEX128:
-            return value.conjugate()
-        return value
-
     def require_same(self, other: "Field"):
         if self != other:
             raise KindMismatchError(
@@ -120,13 +115,6 @@ def _finite(caster, value):
 
 _ZERO = {Kind.RATIONAL: Fraction(0), Kind.REAL64: 0.0, Kind.COMPLEX128: 0j}
 _ONE = {Kind.RATIONAL: Fraction(1), Kind.REAL64: 1.0, Kind.COMPLEX128: 1 + 0j}
-
-
-def abs_value(value) -> float:
-    """Magnitude as a float, for pivot thresholds and residual reporting."""
-    if isinstance(value, Fraction):
-        return abs(float(value))
-    return abs(value)
 
 
 def value_str(value) -> str:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .fields import Field
-from .matrices import (Matrix, MatrixTuple, _det_int, _float_kernel, _float_tol, _fractions,
+from .matrices import (Matrix, MatrixTuple, _det_int, _float_kernel, _float_tol, _from_raw,
                        _gauss_jordan_int, _int_kernel, _int_matrices, _require_exact_tol)
 
 DEFAULT_TRIALS = 20
@@ -109,7 +109,8 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
         if with_star:  # the exact star is the transpose
             xs += [[list(c) for c in zip(*m)] for m in xs]
             ys += [[list(c) for c in zip(*m)] for m in ys]
-        basis = tuple(Matrix(x.field, n, n, tuple(v)) for v in _exact_intertwiners(xs, ys, n))
+        vectors, d = _exact_intertwiners(xs, ys, n)
+        basis = tuple(_from_raw(x.field, n, n, v, d) for v in vectors)
     else:
         xs = [m.to_numpy() for m in x.matrices]
         ys = [m.to_numpy() for m in y.matrices]
@@ -138,8 +139,9 @@ def _float_system(xs, ys, n: int) -> np.ndarray:
     return system.reshape(d * n * n, n * n)
 
 
-def _exact_intertwiners(xs, ys, n: int) -> list:
-    """Reduced basis (Fraction lists) of {P : P X_i = Y_i P for every pair}.
+def _exact_intertwiners(xs, ys, n: int) -> tuple:
+    """(vectors, d): the reduced basis of {P : P X_i = Y_i P for every pair}
+    as integer vectors over one d.
 
     ``xs`` and ``ys`` hold integer matrices as row lists.  The first
     equation is solved through Krylov chains of X = X_1 (``_krylov_chains``):
@@ -159,15 +161,15 @@ def _exact_intertwiners(xs, ys, n: int) -> list:
     equations in the k coefficients.  The kernel shrinks at every step, and
     the loop stops once it is zero.  Kernel vectors are kept as ints divided
     by the gcd of their entries.  The last step brings the basis to the
-    form ``_int_nullspace`` gives for the whole system: Gauss-Jordan on the
-    column-reversed basis makes each vector d at one entry (the free column)
-    and 0 at the other free ones.  That form is unique for the space, so
-    it does not depend on the chains or the staging.
+    form ``Matrix.nullspace`` gives for the whole system: Gauss-Jordan on
+    the column-reversed basis makes each vector d at one entry (the free
+    column) and 0 at the other free ones.  That form is unique for the
+    space, so it does not depend on the chains or the staging.
     """
     basis = [_primitive(v) for v in _chain_intertwiners(xs[0], ys[0], n)]
     for xi, yi in zip(xs[1:], ys[1:]):
         if not basis:
-            return []
+            return [], 1
         xcols = [list(c) for c in zip(*xi)]
         residuals = []
         for p in basis:
@@ -181,7 +183,7 @@ def _exact_intertwiners(xs, ys, n: int) -> list:
         entries = list(zip(*basis))
         basis = [_primitive([sum(map(mul, cs, col)) for col in entries]) for cs in coeffs]
     ech, pivots, d, _ = _gauss_jordan_int([v[::-1] for v in basis])
-    return [_fractions(ech[r][::-1], d) for r in reversed(range(len(pivots)))]
+    return [ech[r][::-1] for r in reversed(range(len(pivots)))], d
 
 
 def _krylov_chains(x, n: int) -> tuple:
@@ -389,7 +391,7 @@ def _shrunk_subspace(b: IntertwinerBasis, mats, a, rows) -> Optional[tuple]:
     while True:
         w = images(u)
         if len(w) < len(u):
-            cols = (Matrix.from_rows(b.field, [list(r) for r in zip(*u)]) if exact
+            cols = (_from_raw(b.field, n, len(u), [e for r in zip(*u) for e in r]) if exact
                     else Matrix.from_numpy(b.field, u.T))
             return cols, len(w)
         u = preimage(w)
@@ -404,7 +406,7 @@ def _certifies(b: IntertwinerBasis, mats, u: Matrix, image_dim: int) -> bool:
     negatives are numerical verdicts and keep the loop's own ranks."""
     if not b.field.is_exact:
         return True
-    cols = [list(c) for c in zip(*_int_matrices([u])[0][0])]
+    cols = [list(u.values[j::u.cols]) for j in range(u.cols)]
     images = [[sum(map(mul, row, v)) for row in m] for m in mats for v in cols]
     return (len(_gauss_jordan_int(cols)[1]) == u.cols
             and len(_gauss_jordan_int(images)[1]) == image_dim < u.cols)

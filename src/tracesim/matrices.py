@@ -1,14 +1,22 @@
 """Dense matrices over the three scalar kinds, plus tuples of them.
 
+A matrix stores its row-major ``values`` over one ``denom``.  An exact
+(rational) matrix holds ints over an int denom >= 1 with
+gcd(denom, *values) == 1, so every rational matrix has exactly one stored
+form (the zero matrix has denom 1) and the generated ``==`` and ``hash`` are
+those of the rationals.  A float or complex matrix holds its scalars with
+denom 1.  ``_from_raw`` is the one constructor that brings values over a
+denominator to that form; ``Fraction`` appears only at the boundary:
+``entries``, ``at``, ``trace``, ``det`` and ``from_rows``.
+
 Two linear-algebra engines sit behind one interface:
 
-* exact (rational kind): the entries are cleared to integers over one
-  common denominator and reduced with one fraction-free Gauss-Jordan
-  elimination (``_gauss_jordan_int``).  Its reduced rows all end with the
-  same pivot d, so a rank is the number of pivots, a determinant is
-  ``sign * d`` over the cleared denominator (closed forms up to 4x4), and
-  each kernel or solution entry is one ``Fraction(row[c], d)``.
-  Everything is exact, with no rounding anywhere.
+* exact (rational kind): one fraction-free Gauss-Jordan elimination
+  (``_gauss_jordan_int``) of the stored integers.  Its reduced rows all end
+  with the same pivot d, so a rank is the number of pivots, a determinant
+  is ``sign * d`` over denom^n (closed forms up to 4x4), and each kernel or
+  solution vector is its integer row over d.  Everything is exact, with no
+  rounding anywhere.
 * float (real/complex kinds): numpy-backed Gauss-Jordan with partial
   pivoting (``_float_rref``); a pivot counts iff its magnitude exceeds
   ``tol * max(|initial entries|)``, with ``tol`` defaulting to 1e-9.
@@ -16,15 +24,14 @@ Two linear-algebra engines sit behind one interface:
   one per free column; float ``Matrix.nullspace`` wraps it, and the float
   intertwiner system, assembled as a numpy array, calls it directly.
 
-Products follow the same split, in one loop (``_raw_product``).  Each exact
-matrix clears its denominators once, A = A'/La with A' integer, and keeps
-(A', La) as ``Matrix._ints`` for every later product it takes part in; a
-product takes every entry of A'B' as one integer dot product and returns
-A'B'/(La Lb).  A float or complex product accumulates each entry left to
-right from zero; ``sum()`` is avoided there because from Python 3.12 it
-compensates float sums, which would make results depend on the Python
-version.  Callers that stack several matrices into one operand, or compare
-products without building them, use the raw entries directly.
+Products follow the same split, in one loop (``_raw_product``).  An exact
+product takes every entry of A'B' as one integer dot product of the stored
+values and returns A'B' over the product of the denominators.  A float or
+complex product accumulates each entry left to right from zero; ``sum()``
+is avoided there because from Python 3.12 it compensates float sums, which
+would make results depend on the Python version.  Callers that stack
+several matrices into one operand, or compare products without building
+them, pass the stored values directly.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -34,15 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import KindMismatchError, ShapeError, SingularMatrixError
-from .fields import Field, Kind, StarMode, abs_value
+from .fields import Field, Kind, StarMode
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -52,7 +58,8 @@ class Matrix:
     field: Field
     rows: int
     cols: int
-    entries: tuple  # row-major, length rows*cols
+    values: tuple  # row-major, length rows*cols; ints for the exact kind
+    denom: int = 1  # exact entries are values[e] / denom; 1 for the float kinds
 
     # -- construction -----------------------------------------------------
 
@@ -67,31 +74,32 @@ class Matrix:
             if len(row) != cols:
                 raise ShapeError("ragged rows")
             flat.extend(field.coerce(x) for x in row)
-        return Matrix(field, rows, cols, tuple(flat))
+        if not field.is_exact:
+            return Matrix(field, rows, cols, tuple(flat))
+        return _from_ratios(field, rows, cols, [(x.numerator, x.denominator) for x in flat])
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, (field.zero(),) * (rows * cols))
+        return Matrix(field, rows, cols, (_zero_one(field)[0],) * (rows * cols))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
+        z, o = _zero_one(field)
         return Matrix(field, n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
 
     @staticmethod
     def unit(field: Field, n: int, i: int, j: int) -> "Matrix":
         """Standard matrix unit E_ij (0-based) in M_n."""
-        z, o = field.zero(), field.one()
+        z, o = _zero_one(field)
         return Matrix(field, n, n, tuple(o if (r, c) == (i, j) else z for r in range(n) for c in range(n)))
 
     @staticmethod
     def diagonal(field: Field, values: Sequence) -> "Matrix":
         n = len(values)
-        z = field.zero()
-        ent = [z] * (n * n)
-        for i, v in enumerate(values):
-            ent[i * n + i] = field.coerce(v)
-        return Matrix(field, n, n, tuple(ent))
+        row = Matrix.from_rows(field, [list(values)])
+        flat = [_zero_one(field)[0]] * (n * n)
+        flat[::n + 1] = row.values
+        return Matrix(field, n, n, tuple(flat), row.denom)
 
     @staticmethod
     def from_numpy(field: Field, arr) -> "Matrix":
@@ -106,8 +114,16 @@ class Matrix:
 
     # -- basic access ------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple:
+        """Row-major entries as scalars of the kind (``Fraction`` when exact)."""
+        if not self.field.is_exact:
+            return self.values
+        return tuple(Fraction(v, self.denom) for v in self.values)
+
     def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        v = self.values[i * self.cols + j]
+        return Fraction(v, self.denom) if self.field.is_exact else v
 
     def __getitem__(self, ij):
         return self.at(*ij)
@@ -119,12 +135,10 @@ class Matrix:
 
     def to_numpy(self):
         if self.field.kind is Kind.RATIONAL:
-            dtype = float
-        elif self.field.kind is Kind.REAL64:
-            dtype = np.float64
-        else:
-            dtype = np.complex128
-        return np.array([dtype(x) for x in self.entries], dtype=dtype).reshape(self.rows, self.cols)
+            return np.array([v / self.denom for v in self.values],
+                            dtype=float).reshape(self.rows, self.cols)
+        dtype = np.float64 if self.field.kind is Kind.REAL64 else np.complex128
+        return np.array([dtype(x) for x in self.values], dtype=dtype).reshape(self.rows, self.cols)
 
     def astype(self, field: Field) -> "Matrix":
         """Explicit kind conversion (e.g. exact rationals to float64)."""
@@ -132,8 +146,11 @@ class Matrix:
             raise KindMismatchError("cannot convert floats back to exact rationals")
         if field.kind is Kind.REAL64 and self.field.kind is Kind.COMPLEX128:
             raise KindMismatchError("cannot convert complex to real")
-        caster = {Kind.RATIONAL: Fraction, Kind.REAL64: float, Kind.COMPLEX128: complex}[field.kind]
-        return Matrix(field, self.rows, self.cols, tuple(caster(x) for x in self.entries))
+        if field.is_exact:
+            return Matrix(field, self.rows, self.cols, self.values, self.denom)
+        caster = float if field.kind is Kind.REAL64 else complex
+        values = [v / self.denom for v in self.values] if self.field.is_exact else self.values
+        return Matrix(field, self.rows, self.cols, tuple(map(caster, values)))
 
     @property
     def is_square(self) -> bool:
@@ -145,21 +162,25 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("addition shape mismatch")
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._plus(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, -1, "subtraction")
+
+    def _plus(self, other: "Matrix", sign: int, what: str) -> "Matrix":
         self._same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("subtraction shape mismatch")
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+            raise ShapeError("%s shape mismatch" % what)
+        if not self.field.is_exact:
+            return Matrix(self.field, self.rows, self.cols,
+                          tuple(map(add if sign > 0 else sub, self.values, other.values)))
+        denom = math.lcm(self.denom, other.denom)
+        p, q = denom // self.denom, sign * (denom // other.denom)
+        return _from_raw(self.field, self.rows, self.cols,
+                         [a * p + b * q for a, b in zip(self.values, other.values)], denom)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix(self.field, self.rows, self.cols, tuple(-a for a in self.values), self.denom)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -171,53 +192,31 @@ class Matrix:
 
     def scale(self, scalar) -> "Matrix":
         s = self.field.coerce(scalar)
-        return Matrix(self.field, self.rows, self.cols, tuple(s * a for a in self.entries))
-
-    @cached_property
-    def _ints(self) -> tuple:
-        """(A', L) with A' = L * entries as a tuple of ints, exact kind only.
-
-        Cached in the instance ``__dict__``; it is not a dataclass field, so
-        equality, hashing and repr do not see it.
-        """
-        ints, denom = _clear_denominators(self.entries)
-        return tuple(ints), denom
-
-    @property
-    def _raw(self) -> tuple:
-        """(values, L) with ``entries[e] == values[e] / L``: the cached
-        ``_ints`` for the exact kind, the entries themselves with L = 1 for
-        the float kinds.  ``_raw_product`` multiplies these."""
-        return self._ints if self.field.is_exact else (self.entries, 1)
+        if not self.field.is_exact:
+            return Matrix(self.field, self.rows, self.cols, tuple(s * a for a in self.values))
+        return _from_raw(self.field, self.rows, self.cols,
+                         [s.numerator * a for a in self.values], self.denom * s.denominator)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         self._same_field(other)
         if self.cols != other.rows:
             raise ShapeError("product shape mismatch: %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        # (A B) = (La A)(Lb B) / (La Lb) for the exact kind
-        a, la = self._raw
-        b, lb = other._raw
         return _from_raw(self.field, self.rows, other.cols,
-                         _raw_product(self.field, a, b, self.cols, other.cols), la * lb)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
+                         _raw_product(self.field, self.values, other.values, self.cols, other.cols),
+                         self.denom * other.denom)
 
     # -- involution and scalar maps ---------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        v, c = self.values, self.cols
+        return Matrix(self.field, c, self.rows, tuple(x for j in range(c) for x in v[j::c]),
+                      self.denom)
 
     def conj(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, tuple(f.conj_scalar(x) for x in self.entries))
+        if not self.field.is_complex:
+            return self
+        return Matrix(self.field, self.rows, self.cols, tuple(x.conjugate() for x in self.values))
 
     def star(self) -> "Matrix":
         """Transpose, or conjugate transpose in conjugate star mode."""
@@ -229,19 +228,22 @@ class Matrix:
     def trace(self):
         if not self.is_square:
             raise ShapeError("trace of a non-square matrix")
+        diag = self.values[::self.cols + 1]
+        if self.field.is_exact:
+            return Fraction(sum(diag), self.denom)
         acc = self.field.zero()
-        for i in range(self.rows):
-            acc += self.at(i, i)
+        for x in diag:
+            acc += x
         return acc
 
     def maxabs(self) -> float:
-        return max((abs_value(x) for x in self.entries), default=0.0)
+        return max((abs(x) for x in self.values), default=0) / self.denom
 
     def is_zero(self, tol: float = 0.0) -> bool:
         """Every entry within tol of zero; a NaN entry counts as nonzero."""
         if self.field.is_exact:
-            return all(x == 0 for x in self.entries)
-        return all(abs_value(x) <= tol for x in self.entries)
+            return not any(self.values)
+        return all(abs(x) <= tol for x in self.values)
 
     def approx_eq(self, other: "Matrix", tol: float = 0.0) -> bool:
         """Every entry within tol of other's; a NaN difference counts as unequal."""
@@ -249,8 +251,8 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
         if self.field.is_exact:
-            return self.entries == other.entries
-        return all(abs_value(a - b) <= tol for a, b in zip(self.entries, other.entries))
+            return self == other
+        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
 
     def __str__(self):
         from .fields import value_str
@@ -264,23 +266,29 @@ class Matrix:
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
         if self.field.is_exact:
-            return _exact_det(self)
+            (rows,), denom = _int_matrices([self])
+            return Fraction(_det_int(rows), denom ** self.rows)
         return _float_det(self)
 
     def rank(self, tol: Optional[float] = None) -> int:
         if self.field.is_exact:
             _require_exact_tol(tol)
-            rows, _ = _cleared_rows(self)
+            (rows,), _ = _int_matrices([self])
             _, pivots, _, _ = _gauss_jordan_int(rows)
             return len(pivots)
         _, pivots = _float_rref(self.to_numpy(), _float_tol(tol))
         return len(pivots)
 
     def nullspace(self, tol: Optional[float] = None) -> list:
-        """Basis of the right kernel, as column vectors (cols x 1 matrices)."""
+        """Basis of the right kernel, as column vectors (cols x 1 matrices).
+
+        The vector for free column f is 1 there and 0 at every other free
+        column."""
         if self.field.is_exact:
             _require_exact_tol(tol)
-            return _exact_nullspace(self)
+            (rows,), _ = _int_matrices([self])
+            kernel, d = _int_kernel(rows, self.cols)
+            return [_from_raw(self.field, self.cols, 1, v, d) for v in kernel]
         return _float_nullspace(self, _float_tol(tol))
 
     def inverse(self) -> "Matrix":
@@ -302,10 +310,15 @@ class Matrix:
         return Matrix.from_numpy(self.field, inv)
 
 
+def _zero_one(field: Field) -> tuple:
+    """The stored 0 and 1: ints for the exact kind, the kind's scalars else."""
+    return (0, 1) if field.is_exact else (field.zero(), field.one())
+
+
 def _raw_product(field: Field, a, b, m: int, k: int) -> list:
     """Row-major entries of the product of the row-major values ``a``, with m
-    columns, and ``b``, with m rows and k columns, given as ``Matrix._raw``
-    gives them.
+    columns, and ``b``, with m rows and k columns, given as ``Matrix.values``
+    holds them.
 
     The exact kind takes one integer dot product per entry, so the product
     of A = a / La and B = b / Lb has entries ``out[e] / (La Lb)``.  The float
@@ -329,14 +342,27 @@ def _raw_product(field: Field, a, b, m: int, k: int) -> list:
     return out
 
 
-def _from_raw(field: Field, rows: int, cols: int, values, denom) -> Matrix:
-    """The rows x cols matrix with entries ``values[e] / denom``, read as
-    ``Matrix._raw`` gives them (denom is 1 for the float kinds)."""
-    if not field.is_exact:
-        return Matrix(field, rows, cols, tuple(values))
-    if denom == 1:
-        return Matrix(field, rows, cols, tuple(map(Fraction, values)))
-    return Matrix(field, rows, cols, tuple(Fraction(v, denom) for v in values))
+def _from_raw(field: Field, rows: int, cols: int, values, denom: int = 1) -> Matrix:
+    """The rows x cols matrix with entries ``values[e] / denom``, in stored
+    form: the one constructor that normalises.  For the exact kind the ints
+    and the nonzero int denom, which may be negative, are divided by their
+    gcd, taken with denom's sign; the float kinds pass denom 1 and keep
+    their values as they are."""
+    if denom != 1:
+        g = math.gcd(denom, *values)
+        if denom < 0:
+            g = -g
+        if g != 1:
+            values = [v // g for v in values]
+            denom //= g
+    return Matrix(field, rows, cols, tuple(values), denom)
+
+
+def _from_ratios(field: Field, rows: int, cols: int, ratios) -> Matrix:
+    """The exact matrix with row-major entries p / q, from (p, q) int pairs
+    with q >= 1, over the lcm of the q."""
+    denom = math.lcm(*(q for _, q in ratios))
+    return _from_raw(field, rows, cols, [p * (denom // q) for p, q in ratios], denom)
 
 
 # -- free-function spellings of the core operations -------------------------
@@ -428,43 +454,21 @@ def _float_tol(tol):
     return tol
 
 
-def _clear_denominators(values) -> tuple:
-    """(ints, L) with L the lcm of the denominators of the sequence of
-    rationals ``values`` and ``ints[k] == L * values[k]``; L is 1 when empty."""
-    denom = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (denom // x.denominator) for x in values], denom
-
-
 def _int_matrices(matrices) -> tuple:
-    """(row lists of L * m for each matrix m, L), one L clearing them all."""
-    ints, denom = _clear_denominators([e for m in matrices for e in m.entries])
-    out, k = [], 0
+    """(row lists of L * m for each matrix m, L): the stored values brought
+    to one common denominator L, the lcm of the matrices' denominators."""
+    denom = math.lcm(*(m.denom for m in matrices))
+    out = []
     for m in matrices:
-        out.append([ints[k + r * m.cols:k + (r + 1) * m.cols] for r in range(m.rows)])
-        k += m.rows * m.cols
+        k, c = denom // m.denom, m.cols
+        values = m.values if k == 1 else [v * k for v in m.values]
+        out.append([list(values[r * c:(r + 1) * c]) for r in range(m.rows)])
     return out, denom
 
 
-def _cleared_rows(m: Matrix) -> tuple:
-    """(row lists of L * m, L), read from the cached ``Matrix._ints``."""
-    ints, denom = m._ints
-    c = m.cols
-    return [list(ints[i * c:(i + 1) * c]) for i in range(m.rows)], denom
-
-
-def _exact_det(m: Matrix):
-    rows, denom = _cleared_rows(m)
-    return Fraction(_det_int(rows), denom ** m.rows)
-
-
-def _exact_nullspace(m: Matrix) -> list:
-    rows, _ = _cleared_rows(m)
-    return [Matrix(m.field, m.cols, 1, tuple(v)) for v in _int_nullspace(rows, m.cols)]
-
-
 def _power_traces(m: Matrix, upto: int) -> list:
-    """tr(m^k) for k = 1..upto (upto >= 1); the exact kind multiplies L m in
-    ints, L clearing the denominators of m.  The float kinds take the same
+    """tr(m^k) for k = 1..upto (upto >= 1); the exact kind multiplies the
+    stored integers L m, L = m.denom.  The float kinds take the same
     products in the same order as repeated ``acc * m``."""
     if not m.field.is_exact:
         acc = m
@@ -474,7 +478,7 @@ def _power_traces(m: Matrix, upto: int) -> list:
             out.append(acc.trace())
         return out
     n = m.rows
-    rows, denom = _cleared_rows(m)
+    (rows,), denom = _int_matrices([m])
     cols = [list(c) for c in zip(*rows)]
     out = [Fraction(sum(rows[i][i] for i in range(n)), denom)]
     acc = rows  # (L m)^(k-1); the last factor is folded into the trace
@@ -587,30 +591,13 @@ def _int_kernel(rows, ncols: int) -> tuple:
     return basis, d
 
 
-def _int_nullspace(rows, ncols: int) -> list:
-    """Right-kernel basis of an integer matrix, one Fraction list per free column.
-
-    ``rows`` is consumed.  The vector for free column f has a 1 there and 0
-    at every other free column, so it does not depend on how the rows were
-    scaled.
-    """
-    kernel, d = _int_kernel(rows, ncols)
-    return [_fractions(v, d) for v in kernel]
-
-
-def _fractions(ints, d) -> list:
-    """``[Fraction(v, d) for v in ints]``, sharing one zero."""
-    zero = Fraction(0)
-    return [Fraction(v, d) if v else zero for v in ints]
-
-
 def _exact_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One exact solution of a X = b, or None when inconsistent.
 
     Free variables are set to zero.  ``b`` may have several columns.  One
     reduction of [L a | L b] leaves d times the reduced row echelon form,
-    so entry (p, j) of X, with p the pivot column of row r, is
-    ``row_r[a.cols + j] / d``.
+    so row p of X, with p the pivot column of row r, is ``row_r[a.cols:]``
+    over d.
     """
     if a.rows != b.rows:
         raise ShapeError("solve shape mismatch")
@@ -619,10 +606,10 @@ def _exact_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     m = a.cols
     if pivots and pivots[-1] >= m:
         return None  # pivot in the right-hand block: inconsistent
-    sol = [[Fraction(0)] * b.cols] * m
+    sol = [[0] * b.cols] * m
     for row, pc in zip(ech, pivots):
-        sol[pc] = _fractions(row[m:], d)
-    return Matrix(a.field, m, b.cols, tuple(v for r in sol for v in r))
+        sol[pc] = row[m:]
+    return _from_raw(a.field, m, b.cols, [v for r in sol for v in r], d)
 
 
 def solve_linear(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[Matrix]:

@@ -20,9 +20,10 @@ relation.  ``check_epsilon`` multiplies each a_ij by [a_00 | a_01 | ...];
 by all generators at once.  A block of a stacked product is the separate
 product entry for entry, each the same dot product in the same order, so
 every float value is the same to the last bit.  The products stay raw
-(``matrices._raw_product``): exact entries are integer dot products over a
-known denominator and are compared by cross-multiplying, and a ``Fraction``
-is built only for a returned value or a reported violation.
+(``matrices._raw_product`` of the stored values): exact entries are integer
+dot products over a known denominator and are compared by
+cross-multiplying, and a matrix is built only for a returned value or a
+reported violation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (MissingUnitsError, NonCentralCoefficientError, ShapeError)
@@ -93,9 +93,9 @@ def _block(values, k: int, i: int, j: int, n: int) -> list:
 
 
 def _agree(field: Field, a, la, b, lb, eff: float) -> bool:
-    """a / la equals b / lb entry by entry (raw values as ``Matrix._raw``
-    gives them): integers cross-multiplied for the exact kind, within eff
-    for the float kinds, where a NaN difference counts as unequal."""
+    """a / la equals b / lb entry by entry (values as ``Matrix`` stores
+    them): integers cross-multiplied for the exact kind, within eff for the
+    float kinds, where a NaN difference counts as unequal."""
     if field.is_exact:
         if la == lb:
             return list(a) == list(b)
@@ -116,21 +116,20 @@ def check_epsilon(units: Sequence[Sequence[Matrix]], tol: Optional[float] = None
         for j in range(n_outer):
             if units[i][j].is_zero(eff):
                 return False, EpsilonViolation("zero", i, j)
-    raws = [[m._raw for m in row] for row in units]
     width = n * n_outer * n_outer
-    right = _hstack([v for row in raws for v, _ in row], n)
-    zeros = (0,) * (n * n)
+    right = _hstack([m.values for row in units for m in row], n)
+    zero = Matrix.zeros(field, n, n)
     for i in range(n_outer):
         for j in range(n_outer):
-            left, la = raws[i][j]
-            prod = _raw_product(field, left, right, n, width)
+            left = units[i][j]
+            prod = _raw_product(field, left.values, right, n, width)
             for s in range(n_outer):
                 for t in range(n_outer):
-                    got, denom = _block(prod, width, 0, s * n_outer + t, n), la * raws[s][t][1]
-                    want, lw = raws[i][t] if j == s else (zeros, 1)
-                    if not _agree(field, got, denom, want, lw, eff):
-                        expected = units[i][t] if j == s else Matrix.zeros(field, n, n)
-                        return False, EpsilonViolation("product", i, j, s, t, expected,
+                    got = _block(prod, width, 0, s * n_outer + t, n)
+                    denom = left.denom * units[s][t].denom
+                    want = units[i][t] if j == s else zero
+                    if not _agree(field, got, denom, want.values, want.denom, eff):
+                        return False, EpsilonViolation("product", i, j, s, t, want,
                                                        _from_raw(field, n, n, got, denom))
     return True, None
 
@@ -195,8 +194,8 @@ def _first_noncentral(system: UnitSystem, coeffs: Sequence[Matrix],
         effs = [eff] * len(coeffs)
     else:
         effs = [min(eff * max(1.0, c.maxabs()), sys.float_info.max) for c in coeffs]
-    u_raw = [u._raw[0] for u in units]
-    c_raw = [c._raw[0] for c in coeffs]
+    u_raw = [u.values for u in units]
+    c_raw = [c.values for c in coeffs]
     wu, wc = n * len(units), n * len(coeffs)
     cu = _raw_product(field, [v for c in c_raw for v in c], _hstack(u_raw, n), n, wu)
     uc = _raw_product(field, [v for u in u_raw for v in u], _hstack(c_raw, n), n, wc)
@@ -237,7 +236,7 @@ def theta_embedding(system: UnitSystem, coeffs: Sequence[Sequence[Matrix]],
         for term in terms:
             acc = [x + y for x, y in zip(acc, term)]
         return Matrix(field, n, n, tuple(acc))
-    denoms = [c._raw[1] * u._raw[1] for c, u in zip(flat, system.flat())]
+    denoms = [c.denom * u.denom for c, u in zip(flat, system.flat())]
     denom = math.lcm(*denoms)
     acc = [sum(term[e] * (denom // d) for term, d in zip(terms, denoms)) for e in range(n * n)]
     return _from_raw(field, n, n, acc, denom)
@@ -294,9 +293,8 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     corner(x) + corner(y) by definition of matrix addition.
 
     Each sample layer takes one product m [g_0 | g_1 | ...] per element m
-    of the layer before, whose blocks are the products m g.  Elements stay
-    raw (values and a denominator, exact ones in lowest terms, so equal
-    elements have equal keys).
+    of the layer before, whose blocks are the products m g, each brought to
+    stored form so that equal elements are equal keys.
 
     The closure check stacks row 0 of each checked element x_k into one
     matrix R.  Row k of (R E00) y E00 is row 0 of x_k E00 y E00, since each
@@ -331,21 +329,18 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     if any((g.rows, g.cols) != (n, n) for g in generators):
         raise ShapeError("generators must be square matrices of one size")
 
-    # products of generators up to the depth, deduplicated; an element is
-    # kept raw, (values, L) as Matrix._raw gives it, with L as small as it
-    # goes for the exact kind, so equal elements have equal keys
-    raws = [g._raw for g in generators]
+    # products of generators up to the depth, deduplicated
     width = n * len(generators)
-    right = _hstack([v for v, _ in raws], n)
+    right = _hstack([g.values for g in generators], n)
     sample = []
     seen = set()
-    layer = [Matrix.identity(field, n)._raw]
+    layer = [Matrix.identity(field, n)]
     for _ in range(depth):
         nxt = []
-        for vals, lm in layer:
-            prod = _raw_product(field, vals, right, n, width)
-            for b, (_, lg) in enumerate(raws):
-                elem = _lowest_terms(field, _block(prod, width, 0, b, n), lm * lg)
+        for m in layer:
+            prod = _raw_product(field, m.values, right, n, width)
+            for b, g in enumerate(generators):
+                elem = _from_raw(field, n, n, _block(prod, width, 0, b, n), m.denom * g.denom)
                 if elem not in seen:
                     seen.add(elem)
                     nxt.append(elem)
@@ -358,48 +353,37 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
             break
         layer = nxt
 
-    def differs(u, w):  # raw values over one denominator
+    def differs(u, w):  # stored values over one denominator
         if field.is_exact:
             return u != w
         return not abs(u - w) <= eff  # a NaN difference counts
 
-    def value(v, denom):
-        return Fraction(v, denom) if field.is_exact else v
-
     violations = []
     head = sample[:40]
     h = len(head)
-    e00, _ = std[0][0]._raw
+    e00 = std[0][0].values
     # R stacks row 0 of each head element; (R E00) [y_0 | y_1 | ...] read
     # as h*h rows of length n, times column 0 of E00, holds every corner
     # (x_k E00 y E00)_00 at k*h + y (see the docstring)
-    r_e00 = _raw_product(field, [v for vals, _ in head for v in vals[:n]], e00, n, n)
-    r_e00_y = _raw_product(field, r_e00, _hstack([vals for vals, _ in head], n), n, h * n)
+    r_e00 = _raw_product(field, [v for x in head for v in x.values[:n]], e00, n, n)
+    r_e00_y = _raw_product(field, r_e00, _hstack([x.values for x in head], n), n, h * n)
     pair_corners = _raw_product(field, r_e00_y, e00[::n], n, 1)
-    for k, (x, lx) in enumerate(head):
-        for c, (y, ly) in zip(pair_corners[k * h:(k + 1) * h], head):
-            if differs(c, x[0] * y[0]):
-                violations.append(("mul", value(x[0], lx), value(y[0], ly)))
+    for k, x in enumerate(head):
+        for c, y in zip(pair_corners[k * h:(k + 1) * h], head):
+            if differs(c, x.values[0] * y.values[0]):
+                violations.append(("mul", x.at(0, 0), y.at(0, 0)))
 
     recon_ok = True  # each rebuilt entry is x's own (see the docstring)
-    for x, lx in head:
-        if any(differs(v, v) for v in x):
+    for x in head:
+        if any(differs(v, v) for v in x.values):
             recon_ok = False
-            violations.append(("reconstruction", tuple(value(v, lx) for v in x), None))
+            violations.append(("reconstruction", x.entries, None))
             break
 
-    corners = [value(vals[0], denom) for vals, denom in sample]
+    corners = [x.at(0, 0) for x in sample]
     key = (lambda v: (abs(v), repr(v))) if field.is_complex else None
     coeffs = sorted({c for c in corners if c == c}, key=key)
     coeffs += [c for c in corners if c != c][:1]  # NaN has no order: one, last
     return SubringReport(tuple(coeffs), not any(v[0] == "mul" for v in violations),
                          recon_ok, tuple(violations), len(sample))
 
-
-def _lowest_terms(field: Field, values, denom) -> tuple:
-    """(values, L) with values / L equal to values / denom and L as small as
-    it goes for the exact kind: the form ``Matrix._ints`` keeps."""
-    if not field.is_exact:
-        return tuple(values), 1
-    g = math.gcd(denom, *values)
-    return tuple(v // g for v in values), denom // g

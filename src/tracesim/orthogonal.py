@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, WitnessConstructionError
-from .fields import Field, StarMode, abs_value
+from .fields import Field, StarMode
 from .intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, IntertwinerBasis, _check_pair,
                           _search, find_invertible)
 from .matrices import Matrix, MatrixTuple
@@ -120,7 +120,7 @@ class OrthVerdict:
 def _max_magnitude(mats) -> float:
     """Largest entry magnitude over the matrices (0.0 for none); NaN as soon
     as any entry is NaN, which a plain ``max`` would skip."""
-    mags = [abs_value(v) for m in mats for v in m.entries]
+    mags = [abs(v) / m.denom for m in mats for v in m.values]
     return math.nan if any(a != a for a in mags) else max(mags, default=0.0)
 
 
@@ -144,13 +144,10 @@ def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
 
 
 def _scalar_of(g: Matrix) -> Optional[Fraction]:
-    lam = g.at(0, 0)
-    n = g.rows
-    for i in range(n):
-        for j in range(n):
-            if g.at(i, j) != (lam if i == j else 0):
-                return None
-    return lam
+    lam, step = g.values[0], g.cols + 1
+    if any(v != (lam if k % step == 0 else 0) for k, v in enumerate(g.values)):
+        return None
+    return Fraction(lam, g.denom)
 
 
 def _construct_float_witness(p: Matrix, x: MatrixTuple, y: MatrixTuple, tol: float):

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import ShapeError, ZeroPolynomialError
 from .fields import Field
-from .matrices import Matrix, _power_traces, solve_linear
+from .matrices import Matrix, _from_raw, _int_matrices, _power_traces, solve_linear
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ def sylvester_solve(a: Matrix, b: Matrix, c: Matrix,
     """Any solution X of A X - X B = C, or None when inconsistent.
 
     Flattens X row-major into an n*m vector and solves the stacked linear
-    system; when the solution is not unique an arbitrary member is
+    system, built from the stored integers over one denominator for the
+    exact kind; when the solution is not unique an arbitrary member is
     returned (free variables zero).
     """
     a.field.require_same(b.field)
@@ -88,24 +89,30 @@ def sylvester_solve(a: Matrix, b: Matrix, c: Matrix,
     n, m = a.rows, b.rows
     if (c.rows, c.cols) != (n, m):
         raise ShapeError("C must be %dx%d" % (n, m))
-    zero = a.field.zero()
+    field = a.field
+    if field.is_exact:  # the stored integers over one common denominator
+        (ar, br, cr), denom = _int_matrices([a, b, c])
+        zero = 0
+    else:
+        (ar, br, cr), denom, zero = (x.row_list() for x in (a, b, c)), 1, field.zero()
     rows = []
-    rhs = []
     for i in range(n):
         for j in range(m):
             row = [zero] * (n * m)
             for r in range(n):
-                row[r * m + j] = row[r * m + j] + a.at(i, r)
+                row[r * m + j] = row[r * m + j] + ar[i][r]
             for s in range(m):
-                row[i * m + s] = row[i * m + s] - b.at(s, j)
+                row[i * m + s] = row[i * m + s] - br[s][j]
             rows.append(row)
-            rhs.append([c.at(i, j)])
-    system = Matrix.from_rows(a.field, rows)
-    rhs_m = Matrix.from_rows(a.field, rhs)
-    sol = solve_linear(system, rhs_m, tol)
+    if field.is_exact:
+        system = _from_raw(field, n * m, n * m, [e for row in rows for e in row], denom)
+    else:  # from_rows rejects an entry a_ii - b_jj that overflowed
+        system = Matrix.from_rows(field, rows)
+    rhs = _from_raw(field, n * m, 1, [v for row in cr for v in row], denom)
+    sol = solve_linear(system, rhs, tol)
     if sol is None:
         return None
-    return Matrix(a.field, n, m, sol.entries)
+    return Matrix(field, n, m, sol.values, sol.denom)
 
 
 def char_poly_from_traces(a: Matrix) -> Polynomial:

@@ -7,8 +7,9 @@ JSON object with keys:
     n, d      dimensions, integers >= 1
     matrices  d arrays of n*n entries, row-major
 
-Entries are "p/q" or "p" strings for rationals (denominator positive by
-syntax), plain numbers for float64, and [re, im] pairs for complex128.
+Entries are "p/q" or "p" strings for rationals (ASCII digits, an optional
+sign on p only, so the denominator is positive by syntax), plain numbers
+for float64, and [re, im] pairs for complex128.
 Parsing then printing then parsing is the identity.
 """
 
@@ -21,9 +22,9 @@ from fractions import Fraction
 
 from .errors import TupleFileError
 from .fields import Field, Kind, StarMode
-from .matrices import Matrix, MatrixTuple
+from .matrices import Matrix, MatrixTuple, _from_ratios
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 _FIELD_NAMES = {k.value: k for k in Kind}
 _STAR_NAMES = {s.value: s for s in StarMode}
@@ -45,17 +46,28 @@ def field_from_names(field_name: str, star_name: str | None) -> Field:
         raise TupleFileError(str(exc))
 
 
+def _rational_parts(raw) -> tuple:
+    """(p, q) of a rational entry "p/q" or "p" (q = 1), with q >= 1."""
+    match = _RATIONAL_RE.fullmatch(raw) if isinstance(raw, str) else None
+    if match is None:
+        raise TupleFileError("rational entries are 'p' or 'p/q' strings, got %r" % (raw,))
+    p, q = match.groups()
+    try:
+        p, q = int(p), 1 if q is None else int(q)
+    except ValueError:  # beyond the interpreter's limit on digits per int
+        raise TupleFileError("rational entry of %d characters has too many digits"
+                             % len(raw)) from None
+    if q == 0:
+        raise TupleFileError("zero denominator in %r" % (raw,))
+    return p, q
+
+
 def parse_entry(field: Field, raw):
     """One entry in file syntax as a scalar of ``field``; NaN and infinities
     (which ``json`` accepts) are rejected."""
     kind = field.kind
     if kind is Kind.RATIONAL:
-        if not isinstance(raw, str) or not _RATIONAL_RE.match(raw):
-            raise TupleFileError("rational entries are 'p' or 'p/q' strings, got %r" % (raw,))
-        try:
-            return Fraction(raw)
-        except ZeroDivisionError:
-            raise TupleFileError("zero denominator in %r" % (raw,))
+        return Fraction(*_rational_parts(raw))
     if kind is Kind.REAL64:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise TupleFileError("float64 entries are numbers, got %r" % (raw,))
@@ -104,9 +116,16 @@ def tuple_from_dict(doc: dict) -> MatrixTuple:
     for entries in matrices:
         if not isinstance(entries, list) or len(entries) != n * n:
             raise TupleFileError("each matrix needs n*n = %d entries" % (n * n))
-        vals = [parse_entry(field, e) for e in entries]
-        mats.append(Matrix(field, n, n, tuple(vals)))
+        mats.append(_parse_matrix(field, n, n, entries))
     return MatrixTuple.of(*mats)
+
+
+def _parse_matrix(field: Field, rows: int, cols: int, entries: list) -> Matrix:
+    """The matrix of row-major entries in file syntax; rational ones are read
+    straight into ints over the lcm of their denominators."""
+    if not field.is_exact:
+        return Matrix(field, rows, cols, tuple(parse_entry(field, e) for e in entries))
+    return _from_ratios(field, rows, cols, [_rational_parts(e) for e in entries])
 
 
 def tuple_to_dict(x: MatrixTuple) -> dict:
@@ -125,7 +144,7 @@ def _read_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise TupleFileError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int beyond the digit limit
         raise TupleFileError("%s is not valid JSON: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise TupleFileError("%s: top level must be an object" % path)
@@ -150,7 +169,7 @@ def load_rect_matrix(path: str) -> Matrix:
     entries = matrices[0]
     if not isinstance(entries, list) or len(entries) != n * cols:
         raise TupleFileError("matrix needs n*cols = %d entries" % (n * cols))
-    return Matrix(field, n, cols, tuple(parse_entry(field, e) for e in entries))
+    return _parse_matrix(field, n, cols, entries)
 
 
 def dump_tuple(x: MatrixTuple) -> str:

@@ -10,9 +10,10 @@ are encoded as ``2*(index-1) + starred`` so that tuple comparison *is* the
 total order and star-reversal is a reverse plus bit-toggle.
 
 The fingerprint of a tuple maps every canonical word of degree <= D to its
-trace; equality of fingerprints is the orbit-separating invariant the
-similarity decisions use as a necessary condition (and, for the star
-alphabet at D = n^2 over the right fields, a sufficient one).
+trace.  Equal fingerprints are necessary for similarity (for orthogonal
+similarity, with the star alphabet) and, for the star alphabet at D = n^2
+over the right fields, sufficient.  The deciders do not consult them;
+``specht_equivalent`` compares them as an invariant in its own right.
 
 Canonical words are generated directly as necklaces (``_necklaces``), so
 the work scales with the number of orbits, about a^D / D for an alphabet
@@ -21,13 +22,14 @@ of a letters, not with the a^D raw words.
 Both evaluators share one walk (``_prefix_walk``): words are visited in
 lexicographic order so each reuses the product of the prefix it shares
 with the previous word, and only the trace of the prefix times the last
-letter is taken.  Rational fingerprints are computed in Python ints: one L
-clears every denominator of the tuple, tr w(X) = tr w(L X) / L^deg(w), and
-the last letter is folded into the trace in O(n^2).  Float kinds multiply
-numpy arrays left to right, ((X_a X_b) X_c) .., as a word-by-word product
-would, so every value is the same to the last bit; they compare values
-with a tolerance relative to n * max(1, s)^deg(w), s the largest Frobenius
-norm among the tuples' matrices.
+letter is taken.  Rational fingerprints are computed in Python ints: the
+stored integers are brought to one denominator L of the tuple,
+tr w(X) = tr w(L X) / L^deg(w), and the last letter is folded into the
+trace in O(n^2).  Float kinds multiply numpy arrays left to right,
+((X_a X_b) X_c) .., as a word-by-word product would, so every value is the
+same to the last bit; they compare values with a tolerance relative to
+n * max(1, s)^deg(w), s the largest Frobenius norm among the tuples'
+matrices.
 """
 
 from __future__ import annotations
@@ -278,8 +280,8 @@ def _prefix_walk(words: list, letters: dict, times):
 def _eval_traces_exact(words: list, x: MatrixTuple) -> list:
     """Exact traces in Python ints: tr w(X) = tr w(L X) / L^deg(w).
 
-    L clears every denominator of the tuple once.  The last letter is
-    folded straight into the trace of the ``_prefix_walk`` product.
+    L is the common denominator of the tuple's stored integers.  The last
+    letter is folded straight into the trace of the ``_prefix_walk`` product.
     """
     n = x.n
     int_mats, denom = _int_matrices(x.matrices)

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -59,12 +60,34 @@ def test_tuple_file_round_trip_all_kinds(tmp_path):
 
 
 def test_malformed_rational_entry_rejected(tmp_path):
-    for bad in ("1/-2", "1/0", "0.5", 1.5):
+    # ASCII digits only, and the whole string: "3\n", "٣" (Arabic-Indic three)
+    # and "1/٤" slipped through a "$"-anchored, Unicode "\d" match
+    for bad in ("1/-2", "1/0", "0.5", 1.5, "3\n", "\u0663", "1/\u0664", " 3"):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"field": "rational", "n": 1, "d": 1,
                                     "matrices": [[bad]]}))
         with pytest.raises(TupleFileError):
             load_tuple(str(path))
+
+
+def test_entries_beyond_the_int_digit_limit_rejected(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for raw in ("9" * 5001, "1/" + "7" * 5001):
+            with pytest.raises(TupleFileError, match="has too many digits"):
+                tuple_from_dict({"field": "rational", "n": 1, "d": 1, "matrices": [[raw]]})
+        assert tuple_from_dict({"field": "rational", "n": 1, "d": 1,
+                                "matrices": [["9" * 5000]]})[0].values == (int("9" * 5000),)
+        path = tmp_path / "big.json"  # a JSON integer literal, parsed by json itself
+        path.write_text('{"field": "float64", "n": 1, "d": 1, "matrices": [[%s]]}' % ("1" * 5001))
+        with pytest.raises(TupleFileError, match="not valid JSON"):
+            load_tuple(str(path))
+        path.write_bytes(b'{"field": "float64", "n": 1, "d": 1, "matrices": [[\xff]]}')
+        with pytest.raises(TupleFileError, match="not valid JSON"):
+            load_tuple(str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _HEADER = {"field": "rational", "n": 1, "d": 1, "matrices": [["1"]]}

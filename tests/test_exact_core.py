@@ -1,13 +1,13 @@
 """The integer exact core against Fraction references built here.
 
 Matrix products, rational trace words, power traces and intertwiner systems
-are computed after clearing denominators once; these tests rebuild each
-answer the plain way, with ``Fraction`` loops or ``Matrix`` arithmetic over
-``Fraction``s, and demand equality.  The staged intertwiner basis, whose
-first stage runs through Krylov chains of X_1, is checked against a
-``Fraction`` Gauss-Jordan of the whole stacked system.  The numpy float
-intertwiner system is checked byte for byte, signed zeros included,
-against a Python row-list loop kept here as the reference.
+are computed on the stored integers over one denominator; these tests
+rebuild each answer the plain way, with ``Fraction`` loops or ``Matrix``
+arithmetic over ``Fraction``s, and demand equality.  The staged
+intertwiner basis, whose first stage runs through Krylov chains of X_1, is
+checked against a ``Fraction`` Gauss-Jordan of the whole stacked system.
+The numpy float intertwiner system is checked byte for byte, signed zeros
+included, against a Python row-list loop kept here as the reference.
 """
 
 import dataclasses
@@ -26,17 +26,17 @@ from conftest import givens_orthogonal
 from tracesim import (Field, Kind, KindMismatchError, Matrix, MatrixTuple, NonFiniteError,
                       ShapeError, StarMode, TupleFileError, enumerate_canonical, eval_word,
                       fingerprint, fingerprints_equal, intertwiner_basis, load_corpus,
-                      load_tuple, specht_equivalent)
+                      load_tuple, solve_linear, specht_equivalent, tuple_from_dict)
 from tracesim.intertwiner import _float_system, _krylov_chains
-from tracesim.matrices import _int_matrices, _int_nullspace, _power_traces
+from tracesim.matrices import _int_matrices, _power_traces
 from tracesim.tupleio import parse_entry
 
 FQ = Field.rational()
 
 
 def rand_fraction_matrix(rng, n):
-    return Matrix(FQ, n, n, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 7))
-                                  for _ in range(n * n)))
+    return Matrix.from_rows(FQ, [[Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                                  for _ in range(n)] for _ in range(n)])
 
 
 def rational_tuples():
@@ -70,7 +70,7 @@ def rand_rect(rng, field, rows, cols, denom):
         if field.is_complex:
             return complex(float(v), rng.uniform(-1e6, 1e6))
         return v
-    return Matrix(field, rows, cols, tuple(value() for _ in range(rows * cols)))
+    return Matrix.from_rows(field, [[value() for _ in range(cols)] for _ in range(rows)])
 
 
 def ordered_product(a, b):
@@ -121,25 +121,78 @@ def test_product_shape_and_kind_checks():
 
 
 def fresh(m):
-    return Matrix(m.field, m.rows, m.cols, tuple(m.entries))
+    return Matrix.from_rows(m.field, m.row_list())
 
 
-def test_cached_integer_form_is_invisible():
-    rng = random.Random(5)
-    a, b = rand_rect(rng, FQ, 3, 3, 7), rand_rect(rng, FQ, 3, 2, 7)
-    names = [f.name for f in dataclasses.fields(Matrix)]
-    before = (hash(a), repr(a), hash(b), repr(b))
-    assert "_ints" not in vars(a)
-    a * b
-    assert "_ints" in vars(a) and "_ints" in vars(b)
-    assert [f.name for f in dataclasses.fields(Matrix)] == names == [
-        "field", "rows", "cols", "entries"]
-    assert (hash(a), repr(a), hash(b), repr(b)) == before
-    assert a == fresh(a) and fresh(a) == a and hash(a) == hash(fresh(a))
-    ints, denom = a._ints
-    assert type(a._ints) is tuple and type(ints) is tuple
-    assert all(type(v) is int for v in ints)
-    assert [Fraction(v, denom) for v in ints] == list(a.entries)
+def assert_stored_form(m):
+    """Ints over an int denom >= 1 that shares no factor with all of them."""
+    assert type(m.values) is tuple and all(type(v) is int for v in m.values)
+    assert type(m.denom) is int and m.denom >= 1
+    assert math.gcd(m.denom, *m.values) == 1
+
+
+def test_every_route_reaches_one_stored_form():
+    q = Fraction
+    target = Matrix.from_rows(FQ, [[q(1, 2), 3], [0, q(-5, 6)]])
+    eye = Matrix.identity(FQ, 2)
+    routes = {
+        "from_rows 2/4": Matrix.from_rows(FQ, [[q(2, 4), q(6, 2)], [q(0, 7), q(-10, 12)]]),
+        "file 2/4": tuple_from_dict({"field": "rational", "n": 2, "d": 1,
+                                     "matrices": [["2/4", "6/2", "0/7", "-10/12"]]})[0],
+        "product": Matrix.from_rows(FQ, [[q(1, 3), 0], [0, q(1, 3)]])
+        * Matrix.from_rows(FQ, [[q(3, 2), 9], [0, q(-5, 2)]]),
+        "sum": Matrix.from_rows(FQ, [[q(1, 6), 1], [0, q(-1, 2)]])
+        + Matrix.from_rows(FQ, [[q(1, 3), 2], [0, q(-1, 3)]]),
+        "difference": Matrix.from_rows(FQ, [[q(3, 4), 3], [1, 0]])
+        - Matrix.from_rows(FQ, [[q(1, 4), 0], [1, q(5, 6)]]),
+        "scale": target.scale(q(-4, 3)).scale(q(-3, 4)),
+        "inverse": target.inverse().inverse(),
+        "solve_linear": solve_linear(eye.scale(6), target.scale(6)),
+    }
+    for name, m in routes.items():
+        assert_stored_form(m)
+        assert m == target and hash(m) == hash(target), name
+        assert m.entries == target.entries and all(type(e) is Fraction for e in m.entries)
+    zero = Matrix.zeros(FQ, 2, 2)
+    for m in (target.scale(0), target - target, target * zero, target * 0):
+        assert_stored_form(m)
+        assert m.denom == 1 and m == zero and hash(m) == hash(zero)
+    # kernels of the same row at other scales and signs: a negative last pivot
+    # still gives a positive denominator
+    kernels = [Matrix.from_rows(FQ, [row]).nullspace()
+               for row in ([1, 2, 3], [-3, -6, -9], [q(1, 2), 1, q(3, 2)])]
+    want = [Matrix.from_rows(FQ, [[-2], [1], [0]]), Matrix.from_rows(FQ, [[-3], [0], [1]])]
+    for basis in kernels:
+        for v in basis:
+            assert_stored_form(v)
+        assert basis == want and [hash(v) for v in basis] == [hash(v) for v in want]
+
+
+def test_random_operations_keep_the_stored_form():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        a, b = (rand_rect(rng, FQ, n, n, rng.choice([1, 2, 6, 7])) for _ in range(2))
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        results = {
+            "sum": (a + b, [x + y for x, y in zip(a.entries, b.entries)]),
+            "difference": (a - b, [x - y for x, y in zip(a.entries, b.entries)]),
+            "self-difference": (a - a, [0] * (n * n)),
+            "negation": (-a, [-x for x in a.entries]),
+            "scale": (a.scale(s), [s * x for x in a.entries]),
+            "product": (a * b, ordered_product(a, b)),
+            "transpose": (a.transpose(), [a.at(i, j) for j in range(n) for i in range(n)]),
+        }
+        for name, (m, want) in results.items():
+            assert_stored_form(m)
+            assert list(m.entries) == want, name
+            assert m == fresh(m) and hash(m) == hash(fresh(m)), name
+        for v in a.nullspace():
+            assert_stored_form(v)
+            assert (a * v).is_zero()
+        if a.det() != 0:
+            assert_stored_form(a.inverse())
+            assert a.inverse() * a == Matrix.identity(FQ, n)
 
 
 def test_products_with_a_shared_factor_match_fresh_copies():
@@ -493,7 +546,7 @@ def test_int_nullspace_of_rank_deficient_inputs(rows, cols, rank):
         a = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(cols)]
              for i in range(rows)]
         expected = fraction_kernel(a, cols)
-        assert [tuple(v) for v in _int_nullspace([r[:] for r in a], cols)] == expected
+        assert [v.entries for v in Matrix.from_rows(FQ, a).nullspace()] == expected
         assert len(expected) >= cols - rank
 
 

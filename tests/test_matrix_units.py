@@ -257,7 +257,7 @@ def rand_generator(rng, field, n):
         if field.is_complex:
             return complex(float(v), rng.randint(-1, 1) / 2)
         return v
-    return Matrix(field, n, n, tuple(value() for _ in range(n * n)))
+    return Matrix.from_rows(field, [[value() for _ in range(n)] for _ in range(n)])
 
 
 def subring_sets():
@@ -409,7 +409,7 @@ def epsilon_families(field):
             i, j, e = rng.randrange(n_units), rng.randrange(n_units), rng.randrange(n * n)
             ent = list(broken[i][j].entries)
             ent[e] += 1
-            broken[i][j] = Matrix(field, n, n, tuple(ent))
+            broken[i][j] = Matrix.from_rows(field, [ent[r:r + n] for r in range(0, n * n, n)])
             out.append(("broken-%d-%d-%d" % (n_units, m, k), broken))
     if not field.is_exact:
         nan = complex(math.nan, 0.0) if field.is_complex else math.nan
@@ -452,7 +452,8 @@ def test_exact_cross_multiplied_comparison_matches_fraction_equality():
         b = list(a)
         if rng.random() < 0.5:
             b[rng.randrange(4)] += Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 5]))
-        (ia, la), (ib, lb) = Matrix(FQ, 2, 2, tuple(a))._raw, Matrix(FQ, 2, 2, tuple(b))._raw
+        ma, mb = Matrix.from_rows(FQ, [a[:2], a[2:]]), Matrix.from_rows(FQ, [b[:2], b[2:]])
+        (ia, la), (ib, lb) = (ma.values, ma.denom), (mb.values, mb.denom)
         k = rng.randint(1, 7)  # the same values over another denominator, as a product gives them
         ib, lb = [v * k for v in ib], lb * k
         assert _agree(FQ, ia, la, ib, lb, 0.0) == (a == b) == _agree(FQ, ib, lb, ia, la, 0.0)

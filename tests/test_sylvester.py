@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_int_matrix
-from tracesim import (Field, Matrix, Polynomial, ZeroPolynomialError,
+from tracesim import (Field, Matrix, NonFiniteError, Polynomial, ZeroPolynomialError,
                       char_poly_from_traces, resultant, sylvester_solve,
                       sylvester_unique)
 
@@ -99,6 +99,29 @@ def test_solve_random_instances():
         x = sylvester_solve(a, b, c)
         if x is not None:
             assert a * x - x * b == c
+
+
+def test_solve_rational_instances_over_mixed_denominators():
+    rng = random.Random(3)
+
+    def rand(rows, cols, denom):
+        return Matrix.from_rows(FQ, [[Fraction(rng.randint(-9, 9), rng.randint(1, denom))
+                                      for _ in range(cols)] for _ in range(rows)])
+
+    for _ in range(30):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        a, b, x0 = rand(n, n, 4), rand(m, m, 9), rand(n, m, 5)
+        c = a * x0 - x0 * b
+        x = sylvester_solve(a, b, c)
+        assert x is not None and a * x - x * b == c
+        if sylvester_unique(a, b):
+            assert x == x0
+
+
+def test_solve_rejects_an_overflowing_float_system():
+    a, b = Matrix.from_rows(FR, [[1e308]]), Matrix.from_rows(FR, [[-1e308]])
+    with pytest.raises(NonFiniteError):  # the system entry a_00 - b_00 is inf
+        sylvester_solve(a, b, Matrix.from_rows(FR, [[1.0]]))
 
 
 def test_solve_float_and_complex():
