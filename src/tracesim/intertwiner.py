@@ -337,8 +337,10 @@ def find_invertible(b: IntertwinerBasis, seed: int = 0, trials: int = DEFAULT_TR
 def _orth(m: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the rows of ``m``: Gram-Schmidt that keeps
     the row of largest residual (projected once more) until no residual
-    exceeds ``_FLOAT_DET_REL_TOL`` at the basis scale.  numpy's SVD or QR
-    would add over 1 MB of LAPACK code to a process using only its LU."""
+    exceeds ``_FLOAT_DET_REL_TOL`` at the basis scale.  numpy's QR or SVD
+    would page in LAPACK code that a process using only its LU does not
+    touch: after float decisions, the first QR raised peak RSS by about
+    0.5 MB and the first SVD by about 0.9 MB (numpy 2.4, one BLAS thread)."""
     m = np.array(m, dtype=np.result_type(m, float))
     kept = np.zeros((min(m.shape), m.shape[1]), dtype=m.dtype)
     for r in range(len(kept)):

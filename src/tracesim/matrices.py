@@ -19,19 +19,29 @@ Two linear-algebra engines sit behind one interface:
   rounding anywhere.
 * float (real/complex kinds): numpy-backed Gauss-Jordan with partial
   pivoting (``_float_rref``); a pivot counts iff its magnitude exceeds
-  ``tol * max(|initial entries|)``, with ``tol`` defaulting to 1e-9.
-  ``_float_kernel`` reads the kernel off that reduction as numpy vectors,
-  one per free column; float ``Matrix.nullspace`` wraps it, and the float
-  intertwiner system, assembled as a numpy array, calls it directly.
+  ``tol * max(|initial entries|)``, with ``tol`` defaulting to 1e-9.  Each
+  pivot step is a few whole-array numpy operations: a row swap, the pivot
+  row scaled in place, and one rank-one update of every row.
+  ``_float_kernel`` reads the kernel off that reduction in one fancy-index
+  assignment, one numpy vector per free column; float ``Matrix.nullspace``
+  wraps it, and the float intertwiner system, assembled as a numpy array,
+  calls it directly.
 
-Products follow the same split, in one loop (``_raw_product``).  An exact
-product takes every entry of A'B' as one integer dot product of the stored
-values and returns A'B' over the product of the denominators.  A float or
-complex product accumulates each entry left to right from zero; ``sum()``
-is avoided there because from Python 3.12 it compensates float sums, which
-would make results depend on the Python version.  Callers that stack
-several matrices into one operand, or compare products without building
-them, pass the stored values directly.
+Products follow the same split, in one function (``_raw_product``).  An
+exact product takes every entry of A'B' as one integer dot product of the
+stored values and returns A'B' over the product of the denominators.  A
+float or complex product accumulates each entry left to right from zero,
+as a scalar loop would, but one inner index at a time over whole rows:
+``out += a[:, j] b[j]``.  Every entry thus takes the same rounded products
+and sums in the same order, with no fused multiply-add, so results are
+those of plain Python floats to the last bit and do not depend on the
+Python version (``sum()`` compensates float sums from 3.12 on).  numpy's
+complex multiply rounds differently from Python's, so a complex product is
+split into real ufuncs, re = ar br - ai bi and im = ar bi + ai br, the
+formula Python uses.  Overflow gives inf or NaN without a warning, as it
+does for Python floats.  Callers that stack several matrices into one
+operand, or compare products without building them, pass the stored
+values directly.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -108,9 +118,8 @@ class Matrix:
             raise ShapeError("expected a 2-d array")
         if field.kind is Kind.RATIONAL:
             raise KindMismatchError("cannot build exact rationals from a float array")
-        caster = float if field.kind is Kind.REAL64 else complex
         return Matrix(field, arr.shape[0], arr.shape[1],
-                      tuple(caster(x) for x in arr.reshape(-1)))
+                      tuple(arr.astype(_dtype(field), copy=False).reshape(-1).tolist()))
 
     # -- basic access ------------------------------------------------------
 
@@ -137,8 +146,7 @@ class Matrix:
         if self.field.kind is Kind.RATIONAL:
             return np.array([v / self.denom for v in self.values],
                             dtype=float).reshape(self.rows, self.cols)
-        dtype = np.float64 if self.field.kind is Kind.REAL64 else np.complex128
-        return np.array([dtype(x) for x in self.values], dtype=dtype).reshape(self.rows, self.cols)
+        return np.array(self.values, _dtype(self.field)).reshape(self.rows, self.cols)
 
     def astype(self, field: Field) -> "Matrix":
         """Explicit kind conversion (e.g. exact rationals to float64)."""
@@ -310,6 +318,11 @@ class Matrix:
         return Matrix.from_numpy(self.field, inv)
 
 
+def _dtype(field: Field):
+    """The numpy dtype of a float kind's values."""
+    return np.float64 if field.kind is Kind.REAL64 else np.complex128
+
+
 def _zero_one(field: Field) -> tuple:
     """The stored 0 and 1: ints for the exact kind, the kind's scalars else."""
     return (0, 1) if field.is_exact else (field.zero(), field.one())
@@ -322,24 +335,40 @@ def _raw_product(field: Field, a, b, m: int, k: int) -> list:
 
     The exact kind takes one integer dot product per entry, so the product
     of A = a / La and B = b / Lb has entries ``out[e] / (La Lb)``.  The float
-    kinds accumulate each entry left to right from zero; ``sum()`` is avoided
-    because from Python 3.12 it compensates float sums.  Either operand may
-    stack several matrices, each with its own L: every entry is still the
-    dot product, in the same order, that the separate product takes.
+    kinds accumulate each entry left to right from zero, one inner index at
+    a time over whole rows, so each entry is the one a scalar loop over
+    Python floats gives (``sum()`` would compensate float sums from Python
+    3.12 on).  A complex product is split into real ufuncs,
+    re = ar br - ai bi and im = ar bi + ai br, which round as Python's
+    complex multiply does; numpy's own complex multiply does not.  Either
+    operand may stack several matrices, each with its own L: every entry is
+    still the dot product, in the same order, that the separate product
+    takes.
     """
-    rows = [a[i:i + m] for i in range(0, len(a), m)]
-    cols = [b[j::k] for j in range(k)]
     if field.is_exact:
+        rows = [a[i:i + m] for i in range(0, len(a), m)]
+        cols = [b[j::k] for j in range(k)]
         return [sum(map(mul, row, col)) for row in rows for col in cols]
-    zero = field.zero()
-    out = []
-    for row in rows:
-        for col in cols:
-            acc = zero
-            for x, y in zip(row, col):
-                acc += x * y
-            out.append(acc)
-    return out
+    dtype = _dtype(field)
+    a = np.array(a, dtype).reshape(-1, m)
+    b = np.array(b, dtype).reshape(m, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently
+        if not field.is_complex:
+            out = np.zeros((len(a), k))
+            for aj, bj in zip(a.T[:, :, None], b):  # column j of a, row j of b
+                out += aj * bj
+            return out.reshape(-1).tolist()
+        # per inner index j, the four real products ar br, ai (-bi), ar bi, ai br
+        left = np.array([a.real, a.imag, a.real, a.imag]).transpose(2, 0, 1)[..., None]
+        right = np.array([b.real, -b.imag, b.imag, b.real]).transpose(1, 0, 2)[:, :, None]
+        acc = np.zeros((2, len(a), k))
+        for lj, rj in zip(left, right):
+            x = lj * rj
+            acc += x[0::2] + x[1::2]  # re = ar br - ai bi, im = ar bi + ai br
+    out = np.empty((len(a), k), dtype)
+    out.real = acc[0]  # acc[0] + 1j * acc[1] would put 0 * inf = NaN beside an infinite im
+    out.imag = acc[1]
+    return out.reshape(-1).tolist()
 
 
 def _from_raw(field: Field, rows: int, cols: int, values, denom: int = 1) -> Matrix:
@@ -640,7 +669,9 @@ def _float_rref(a, tol: float):
 
     A pivot counts iff its magnitude exceeds ``tol * max |initial entry|``.
     Returns the reduced matrix (pivot entries 1, pivot columns cleared) and
-    the list of pivot columns.
+    the list of pivot columns.  Each step scales the pivot row in place and
+    subtracts the rank-one ``col[:, None] * row`` from the whole matrix, the
+    pivot row included with a zero multiplier.
     """
     a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     nrows, ncols = a.shape
@@ -651,15 +682,19 @@ def _float_rref(a, tol: float):
     for c in range(ncols):
         if r >= nrows:
             break
-        i = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[i, c]) <= thresh:
+        mags = np.abs(a[r:, c])
+        i = int(mags.argmax())
+        if mags[i] <= thresh:
             continue
-        if i != r:
-            a[[r, i], :] = a[[i, r], :]
-        a[r, :] = a[r, :] / a[r, c]
+        row = a[r]
+        if i:
+            tmp = row.copy()
+            row[:] = a[r + i]
+            a[r + i] = tmp
+        row /= row[c]
         col = a[:, c].copy()
         col[r] = 0.0
-        a -= np.outer(col, a[r, :])
+        a -= col[:, None] * row
         pivots.append(c)
         r += 1
     return a, pivots
@@ -680,15 +715,11 @@ def _float_kernel(a, tol: float) -> list:
     rref, pivots = _float_rref(a, tol)
     ncols = rref.shape[1]
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = np.zeros(ncols, dtype=rref.dtype)
-        v[f] = 1.0
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r, f]
-        basis.append(v)
-    return basis
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = np.zeros((len(free), ncols), dtype=rref.dtype)
+    basis[range(len(free)), free] = 1.0
+    basis[:, pivots] = -rref[:len(pivots), free].T
+    return list(basis)
 
 
 def _float_nullspace(m: Matrix, tol: float) -> list:

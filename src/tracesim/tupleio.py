@@ -9,7 +9,11 @@ JSON object with keys:
 
 Entries are "p/q" or "p" strings for rationals (ASCII digits, an optional
 sign on p only, so the denominator is positive by syntax), plain numbers
-for float64, and [re, im] pairs for complex128.
+for float64, and [re, im] pairs for complex128.  Rational entries are read
+straight into ints over one denominator.  Float and complex entries are
+checked once per matrix: the types of all entries in one pass, then
+finiteness on the converted floats; only a matrix that fails goes through
+``parse_entry`` entry by entry, so the error names its first bad entry.
 Parsing then printing then parsing is the identity.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -124,8 +129,31 @@ def _parse_matrix(field: Field, rows: int, cols: int, entries: list) -> Matrix:
     """The matrix of row-major entries in file syntax; rational ones are read
     straight into ints over the lcm of their denominators."""
     if not field.is_exact:
-        return Matrix(field, rows, cols, tuple(parse_entry(field, e) for e in entries))
+        return Matrix(field, rows, cols, _float_values(field, entries))
     return _from_ratios(field, rows, cols, [_rational_parts(e) for e in entries])
+
+
+def _float_values(field: Field, entries: list) -> tuple:
+    """The float64 or complex128 values of one matrix's entries in file
+    syntax, as ``parse_entry`` gives them: the types are checked in one pass
+    and finiteness on the converted floats.  ``parse_entry`` runs entry by
+    entry only when that check fails, to raise for the first bad entry (or
+    to read number subclasses, which the one-pass check does not take)."""
+    parts = entries
+    if field.is_complex:
+        pairs = set(map(type, entries)) <= {list} and all(len(e) == 2 for e in entries)
+        parts = [x for e in entries for x in e] if pairs else None
+    floats = None
+    if parts is not None and set(map(type, parts)) <= {int, float}:
+        try:
+            floats = list(map(float, parts))
+        except OverflowError:  # an int too large for a float
+            pass
+    if floats is None or not all(map(math.isfinite, floats)):
+        return tuple(parse_entry(field, e) for e in entries)
+    if field.is_complex:
+        return tuple(map(complex, floats[::2], floats[1::2]))
+    return tuple(floats)
 
 
 def tuple_to_dict(x: MatrixTuple) -> dict:

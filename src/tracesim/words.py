@@ -217,7 +217,9 @@ class Fingerprint:
     field: Field
     entries: dict  # canonical Word -> trace value, in canonical order
     n: int
-    norm: float  # largest Frobenius norm among the tuple's matrices
+    # largest Frobenius norm among the tuple's matrices; 0.0 for the exact
+    # kind, whose values compare exactly and which never goes through float
+    norm: float
 
     def words(self) -> list:
         return list(self.entries.keys())
@@ -245,12 +247,12 @@ def fingerprint(x: MatrixTuple, max_degree: int, include_star: bool = True,
                 budget: int = DEFAULT_BUDGET) -> Fingerprint:
     """Trace of every canonical word of degree <= max_degree on the tuple."""
     words = enumerate_canonical(x.d, max_degree, include_star, budget)
-    arrays = [m.to_numpy() for m in x.matrices]
-    if x.field.kind is Kind.RATIONAL:
-        values = _eval_traces_exact(words, x)
+    if x.field.kind is Kind.RATIONAL:  # never through float: entries may be beyond its range
+        values, norm = _eval_traces_exact(words, x), 0.0
     else:
+        arrays = [m.to_numpy() for m in x.matrices]
         values = _eval_traces_float(words, x, arrays)
-    norm = max(float(np.linalg.norm(arr)) for arr in arrays)
+        norm = max(float(np.linalg.norm(arr)) for arr in arrays)
     return Fingerprint(x.d, max_degree, include_star, x.field,
                        dict(zip(words, values)), x.n, norm)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stdout
 
@@ -90,6 +91,44 @@ def test_entries_beyond_the_int_digit_limit_rejected(tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("float64", True, "float64 entries are numbers, got True"),
+    ("float64", "1.5", "float64 entries are numbers, got '1.5'"),
+    ("float64", None, "float64 entries are numbers, got None"),
+    ("float64", [1.0], "float64 entries are numbers, got [1.0]"),
+    ("float64", math.nan, "non-finite entry nan"),
+    ("float64", -math.inf, "non-finite entry -inf"),
+    ("float64", 10 ** 400, "integer entry beyond float range"),
+    ("complex128", True, "complex128 entries are [re, im] pairs, got True"),
+    ("complex128", "1.5", "complex128 entries are [re, im] pairs, got '1.5'"),
+    ("complex128", None, "complex128 entries are [re, im] pairs, got None"),
+    ("complex128", [[1.0], 0], "complex128 entries are [re, im] pairs, got [[1.0], 0]"),
+    ("complex128", [math.nan, 0], "non-finite entry [nan, 0]"),
+    ("complex128", [0, math.inf], "non-finite entry [0, inf]"),
+    ("complex128", [10 ** 400, 0], "integer entry beyond float range"),
+    ("complex128", [1.0], "complex128 entries are [re, im] pairs, got [1.0]"),
+    ("complex128", [1, 2, 3], "complex128 entries are [re, im] pairs, got [1, 2, 3]"),
+    ("complex128", [True, 0], "complex128 entries are [re, im] pairs, got [True, 0]"),
+    ("complex128", [0, False], "complex128 entries are [re, im] pairs, got [0, False]"),
+])
+def test_malformed_float_entry_named_first(field, bad, message):
+    # alone, and before a later bad entry of another sort, which is not the one reported
+    good, later = (0.5, "later") if field == "float64" else ([0.5, 1], [0, "later"])
+    for tail in ([good, good], [later, good]):
+        doc = {"field": field, "n": 2, "d": 2, "matrices": [[good] * 4, [good, bad] + tail]}
+        with pytest.raises(TupleFileError) as err:
+            tuple_from_dict(doc)
+        assert str(err.value) == message
+
+
+def test_float_documents_read_ints_as_floats():
+    x = tuple_from_dict({"field": "float64", "n": 2, "d": 1, "matrices": [[1, -2.5, 0, -0.0]]})
+    assert [(type(v), repr(v)) for v in x[0].values] == [
+        (float, "1.0"), (float, "-2.5"), (float, "0.0"), (float, "-0.0")]
+    z = tuple_from_dict({"field": "complex128", "n": 1, "d": 1, "matrices": [[[3, -0.0]]]})
+    assert [(type(v), repr(v)) for v in z[0].values] == [(complex, "(3-0j)")]
+
+
 _HEADER = {"field": "rational", "n": 1, "d": 1, "matrices": [["1"]]}
 
 
@@ -165,6 +204,16 @@ def test_fingerprint_zero_tuple(tmp_path):
     assert code == 0
     for line in out.strip().splitlines():
         assert line.endswith("= 0")
+
+
+def test_fingerprint_of_a_rational_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": "rational", "n": 1, "d": 1,
+                                "matrices": [["1" + "0" * 2999]]}))
+    code = main(["fingerprint", str(path), "-D", "1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == "x1 = 1%s\n" % ("0" * 2999)
 
 
 def test_fingerprint_budget_diagnostic(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import math
 import random
+import warnings
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import rand_int_matrix, rand_invertible_int
 from tracesim import (Field, Matrix, ShapeError, SingularMatrixError, StarMode, det,
                       inverse, nullspace, rank, solve_linear, star, trace)
-from tracesim.matrices import _det_int, _gauss_jordan_int, _raw_product
+from tracesim.matrices import (_det_int, _float_kernel, _float_rref, _gauss_jordan_int,
+                               _raw_product)
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -416,3 +420,137 @@ def test_stacked_float_product_blocks_match_separate_products_bit_for_bit(field,
                          for r in range(n) for c in range(n)]
             reordered += list(block) != backwards
     assert reordered or n == 2  # another order would show; two terms add either way
+
+
+# -- the vectorised float engine against its scalar references ----------------
+
+def reference_product(field, a, b, m, k):
+    """Independent oracle: every entry accumulated left to right from zero in
+    Python floats or complexes, one scalar product at a time."""
+    out = []
+    for i in range(0, len(a), m):
+        for j in range(k):
+            acc = field.zero()
+            for x, y in zip(a[i:i + m], b[j::k]):
+                acc += x * y
+            out.append(acc)
+    return out
+
+
+def reference_rref(a, tol):
+    """Independent oracle: Gauss-Jordan with partial pivoting and an
+    outer-product update of the whole matrix per pivot."""
+    a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+    nrows, ncols = a.shape
+    thresh = tol * (np.max(np.abs(a)) if a.size else 0.0)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        i = r + int(np.argmax(np.abs(a[r:, c])))
+        if abs(a[i, c]) <= thresh:
+            continue
+        if i != r:
+            a[[r, i], :] = a[[i, r], :]
+        a[r, :] = a[r, :] / a[r, c]
+        col = a[:, c].copy()
+        col[r] = 0.0
+        a -= np.outer(col, a[r, :])
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def reference_kernel(a, tol):
+    """Independent oracle: one kernel vector per free column, filled entry by
+    entry from ``reference_rref``."""
+    rref, pivots = reference_rref(a, tol)
+    basis = []
+    for f in range(rref.shape[1]):
+        if f in pivots:
+            continue
+        v = np.zeros(rref.shape[1], dtype=rref.dtype)
+        v[f] = 1.0
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r, f]
+        basis.append(v)
+    return basis
+
+
+def _rand_scalar(rng, field, wild):
+    """Magnitudes 1e-8..1e8 so rounding shows in the last bits; when ``wild``,
+    also signed zeros, values whose products overflow, and inf/NaN."""
+    def part():
+        if wild and rng.random() < 0.3:
+            return rng.choice([0.0, -0.0, 1e200, -3e307, math.inf, -math.inf, math.nan])
+        return rng.gauss(0, 1) * 10.0 ** rng.randint(-8, 8)
+    return complex(part(), part()) if field.is_complex else part()
+
+
+def _reprs(values):
+    return [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("field", [FR, FC], ids=["float64", "complex128"])
+def test_float_product_matches_scalar_loop_bit_for_bit(field):
+    rng = random.Random("product:%s" % field.kind.value)
+    for trial in range(300):
+        wild = trial % 3 == 0
+        m, k = rng.randint(1, 7), rng.randint(1, 9)
+        rows = m * rng.randint(1, 4) if trial % 2 else rng.randint(1, 9)  # stacked or not
+        a = [_rand_scalar(rng, field, wild) for _ in range(rows * m)]
+        b = [_rand_scalar(rng, field, wild) for _ in range(m * k)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # Python floats overflow silently
+            got = _raw_product(field, a, b, m, k)
+        assert all(type(v) is type(field.zero()) for v in got)
+        assert _reprs(got) == _reprs(reference_product(field, a, b, m, k)), trial
+
+
+def test_float_product_sums_from_a_positive_zero_and_keeps_parts_apart():
+    assert _reprs(_raw_product(FR, [-0.0], [1.0], 1, 1)) == ["0.0"]  # 0.0 + -0.0
+    # 1e200j (1e200 + 0j) = 0 + infj; re + 1j * im would make the real part 0 * inf = NaN
+    assert _reprs(_raw_product(FC, [1e200j], [1e200 + 0j], 1, 1)) == ["infj"]
+    assert _reprs(reference_product(FC, [1e200j], [1e200 + 0j], 1, 1)) == ["infj"]
+
+
+def _rand_system(rng, dtype, rows, cols, rank):
+    """A rows x cols array of rank <= ``rank`` with some entries, a whole row
+    and a whole column replaced by signed zeros."""
+    def draw(shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        if dtype is np.complex128:
+            out = out + 1j * rng.standard_normal(shape)
+        return out
+    a = draw((rows, rank)) @ draw((rank, cols)) if rank else np.zeros((rows, cols), dtype)
+    a = a.astype(dtype)
+    mask = rng.random((rows, cols)) < 0.1
+    a[mask] = rng.choice([0.0, -0.0], mask.sum())
+    a[rng.integers(rows)] = -0.0
+    a[:, rng.integers(cols)] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+def test_float_reduction_and_kernel_match_outer_product_reference(dtype):
+    rng = np.random.default_rng(7 if dtype is np.float64 else 8)
+    shapes = [(8, 3), (3, 8), (5, 5), (12, 9), (4, 16), (1, 6), (6, 1)]
+    for trial in range(120):
+        rows, cols = shapes[trial % len(shapes)]
+        a = _rand_system(rng, dtype, rows, cols, int(rng.integers(0, min(rows, cols) + 1)))
+        if trial % 4 == 3 and cols > 1:  # the elimination overflows to inf, then NaN
+            a[:, 0], a[:, -1] = 1e300, -1.7e308
+            a[0, -1] = 1.7e308
+        for tol in (1e-9, 0.0):
+            with np.errstate(over="ignore", invalid="ignore"):  # numpy warns on both sides
+                got, pivots = _float_rref(a, tol)
+                want, want_pivots = reference_rref(a, tol)
+                kernel, want_kernel = _float_kernel(a, tol), reference_kernel(a, tol)
+            assert pivots == want_pivots, trial
+            assert _reprs(got.reshape(-1).tolist()) == _reprs(want.reshape(-1).tolist()), trial
+            assert len(kernel) == len(want_kernel) == cols - len(pivots)
+            for v, w in zip(kernel, want_kernel):
+                assert v.dtype == w.dtype and _reprs(v.tolist()) == _reprs(w.tolist()), trial
+    assert _float_kernel(np.zeros((2, 3)), 1e-9)[1].tolist() == [0.0, 1.0, 0.0]
+    assert _float_kernel(np.eye(3), 1e-9) == []

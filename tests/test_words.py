@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -234,6 +235,16 @@ def test_fingerprint_zero_tuple():
     x = MatrixTuple.of(Matrix.zeros(FQ, 3, 3))
     fp = fingerprint(x, 3)
     assert all(v == 0 for _, v in fp.items())
+
+
+def test_rational_fingerprint_never_goes_through_float():
+    big = Fraction(10 ** 3000 + 1, 3)  # beyond float range
+    x = MatrixTuple.of(Matrix.from_rows(FQ, [[big, 0], [1, -big]]))
+    fp = fingerprint(x, 2)
+    assert fp.norm == 0.0
+    assert fp[w("x1")] == 0
+    assert fp[w("x1 x1")] == 2 * big * big
+    assert fingerprints_equal(fp, fp) == (True, None)
 
 
 def test_fingerprint_sum_of_squares_values():
