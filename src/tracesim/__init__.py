@@ -16,8 +16,7 @@ from .errors import (BudgetExceededError, KindMismatchError, LetterIndexError,
                      ShapeError, SingularMatrixError, TracesimError, TupleFileError,
                      WitnessConstructionError, ZeroPolynomialError)
 from .fields import Field, Kind, StarMode
-from .intertwiner import (GLVerdict, IntertwinerBasis, find_invertible, gl_similar,
-                          intertwiner_basis)
+from .intertwiner import GLVerdict, IntertwinerBasis, gl_similar, intertwiner_basis
 from .matrices import (Matrix, MatrixTuple, det, inverse, nullspace, rank, solve_linear,
                        star, trace)
 from .matrix_units import (SubringReport, UnitSystem, check_delta, check_epsilon,
@@ -42,7 +41,7 @@ __all__ = [
     "Letter", "Word", "Fingerprint", "FingerprintDiff", "canonicalize",
     "enumerate_canonical", "eval_word", "fingerprint", "fingerprints_equal",
     # intertwiners / similarity
-    "IntertwinerBasis", "GLVerdict", "intertwiner_basis", "find_invertible", "gl_similar",
+    "IntertwinerBasis", "GLVerdict", "intertwiner_basis", "gl_similar",
     # orthogonal
     "OrthogonalWitness", "OrthVerdict", "SpechtReport", "specht_equivalent",
     "orthogonal_witness", "specht_property_check",

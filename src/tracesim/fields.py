@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import enum
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import KindMismatchError, NonFiniteError
@@ -118,7 +119,12 @@ _ONE = {Kind.RATIONAL: Fraction(1), Kind.REAL64: 1.0, Kind.COMPLEX128: 1 + 0j}
 
 
 def value_str(value) -> str:
-    """Deterministic human rendering: '3/4' for rationals, repr otherwise."""
+    """Deterministic human rendering: '3/4' for rationals, repr otherwise.
+
+    Rationals print in full at any size: ``str()`` of an int refuses more
+    than ``sys.get_int_max_str_digits()`` digits, and a trace of a long word
+    easily has that many, but ``Decimal`` converts ints without that limit."""
     if isinstance(value, Fraction):
-        return str(value)
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else "%s/%s" % (num, Decimal(value.denominator))
     return repr(value)

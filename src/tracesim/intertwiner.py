@@ -22,6 +22,10 @@ kernel is zero.  The final basis is brought to the reduced form of the
 stacked system, so it does not depend on the chains or the staging.  The
 float kinds stack all equations into one numpy system, since restricting
 under float pivot thresholds would change which directions count as kernel.
+Its pivots are judged against the largest entry of the X_i and Y_i: the
+system's own entries x - y cancel, and a threshold taken from them counts
+rounding dust as pivots (for X = c I and Y = Q X Q^t, rounded, every entry
+is dust, and the space came out zero).
 
 Invertible elements are found by one seeded draw loop (``_draws``) of
 A = sum c_j B_j, c_j uniform in {-S..S}.  An invertible A is the witness
@@ -52,8 +56,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .fields import Field
-from .matrices import (Matrix, MatrixTuple, _det_int, _float_kernel, _float_tol, _from_raw,
-                       _gauss_jordan_int, _int_kernel, _int_matrices, _require_exact_tol)
+from .matrices import (Matrix, MatrixTuple, _det_int, _float_kernel, _from_raw,
+                       _gauss_jordan_int, _int_kernel, _int_matrices)
 
 DEFAULT_TRIALS = 20
 DEFAULT_SAMPLE_BOUND = 10 ** 6
@@ -89,8 +93,7 @@ def _check_pair(x: MatrixTuple, y: MatrixTuple):
                          % (x.n, x.d, y.n, y.d))
 
 
-def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
-                      tol: Optional[float] = None) -> IntertwinerBasis:
+def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool) -> IntertwinerBasis:
     """Basis of {P : P X_i = Y_i P for all i} (and P star(X_i) = star(Y_i) P).
 
     P is flattened row-major into n^2 unknowns.  The exact kind solves the
@@ -98,12 +101,12 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
     basis of the whole system: basis[j] is 1 at the j-th free entry and 0 at
     the other free entries, and the defining equations hold exactly.  The
     float kinds stack every equation (n^2 rows each) into one numpy system
-    (``_float_system``) and read its kernel off ``_float_kernel``.
+    (``_float_system``) and read its kernel off ``_float_kernel``, at the
+    scale of the largest entry of the X_i and Y_i.
     """
     _check_pair(x, y)
     n = x.n
     if x.field.is_exact:
-        _require_exact_tol(tol)
         mats, _ = _int_matrices(x.matrices + y.matrices)
         xs, ys = mats[:x.d], mats[x.d:]
         if with_star:  # the exact star is the transpose
@@ -117,7 +120,7 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool,
         if with_star:
             xs += [m.to_numpy() for m in x.stars()]
             ys += [m.to_numpy() for m in y.stars()]
-        kernel = _float_kernel(_float_system(xs, ys, n), _float_tol(tol))
+        kernel = _float_kernel(_float_system(xs, ys, n), np.max(np.abs(np.stack(xs + ys))))
         basis = tuple(Matrix.from_numpy(x.field, v.reshape(n, n)) for v in kernel)
     return IntertwinerBasis(n, with_star, x.field, basis)
 
@@ -320,20 +323,6 @@ def _draws(b: IntertwinerBasis, mats, seed: int, trials: int, sample_bound: int)
             yield coeffs, a, big or len(rows) == b.n, rows
 
 
-def find_invertible(b: IntertwinerBasis, seed: int = 0, trials: int = DEFAULT_TRIALS,
-                    sample_bound: int = DEFAULT_SAMPLE_BOUND) -> Optional[Matrix]:
-    """The first invertible one of ``trials`` seeded draws from the span
-    (``_draws``), or None.  det A has degree n in the c_j, so a span with an
-    invertible element gives a singular draw with probability at most
-    n/(2S+1) (Schwartz-Zippel).  None proves nothing; ``_decide_span`` proves
-    a span singular by the second Wong sequence of a singular draw, a U that
-    every P in the span maps into the smaller sum_j B_j U.  Raises
-    ``ShapeError`` unless trials >= 1 and sample_bound >= 1."""
-    _check_draws(trials, sample_bound)
-    draws = _draws(b, _working_basis(b), seed, trials, sample_bound) if b.dim else ()
-    return next((b.combo(c) for c, _, invertible, _ in draws if invertible), None)
-
-
 def _orth(m: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the rows of ``m``: Gram-Schmidt that keeps
     the row of largest residual (projected once more) until no residual
@@ -436,9 +425,14 @@ def _verify_intertwiner(p: Matrix, x: MatrixTuple, y: MatrixTuple, with_star: bo
 
 
 def _decide_span(b: IntertwinerBasis, seed: int, trials: int, sample_bound: int):
-    """(P, U, detail): P an invertible draw, still to be verified, or U a
-    certified shrunk subspace (I for a zero span), or neither after every
-    draw escaped, with the Schwartz-Zippel bound in the detail."""
+    """(P, U, detail): P the first invertible one of ``trials`` seeded draws
+    (``_draws``), still to be verified, or U a certified shrunk subspace (I
+    for a zero span), or neither after every draw escaped, with the
+    Schwartz-Zippel bound in the detail: det A has degree n in the c_j, so a
+    span with an invertible element gives a singular draw with probability
+    at most n/(2S+1).  Raises ``ShapeError`` unless trials >= 1 and
+    sample_bound >= 1."""
+    _check_draws(trials, sample_bound)
     what = "star-intertwiner" if b.with_star else "intertwiner"
     if b.dim == 0:
         return None, Matrix.identity(b.field, b.n), "%s space is zero" % what
@@ -467,7 +461,6 @@ def _search(x: MatrixTuple, y: MatrixTuple, with_star: bool, seed: int, trials: 
     certified negative (a zero space or a shrunk subspace) from a probable
     one."""
     _check_pair(x, y)
-    _check_draws(trials, sample_bound)
     basis = intertwiner_basis(x, y, with_star=with_star)
     p, u, detail = _decide_span(basis, seed, trials, sample_bound)
     return basis, p, u is not None, detail

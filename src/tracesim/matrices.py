@@ -19,7 +19,9 @@ Two linear-algebra engines sit behind one interface:
   rounding anywhere.
 * float (real/complex kinds): numpy-backed Gauss-Jordan with partial
   pivoting (``_float_rref``); a pivot counts iff its magnitude exceeds
-  ``tol * max(|initial entries|)``, with ``tol`` defaulting to 1e-9.  Each
+  ``PIVOT_TOL`` (1e-9) times a scale, by default the largest initial entry
+  magnitude (the intertwiner system passes the largest entry of the
+  matrices it was built from, since its own entries may cancel).  Each
   pivot step is a few whole-array numpy operations: a row swap, the pivot
   row scaled in place, and one rank-one update of every row.
   ``_float_kernel`` reads the kernel off that reduction in one fancy-index
@@ -60,7 +62,7 @@ import numpy as np
 from .errors import KindMismatchError, ShapeError, SingularMatrixError
 from .fields import Field, Kind, StarMode
 
-DEFAULT_FLOAT_TOL = 1e-9
+PIVOT_TOL = 1e-9  # float pivots count above this times the scale of the values
 
 
 @dataclass(frozen=True)
@@ -278,26 +280,25 @@ class Matrix:
             return Fraction(_det_int(rows), denom ** self.rows)
         return _float_det(self)
 
-    def rank(self, tol: Optional[float] = None) -> int:
+    def rank(self) -> int:
         if self.field.is_exact:
-            _require_exact_tol(tol)
             (rows,), _ = _int_matrices([self])
             _, pivots, _, _ = _gauss_jordan_int(rows)
             return len(pivots)
-        _, pivots = _float_rref(self.to_numpy(), _float_tol(tol))
+        _, pivots = _float_rref(self.to_numpy())
         return len(pivots)
 
-    def nullspace(self, tol: Optional[float] = None) -> list:
+    def nullspace(self) -> list:
         """Basis of the right kernel, as column vectors (cols x 1 matrices).
 
         The vector for free column f is 1 there and 0 at every other free
         column."""
         if self.field.is_exact:
-            _require_exact_tol(tol)
             (rows,), _ = _int_matrices([self])
             kernel, d = _int_kernel(rows, self.cols)
             return [_from_raw(self.field, self.cols, 1, v, d) for v in kernel]
-        return _float_nullspace(self, _float_tol(tol))
+        return [Matrix.from_numpy(self.field, v.reshape(self.cols, 1))
+                for v in _float_kernel(self.to_numpy())]
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -408,16 +409,16 @@ def det(m: Matrix):
     return m.det()
 
 
-def rank(m: Matrix, tol: Optional[float] = None) -> int:
-    return m.rank(tol)
+def rank(m: Matrix) -> int:
+    return m.rank()
 
 
 def inverse(m: Matrix) -> Matrix:
     return m.inverse()
 
 
-def nullspace(m: Matrix, tol: Optional[float] = None) -> list:
-    return m.nullspace(tol)
+def nullspace(m: Matrix) -> list:
+    return m.nullspace()
 
 
 # -- tuples ------------------------------------------------------------------
@@ -469,19 +470,6 @@ class MatrixTuple:
 
 
 # -- exact engine -------------------------------------------------------------
-
-def _require_exact_tol(tol):
-    if tol not in (None, 0, 0.0):
-        raise KindMismatchError("exact mode takes tol=0 (got %r)" % (tol,))
-
-
-def _float_tol(tol):
-    if tol is None:
-        return DEFAULT_FLOAT_TOL
-    if tol < 0:
-        raise ShapeError("tolerance must be nonnegative")
-    return tol
-
 
 def _int_matrices(matrices) -> tuple:
     """(row lists of L * m for each matrix m, L): the stored values brought
@@ -641,18 +629,14 @@ def _exact_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     return _from_raw(a.field, m, b.cols, [v for r in sol for v in r], d)
 
 
-def solve_linear(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[Matrix]:
+def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Any solution of a X = b (free variables zero), or None if inconsistent."""
     a._same_field(b)
     if a.rows != b.rows:
         raise ShapeError("solve shape mismatch")
     if a.field.is_exact:
-        _require_exact_tol(tol)
         return _exact_solve(a, b)
-    t = _float_tol(tol)
-    an, bn = a.to_numpy(), b.to_numpy()
-    aug = np.hstack([an, bn])
-    rref, pivots = _float_rref(aug, t)
+    rref, pivots = _float_rref(np.hstack([a.to_numpy(), b.to_numpy()]))
     for pc in pivots:
         if pc >= a.cols:
             return None
@@ -664,19 +648,21 @@ def solve_linear(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[
 
 # -- float engine --------------------------------------------------------------
 
-def _float_rref(a, tol: float):
+def _float_rref(a, scale: Optional[float] = None):
     """Gauss-Jordan with partial pivoting.
 
-    A pivot counts iff its magnitude exceeds ``tol * max |initial entry|``.
-    Returns the reduced matrix (pivot entries 1, pivot columns cleared) and
-    the list of pivot columns.  Each step scales the pivot row in place and
+    A pivot counts iff its magnitude exceeds ``PIVOT_TOL * scale``, the scale
+    being the largest initial entry magnitude unless given.  Returns the
+    reduced matrix (pivot entries 1, pivot columns cleared) and the list of
+    pivot columns.  Each step scales the pivot row in place and
     subtracts the rank-one ``col[:, None] * row`` from the whole matrix, the
     pivot row included with a zero multiplier.
     """
     a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     nrows, ncols = a.shape
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    thresh = tol * scale
+    if scale is None:
+        scale = np.max(np.abs(a)) if a.size else 0.0
+    thresh = PIVOT_TOL * scale
     pivots = []
     r = 0
     for c in range(ncols):
@@ -705,14 +691,14 @@ def _float_det(m: Matrix):
     return complex(val) if m.field.is_complex else float(val)
 
 
-def _float_kernel(a, tol: float) -> list:
+def _float_kernel(a, scale: Optional[float] = None) -> list:
     """Right-kernel basis of a float or complex array, one numpy vector per
-    free column of ``_float_rref``, in increasing column order.
+    free column of ``_float_rref`` at that scale, in increasing column order.
 
     The vector for free column f is 1 there, 0 at every other free column
     and minus the reduced rows' entries in column f at the pivot columns.
     """
-    rref, pivots = _float_rref(a, tol)
+    rref, pivots = _float_rref(a, scale)
     ncols = rref.shape[1]
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -720,8 +706,3 @@ def _float_kernel(a, tol: float) -> list:
     basis[range(len(free)), free] = 1.0
     basis[:, pivots] = -rref[:len(pivots), free].T
     return list(basis)
-
-
-def _float_nullspace(m: Matrix, tol: float) -> list:
-    return [Matrix.from_numpy(m.field, v.reshape(m.cols, 1))
-            for v in _float_kernel(m.to_numpy(), tol)]

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from .errors import (MissingUnitsError, NonCentralCoefficientError, ShapeError)
 from .fields import Field
 from .intertwiner import intertwiner_basis
-from .matrices import Matrix, MatrixTuple, _float_tol, _from_raw, _raw_product
+from .matrices import Matrix, MatrixTuple, _from_raw, _raw_product
 
 RELATION_TOL = 1e-9  # scaled by the largest entry magnitude in float modes
 
@@ -72,12 +72,10 @@ def _family_shape(units: Sequence[Sequence[Matrix]]):
     return n_outer, first.rows, first.field
 
 
-def _rel_tol(units, tol):
+def _rel_tol(units):
     field = units[0][0].field
     if field.is_exact:
         return 0.0
-    if tol is not None:
-        return _float_tol(tol)
     scale = max(m.maxabs() for row in units for m in row)
     return RELATION_TOL * max(1.0, scale)
 
@@ -103,15 +101,16 @@ def _agree(field: Field, a, la, b, lb, eff: float) -> bool:
     return all(abs(x - y) <= eff for x, y in zip(a, b))
 
 
-def check_epsilon(units: Sequence[Sequence[Matrix]], tol: Optional[float] = None):
+def check_epsilon(units: Sequence[Sequence[Matrix]]):
     """Verify all N^4 unit relations; returns (ok, first violation or None).
 
     Each left unit a_ij takes one product a_ij [a_00 | a_01 | ...], whose
     block (s, t) is a_ij a_st entry for entry, and the blocks are checked in
-    (i, j, s, t) order.
+    (i, j, s, t) order.  Float entries agree within RELATION_TOL times
+    max(1, the largest entry magnitude of the family).
     """
     n_outer, n, field = _family_shape(units)
-    eff = _rel_tol(units, tol)
+    eff = _rel_tol(units)
     for i in range(n_outer):
         for j in range(n_outer):
             if units[i][j].is_zero(eff):
@@ -142,13 +141,11 @@ class UnitSystem:
     units: tuple  # N x N nested tuple of matrices
 
     @staticmethod
-    def from_family(units: Sequence[Sequence[Matrix]], tol: Optional[float] = None,
-                    validate: bool = True) -> "UnitSystem":
+    def from_family(units: Sequence[Sequence[Matrix]]) -> "UnitSystem":
         n_outer, n_inner, field = _family_shape(units)
-        if validate:
-            ok, violation = check_epsilon(units, tol)
-            if not ok:
-                raise ShapeError("not a matrix-unit system: %s" % violation)
+        ok, violation = check_epsilon(units)
+        if not ok:
+            raise ShapeError("not a matrix-unit system: %s" % violation)
         return UnitSystem(n_outer, n_inner, field,
                           tuple(tuple(row) for row in units))
 
@@ -171,8 +168,7 @@ class UnitSystem:
         return [m for row in self.units for m in row]
 
 
-def _first_noncentral(system: UnitSystem, coeffs: Sequence[Matrix],
-                      tol: Optional[float]) -> tuple:
+def _first_noncentral(system: UnitSystem, coeffs: Sequence[Matrix]) -> tuple:
     """(k, cu): k indexes the first coefficient that fails to commute with
     some unit, or is None; cu holds the raw entries of [c_0; c_1; ...]
     [a_0 | a_1 | ...], units in row-major order.
@@ -189,8 +185,8 @@ def _first_noncentral(system: UnitSystem, coeffs: Sequence[Matrix],
         if (c.rows, c.cols) != (n, n):
             raise ShapeError("candidate shape does not match the units")
         c._same_field(units[0])
-    eff = _rel_tol(system.units, tol)
-    if field.is_exact or tol is not None:
+    eff = _rel_tol(system.units)
+    if field.is_exact:
         effs = [eff] * len(coeffs)
     else:
         effs = [min(eff * max(1.0, c.maxabs()), sys.float_info.max) for c in coeffs]
@@ -206,14 +202,13 @@ def _first_noncentral(system: UnitSystem, coeffs: Sequence[Matrix],
     return None, cu
 
 
-def check_delta(v: Matrix, system: UnitSystem, tol: Optional[float] = None) -> bool:
+def check_delta(v: Matrix, system: UnitSystem) -> bool:
     """True iff v commutes with every unit of the system: the one-coefficient
     case of ``theta_embedding``'s check."""
-    return _first_noncentral(system, [v], tol)[0] is None
+    return _first_noncentral(system, [v])[0] is None
 
 
-def theta_embedding(system: UnitSystem, coeffs: Sequence[Sequence[Matrix]],
-                    tol: Optional[float] = None) -> Matrix:
+def theta_embedding(system: UnitSystem, coeffs: Sequence[Sequence[Matrix]]) -> Matrix:
     """sum_ij coeffs[i][j] * a_ij for central coefficient matrices.
 
     Each coefficient must commute with every unit (centrality relative to
@@ -225,7 +220,7 @@ def theta_embedding(system: UnitSystem, coeffs: Sequence[Sequence[Matrix]],
     if len(coeffs) != n_units or any(len(row) != n_units for row in coeffs):
         raise ShapeError("coefficient family must be %d x %d" % (n_units, n_units))
     flat = [c for row in coeffs for c in row]
-    bad, cu = _first_noncentral(system, flat, tol)
+    bad, cu = _first_noncentral(system, flat)
     if bad is not None:
         raise NonCentralCoefficientError(
             "coefficient (%d,%d) does not commute with the units" % divmod(bad, n_units))
@@ -259,14 +254,14 @@ def coeff_product(a: Sequence[Sequence[Matrix]], b: Sequence[Sequence[Matrix]]):
 
 
 def commutant(mats: Sequence[Matrix], n: Optional[int] = None,
-              field: Optional[Field] = None, tol: Optional[float] = None) -> list:
+              field: Optional[Field] = None) -> list:
     """Basis of {v : v m = m v for all m}; full M_n for an empty set."""
     if not mats:
         if n is None or field is None:
             raise ShapeError("empty set needs explicit n and field")
         return [Matrix.unit(field, n, i, j) for i in range(n) for j in range(n)]
     x = MatrixTuple.of(*mats)
-    basis = intertwiner_basis(x, x, with_star=False, tol=tol)
+    basis = intertwiner_basis(x, x, with_star=False)
     return list(basis.basis)
 
 
@@ -280,8 +275,7 @@ class SubringReport:
 
 
 def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
-                                 max_products: int = 4000,
-                                 tol: Optional[float] = None) -> SubringReport:
+                                 max_products: int = 4000) -> SubringReport:
     """Sample the subring generated and watch its corner entries.
 
     For a generating set that contains the standard units, the (0,0)
@@ -319,7 +313,7 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     n = first.rows
     field = first.field
     std = [[Matrix.unit(field, n, i, j) for j in range(n)] for i in range(n)]
-    eff = 0.0 if field.is_exact else (_float_tol(tol) if tol is not None else RELATION_TOL)
+    eff = 0.0 if field.is_exact else RELATION_TOL
     for i in range(n):
         for j in range(n):
             if not any(g.approx_eq(std[i][j], eff) for g in generators):

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import BudgetExceededError, WitnessConstructionError
 from .fields import Field, StarMode
 from .intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, IntertwinerBasis, _check_pair,
-                          _search, find_invertible)
+                          _decide_span, _search)
 from .matrices import Matrix, MatrixTuple
 from .words import (DEFAULT_BUDGET, FingerprintDiff, fingerprint, fingerprints_equal)
 
@@ -50,6 +50,9 @@ from .words import (DEFAULT_BUDGET, FingerprintDiff, fingerprint, fingerprints_e
 _ROOT_ANGLES = (0.0, 0.5 * math.pi, -0.5 * math.pi, 0.25 * math.pi, -0.25 * math.pi)
 _ROOT_STEPS = 50
 _ROOT_TOL = 1e-10
+# A float witness holds when max |O star(O) - I| <= WITNESS_TOL and
+# max |O X_i star(O) - Y_i| <= WITNESS_TOL * max(1, max |X|, max |Y|).
+WITNESS_TOL = 1e-8
 
 
 def _inverse_root(g: np.ndarray) -> Optional[np.ndarray]:
@@ -82,7 +85,7 @@ def _inverse_root(g: np.ndarray) -> Optional[np.ndarray]:
 # -- fingerprint-level equivalence ----------------------------------------------
 
 def specht_equivalent(x: MatrixTuple, y: MatrixTuple, max_degree: Optional[int] = None,
-                      tol: float = 1e-8, budget: int = DEFAULT_BUDGET):
+                      budget: int = DEFAULT_BUDGET):
     """Starred-fingerprint equality up to max_degree (default n^2).
 
     Necessary for orthogonal similarity at any degree; sufficient at n^2
@@ -93,7 +96,7 @@ def specht_equivalent(x: MatrixTuple, y: MatrixTuple, max_degree: Optional[int] 
     d = max_degree if max_degree is not None else x.n * x.n
     fx = fingerprint(x, d, include_star=True, budget=budget)
     fy = fingerprint(y, d, include_star=True, budget=budget)
-    return fingerprints_equal(fx, fy, tol=tol)
+    return fingerprints_equal(fx, fy)
 
 
 # -- witness construction ---------------------------------------------------------
@@ -150,7 +153,7 @@ def _scalar_of(g: Matrix) -> Optional[Fraction]:
     return Fraction(lam, g.denom)
 
 
-def _construct_float_witness(p: Matrix, x: MatrixTuple, y: MatrixTuple, tol: float):
+def _construct_float_witness(p: Matrix, x: MatrixTuple, y: MatrixTuple):
     """H^{-1} P for float tuples; raises on ill-conditioning or residual misses."""
     pn = p.to_numpy()
     amax = float(np.max(np.abs(pn)))
@@ -164,7 +167,7 @@ def _construct_float_witness(p: Matrix, x: MatrixTuple, y: MatrixTuple, tol: flo
     o = Matrix.from_numpy(field, hinv @ pn)
     r_orth, r_conj = _witness_residuals(o, x, y)
     scale = max(1.0, x.maxabs(), y.maxabs())
-    if not (r_orth <= tol and r_conj <= tol * scale):  # a NaN residual fails
+    if not (r_orth <= WITNESS_TOL and r_conj <= WITNESS_TOL * scale):  # a NaN residual fails
         raise WitnessConstructionError(
             "witness residuals too large (orth %.3g, conj %.3g)" % (r_orth, r_conj), p)
     return OrthogonalWitness(o, r_orth, r_conj)
@@ -176,7 +179,7 @@ def _np_star(a: np.ndarray, field: Field):
     return a.T
 
 
-def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, tol: float = 1e-8,
+def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0,
                        trials: int = DEFAULT_TRIALS,
                        sample_bound: int = DEFAULT_SAMPLE_BOUND) -> OrthVerdict:
     """Decide simultaneous orthogonal/unitary similarity and build a witness O.
@@ -202,30 +205,30 @@ def orthogonal_witness(x: MatrixTuple, y: MatrixTuple, seed: int = 0, tol: float
                     return OrthVerdict("equivalent", OrthogonalWitness(o, 0.0, 0.0), p,
                                        "exact witness (scalar P star(P))")
         witness = _float_witness_with_retries(
-            p, basis, x.astype(Field.real64()), y.astype(Field.real64()),
-            tol, seed, sample_bound)
+            p, basis, x.astype(Field.real64()), y.astype(Field.real64()), seed, sample_bound)
         return OrthVerdict("exact_witness_unavailable", witness, p,
                            "equivalence certified exactly; witness computed in float64")
 
-    witness = _float_witness_with_retries(p, basis, x, y, tol, seed, sample_bound)
+    witness = _float_witness_with_retries(p, basis, x, y, seed, sample_bound)
     return OrthVerdict("equivalent", witness, p, "verified float witness")
 
 
 def _float_witness_with_retries(p: Matrix, basis: IntertwinerBasis,
-                                xf: MatrixTuple, yf: MatrixTuple, tol: float,
-                                seed: int, sample_bound: int):
-    """The witness from P or, failing that, from up to three Monte Carlo
-    retries (seeds seed+1..seed+3), each drawn only after the one before it
-    has failed; raises the last ``WitnessConstructionError``.  Candidates are
-    cast to the kind of ``xf``: an exact one to float64, a float one as it is."""
+                                xf: MatrixTuple, yf: MatrixTuple, seed: int, sample_bound: int):
+    """The witness from P or, failing that, from up to three retries: the
+    first invertible of five draws at seeds seed+1..seed+3 (``_decide_span``),
+    each drawn only after the one before it has failed; raises the last
+    ``WitnessConstructionError``.  An ill-conditioned P fails (cond P near
+    1e5 leaves residuals above 1e-8) where another draw from the same span
+    succeeds.  Candidates are cast to the kind of ``xf``: an exact one to
+    float64, a float one as it is."""
     last = None
     for attempt in range(4):
-        cand = p if attempt == 0 else find_invertible(basis, seed=seed + attempt, trials=5,
-                                                      sample_bound=sample_bound)
+        cand = p if attempt == 0 else _decide_span(basis, seed + attempt, 5, sample_bound)[0]
         if cand is None:
             continue
         try:
-            return _construct_float_witness(cand.astype(xf.field), xf, yf, tol)
+            return _construct_float_witness(cand.astype(xf.field), xf, yf)
         except WitnessConstructionError as exc:
             last = exc
     raise last
@@ -244,8 +247,7 @@ class SpechtReport:
 
 
 def specht_property_check(x: MatrixTuple, y: MatrixTuple, max_degree: Optional[int] = None,
-                          seed: int = 0, tol: float = 1e-8,
-                          budget: int = DEFAULT_BUDGET) -> SpechtReport:
+                          seed: int = 0, budget: int = DEFAULT_BUDGET) -> SpechtReport:
     """Fingerprint equality vs. witness existence, with a consistency flag.
 
     The flag records whether the pair respects "fingerprints equal at
@@ -256,12 +258,12 @@ def specht_property_check(x: MatrixTuple, y: MatrixTuple, max_degree: Optional[i
     d = max_degree if max_degree is not None else x.n * x.n
     note = []
     try:
-        equal, diff = specht_equivalent(x, y, d, tol=tol, budget=budget)
+        equal, diff = specht_equivalent(x, y, d, budget=budget)
     except BudgetExceededError:
         equal, diff = None, None
         note.append("fingerprint comparison skipped (budget)")
     try:
-        verdict = orthogonal_witness(x, y, seed=seed, tol=tol)
+        verdict = orthogonal_witness(x, y, seed=seed)
     except WitnessConstructionError as exc:
         verdict = OrthVerdict("equivalent", None, exc.intertwiner,
                               "witness construction failed: %s" % exc)

@@ -18,6 +18,8 @@ from .errors import ShapeError, ZeroPolynomialError
 from .fields import Field
 from .matrices import Matrix, _from_raw, _int_matrices, _power_traces, solve_linear
 
+RESULTANT_TOL = 1e-8  # float resultants count as nonzero above this times scale^(n+m)
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -73,8 +75,7 @@ class Polynomial:
                           for i, c in enumerate(self.coeffs) if c != self.field.zero())
 
 
-def sylvester_solve(a: Matrix, b: Matrix, c: Matrix,
-                    tol: Optional[float] = None) -> Optional[Matrix]:
+def sylvester_solve(a: Matrix, b: Matrix, c: Matrix) -> Optional[Matrix]:
     """Any solution X of A X - X B = C, or None when inconsistent.
 
     Flattens X row-major into an n*m vector and solves the stacked linear
@@ -109,7 +110,7 @@ def sylvester_solve(a: Matrix, b: Matrix, c: Matrix,
     else:  # from_rows rejects an entry a_ii - b_jj that overflowed
         system = Matrix.from_rows(field, rows)
     rhs = _from_raw(field, n * m, 1, [v for row in cr for v in row], denom)
-    sol = solve_linear(system, rhs, tol)
+    sol = solve_linear(system, rhs)
     if sol is None:
         return None
     return Matrix(field, n, m, sol.values, sol.denom)
@@ -168,13 +169,13 @@ def resultant(p: Polynomial, q: Polynomial):
     return Matrix.from_rows(field, rows).det()
 
 
-def sylvester_unique(a: Matrix, b: Matrix, tol: float = 1e-8) -> bool:
+def sylvester_unique(a: Matrix, b: Matrix) -> bool:
     """True iff A X - X B = C has a unique solution for every C.
 
     Decided purely from traces: resultant of the two trace-recovered
     characteristic polynomials.  Exactly nonzero in rational mode; in
-    float modes compared against tol * scale^(n+m) with scale the largest
-    entry magnitude (a documented heuristic - resultants scale hard).
+    float modes compared against RESULTANT_TOL * scale^(n+m) with scale the
+    largest entry magnitude (a documented heuristic - resultants scale hard).
     """
     if not a.is_square or not b.is_square:
         raise ShapeError("A and B must be square")
@@ -184,8 +185,8 @@ def sylvester_unique(a: Matrix, b: Matrix, tol: float = 1e-8) -> bool:
         return res != 0
     scale = max(a.maxabs(), b.maxabs())
     if scale == 0.0:
-        return abs(res) > tol
-    bound = tol  # tol * scale^(n+m) by repeated products: overflows to inf, not raise
+        return abs(res) > RESULTANT_TOL
+    bound = RESULTANT_TOL  # times scale^(n+m) by repeated products: overflows to inf, not raise
     for _ in range(a.rows + b.rows):
         bound *= scale
     return abs(res) > bound

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 
 from .errors import TupleFileError
-from .fields import Field, Kind, StarMode
+from .fields import Field, Kind, StarMode, value_str
 from .matrices import Matrix, MatrixTuple, _from_ratios
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -90,7 +90,7 @@ def parse_entry(field: Field, raw):
 
 def format_entry(field: Field, value):
     if field.kind is Kind.RATIONAL:
-        return str(value)
+        return value_str(value)
     if field.kind is Kind.REAL64:
         return value
     return [value.real, value.imag]

@@ -47,6 +47,7 @@ from .fields import Field, Kind, StarMode
 from .matrices import Matrix, MatrixTuple, _int_matrices
 
 DEFAULT_BUDGET = 10_000_000
+TRACE_TOL = 1e-8  # float traces agree within this times n * max(1, s)^deg(w)
 
 
 @dataclass(frozen=True)
@@ -324,11 +325,11 @@ def _eval_traces_float(words: list, x: MatrixTuple, arrays: list) -> list:
     return out
 
 
-def fingerprints_equal(a: Fingerprint, b: Fingerprint, tol: float = 1e-8):
+def fingerprints_equal(a: Fingerprint, b: Fingerprint):
     """(equal, first difference in canonical order or None).
 
     Exact comparison for rational fingerprints.  Float kinds compare word w
-    with |va - vb| <= tol * n * max(1, s)^deg(w), s the larger of the two
+    with |va - vb| <= TRACE_TOL * n * max(1, s)^deg(w), s the larger of the two
     fingerprints' norms: a trace of a degree-k word is bounded by
     n * s^k, so the tolerance is relative to the size the value can reach.
     """
@@ -338,7 +339,7 @@ def fingerprints_equal(a: Fingerprint, b: Fingerprint, tol: float = 1e-8):
         raise KindMismatchError("fingerprints live in different kinds")
     exact = a.field.is_exact
     scale = max(1.0, a.norm, b.norm)
-    bound = [tol * a.n]  # bound[k] = tol * n * scale^k; products overflow to inf, not raise
+    bound = [TRACE_TOL * a.n]  # TRACE_TOL * n * scale^k; products overflow to inf, not raise
     for _ in range(a.degree_bound):
         bound.append(bound[-1] * scale)
     for w, va in a.entries.items():

@@ -216,6 +216,23 @@ def test_fingerprint_of_a_rational_beyond_float_range(tmp_path, capsys):
     assert captured.out == "x1 = 1%s\n" % ("0" * 2999)
 
 
+def test_fingerprint_beyond_the_int_digit_limit(tmp_path, capsys):
+    # degree-2 traces of a 3000-digit entry have 5999 digits, past str()'s default 4300
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": "rational", "n": 1, "d": 1,
+                                "matrices": [["1" + "0" * 2999]]}))
+    entry, square = "1" + "0" * 2999, "1" + "0" * 5998
+    assert main(["fingerprint", str(path), "-D", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "x1 = %s\nx1 x1 = %s\nx1 x1* = %s\n" % (entry, square, square)
+    assert main(["fingerprint", str(path), "-D", "2", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["entries"] == [["x1", entry], ["x1 x1", square],
+                                                   ["x1 x1*", square]]
+
+
 def test_fingerprint_budget_diagnostic(tmp_path, capsys):
     z = write_tuple(tmp_path, "z.json", MatrixTuple.of(Matrix.zeros(FQ, 2, 2), Matrix.zeros(FQ, 2, 2)))
     code = main(["fingerprint", z, "-D", "12", "--budget", "100"])

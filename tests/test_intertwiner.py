@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certificate import fraction_rank, shrinks
-from conftest import rand_invertible_int, rand_rational_tuple
-from tracesim import (Field, IntertwinerBasis, Matrix, MatrixTuple, ShapeError,
-                      find_invertible, gl_similar, intertwiner_basis, orthogonal_witness)
+from conftest import givens_orthogonal, rand_invertible_int, rand_rational_tuple
+from tracesim import (Field, IntertwinerBasis, Matrix, MatrixTuple, ShapeError, commutant,
+                      gl_similar, intertwiner_basis, orthogonal_witness)
 from tracesim import intertwiner, words
 from tracesim.intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, _decide_span,
                                   _verify_intertwiner)
@@ -66,7 +66,7 @@ def test_no_trace_pair_has_only_singular_intertwiners():
     y = MatrixTuple.of(Matrix.diagonal(FQ, [1, 1, 2]))
     b = intertwiner_basis(x, y, with_star=False)
     assert b.dim == 4
-    assert find_invertible(b) is None
+    assert decide(b)[0] is None
     verdict = gl_similar(x, y)
     assert (verdict.verdict, verdict.detail) == (
         "not_similar", "shrunk subspace: dim U = 2 > dim sum_j B_j U = 1, so no intertwiner "
@@ -111,24 +111,42 @@ def test_basis_residuals_float():
         assert basis_satisfies_equations(b, x, y, tol=1e-10 * scale)
 
 
+@pytest.mark.parametrize("field", [FR, Field.complex128()], ids=["float64", "complex128"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_scalar_letter_pivots_scale_with_the_letters(field, n):
+    """X = (0.1 I) and Y = Q X Q^t, rounded.  The system's entries x - y
+    cancel to rounding dust, so a pivot threshold taken from them counts
+    every dust pivot and finds no intertwiner; one taken from the letters
+    finds all n^2 directions."""
+    q = (Matrix.from_rows(FR, [[0.6, -0.8], [0.8, 0.6]]) if n == 2
+         else givens_orthogonal(random.Random(n), n)).astype(field)
+    x = MatrixTuple.of(Matrix.identity(field, n).scale(0.1))
+    y = x.star_conjugated(q)
+    assert y[0] != x[0]  # the rounding dust is there
+    assert intertwiner_basis(x, y, with_star=True).dim == n * n
+    assert gl_similar(x, y).verdict == "similar"
+    assert orthogonal_witness(x, y).verdict == "equivalent"
+    assert len(commutant([y[0]])) == n * n
+
+
 def test_scalar_tuple_space_is_at_least_n():
     x = MatrixTuple.of(Matrix.identity(FQ, 3).scale(5))
     b = intertwiner_basis(x, x, with_star=False)
     assert b.dim >= 3
 
 
-# -- find_invertible ---------------------------------------------------------------
+# -- the draw loop (_decide_span) ------------------------------------------------------
 
 def test_full_matrix_space_contains_identity():
     basis = tuple(Matrix.unit(FQ, 2, i, j) for i in range(2) for j in range(2))
     b = IntertwinerBasis(2, False, FQ, basis)
-    p = find_invertible(b)
-    assert p is not None and p.det() != 0
+    p, u, _ = decide(b)
+    assert p is not None and p.det() != 0 and u is None
 
 
 def test_nilpotent_line_is_proven_singular():
     b = IntertwinerBasis(2, False, FQ, (Matrix.unit(FQ, 2, 0, 1),))
-    assert find_invertible(b, seed=1, trials=10) is None
+    assert _decide_span(b, 1, 10, DEFAULT_SAMPLE_BOUND)[0] is None
     p, u, detail = decide(b)
     assert p is None and shrinks(b.basis, u)
     assert detail == ("shrunk subspace: dim U = 1 > dim sum_j B_j U = 0, so no intertwiner "
@@ -138,24 +156,25 @@ def test_nilpotent_line_is_proven_singular():
 def test_diagonal_span_monte_carlo_finds_witness():
     basis = (Matrix.diagonal(FQ, [1, 0]), Matrix.diagonal(FQ, [0, 1]))
     b = IntertwinerBasis(2, False, FQ, basis)
-    p = find_invertible(b, seed=0, trials=20)
+    p, _, _ = _decide_span(b, 0, 20, DEFAULT_SAMPLE_BOUND)
     assert p is not None and p.det() != 0
 
 
 def test_empty_basis_has_no_invertible():
     b = IntertwinerBasis(2, False, FQ, ())
-    assert find_invertible(b) is None
+    assert decide(b) == (None, Matrix.identity(FQ, 2), "intertwiner space is zero")
 
 
 _DIAG = ([1, 2], [2, 1])  # similar
 
 
-@pytest.mark.parametrize("call", ["find_invertible", "gl_similar", "orthogonal_witness"])
+@pytest.mark.parametrize("call", ["_decide_span", "gl_similar", "orthogonal_witness"])
 @pytest.mark.parametrize("params", [{"trials": 0}, {"trials": -3}, {"sample_bound": 0}],
                          ids=["no-trials", "negative-trials", "zero-bound"])
 def test_draw_parameters_are_validated(call, params):
     x, y = (MatrixTuple.of(Matrix.diagonal(FQ, v)) for v in _DIAG)
-    run = {"find_invertible": lambda: find_invertible(intertwiner_basis(x, y, False), **params),
+    span = {"trials": DEFAULT_TRIALS, "sample_bound": DEFAULT_SAMPLE_BOUND, **params}
+    run = {"_decide_span": lambda: _decide_span(intertwiner_basis(x, y, False), 0, **span),
            "gl_similar": lambda: gl_similar(x, y, **params),
            "orthogonal_witness": lambda: orthogonal_witness(x, y, **params)}[call]
     with pytest.raises(ShapeError, match="the search needs trials >= 1 and sample_bound >= 1"):

@@ -369,14 +369,14 @@ def test_large_central_float_coefficients_pass_and_perturbed_ones_fail(magnitude
             theta_embedding(system, perturbed)
 
 
-def epsilon_by_pairs(units, tol=None):
+def epsilon_by_pairs(units):
     """check_epsilon as a plain loop: one product units[i][j] * units[s][t]
     per relation, compared with approx_eq / is_zero at the same tolerance."""
     flat = [m for row in units for m in row]
     if flat[0].field.is_exact:
         eff = 0.0
     else:
-        eff = tol if tol is not None else 1e-9 * max(1.0, max(m.maxabs() for m in flat))
+        eff = 1e-9 * max(1.0, max(m.maxabs() for m in flat))
     n_outer = len(units)
     for i in range(n_outer):
         for j in range(n_outer):
@@ -430,15 +430,14 @@ def epsilon_families(field):
         std3 = [[Matrix.unit(field, 3, i, j) for j in range(3)] for i in range(3)]
         std3[1][1] = std3[1][1].scale(1e200)
         out.append(("overflow-11", std3))
-    # float families run at the default scaled tolerance and at an absolute one
-    tols = [None] if field.is_exact else [None, 1e-6]
-    return [pytest.param(family, tol, id="%s-%s-%s" % (field.kind.value, name, tol))
-            for name, family in out for tol in tols]
+    # the id suffix -None names the scaled default tolerance, the only one there is
+    return [pytest.param(family, id="%s-%s-None" % (field.kind.value, name))
+            for name, family in out]
 
 
-@pytest.mark.parametrize("family,tol", [f for field in (FQ, FR, FC) for f in epsilon_families(field)])
-def test_check_epsilon_matches_pair_loop(family, tol):
-    got, want = check_epsilon(family, tol), epsilon_by_pairs(family, tol)
+@pytest.mark.parametrize("family", [f for field in (FQ, FR, FC) for f in epsilon_families(field)])
+def test_check_epsilon_matches_pair_loop(family):
+    got, want = check_epsilon(family), epsilon_by_pairs(family)
     assert repr(got) == repr(want)  # NaN entries compare by repr
     if not any(v != v for row in family for m in row for v in m.entries):
         assert got == want
@@ -461,7 +460,7 @@ def test_exact_cross_multiplied_comparison_matches_fraction_equality():
     assert (True, False) in seen and (False, False) in seen  # both verdicts on mixed denominators
 
 
-# -- NaN residuals and tolerances ----------------------------------------------------------
+# -- NaN residuals and overflow ------------------------------------------------------------
 
 def float_std(n):
     return [[Matrix.unit(FR, n, i, j) for j in range(n)] for i in range(n)]
@@ -493,18 +492,3 @@ def test_overflowing_subring_coefficients_are_sorted_with_one_nan_last():
     rep = extract_subring_coefficients(gens + [Matrix.from_rows(FC, [[1e200 + 1e200j, 0], [0, 1]])])
     *ordered, last = rep.coefficients
     assert ordered == [0j, 1 + 0j, 1e200 + 1e200j] and last != last
-
-
-def test_negative_tolerance_is_rejected():
-    family = float_std(2)
-    system = UnitSystem.standard(FR, 2)
-    eye = Matrix.identity(FR, 2)
-    with pytest.raises(ShapeError, match="nonnegative"):
-        check_epsilon(family, tol=-1.0)
-    with pytest.raises(ShapeError, match="nonnegative"):
-        check_delta(eye, system, tol=-1.0)
-    with pytest.raises(ShapeError, match="nonnegative"):
-        theta_embedding(system, [[eye, eye], [eye, eye]], tol=-1.0)
-    with pytest.raises(ShapeError, match="nonnegative"):
-        extract_subring_coefficients([m for row in family for m in row], tol=-1.0)
-    assert check_epsilon(family, tol=0.0) == (True, None)

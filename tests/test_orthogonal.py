@@ -10,7 +10,7 @@ from tracesim import (Field, Matrix, MatrixTuple, StarMode, WitnessConstructionE
                       gl_similar, intertwiner_basis, orthogonal_witness, specht_equivalent,
                       specht_property_check)
 from tracesim import orthogonal
-from tracesim.intertwiner import DEFAULT_SAMPLE_BOUND, find_invertible
+from tracesim.intertwiner import DEFAULT_SAMPLE_BOUND, _decide_span
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -160,8 +160,7 @@ def test_witness_necessity_of_fingerprints():
         res = orthogonal_witness(x, y)
         assert res.is_equivalent
         for degree in (1, 2, 3, 4):
-            equal, diff = specht_equivalent(
-                x, y, degree, tol=1e-7 * max(1.0, x.maxabs()) ** degree * 9)
+            equal, diff = specht_equivalent(x, y, degree)
             assert equal, (degree, diff)
 
 
@@ -211,7 +210,7 @@ def test_negative_spectrum_takes_a_rotated_root():
     # G = P P^t = diag(-1, 1): the unrotated iteration breaks down on -1
     x = MatrixTuple.of(Matrix.diagonal(FCT, [1, 2]))
     p = Matrix.from_rows(FCT, [[1j, 0], [0, 1]])
-    w = orthogonal._construct_float_witness(p, x, x, 1e-8)
+    w = orthogonal._construct_float_witness(p, x, x)
     assert w.residual_orth <= 1e-12 and w.residual_conj <= 1e-12
     g = np.diag([-1.0 + 0j, 1.0])
     hinv = orthogonal._inverse_root(g)
@@ -251,7 +250,7 @@ def test_ill_conditioned_intertwiner_still_gives_a_witness(field, digits):
     right = givens_orthogonal(rng, 4).to_numpy()
     p = left.to_numpy() @ np.diag(np.logspace(0, -digits / 2, 4)) @ right
     x = MatrixTuple.of(Matrix.identity(field, 4))
-    w = orthogonal._construct_float_witness(Matrix.from_numpy(field, p), x, x, 1e-8)
+    w = orthogonal._construct_float_witness(Matrix.from_numpy(field, p), x, x)
     assert w.residual_orth <= 1e-8
 
 
@@ -266,41 +265,40 @@ def test_singular_intertwiner_fails_at_every_angle(field, rows):
     # both give a singular G (the second G = P P^t is zero)
     x = MatrixTuple.of(Matrix.diagonal(field, [1, 2]))
     with pytest.raises(WitnessConstructionError, match="numerically singular"):
-        orthogonal._construct_float_witness(Matrix.from_rows(field, rows), x, x, 1e-8)
+        orthogonal._construct_float_witness(Matrix.from_rows(field, rows), x, x)
 
 
 # -- witness retries ------------------------------------------------------------------
 
-def count_find_invertible(monkeypatch):
-    """Count the retry path's find_invertible calls (the search in _search
-    goes through the intertwiner module and is not counted)."""
+def count_retries(monkeypatch):
+    """The seeds of the retry path's _decide_span calls (the search in
+    _search goes through the intertwiner module and is not counted)."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("seed"))
-        return find_invertible(*args, **kwargs)
-    monkeypatch.setattr(orthogonal, "find_invertible", counted)
+    def counted(basis, seed, trials, sample_bound):
+        calls.append(seed)
+        return _decide_span(basis, seed, trials, sample_bound)
+    monkeypatch.setattr(orthogonal, "_decide_span", counted)
     return calls
 
 
-def eager_witness(p, basis, xf, yf, tol, seed, exact_p=False):
+def eager_witness(p, basis, xf, yf, seed, exact_p=False):
     """Every retry candidate built up front, then tried in order."""
     candidates = [p.astype(xf.field) if exact_p else p]
     for attempt in range(1, 4):
-        alt = find_invertible(basis, seed=seed + attempt, trials=5,
-                              sample_bound=DEFAULT_SAMPLE_BOUND)
+        alt, _, _ = _decide_span(basis, seed + attempt, 5, DEFAULT_SAMPLE_BOUND)
         if alt is not None:
             candidates.append(alt.astype(xf.field) if exact_p else alt)
     for cand in candidates:
         try:
-            return orthogonal._construct_float_witness(cand, xf, yf, 1e-8)
+            return orthogonal._construct_float_witness(cand, xf, yf)
         except WitnessConstructionError:
             pass
     raise AssertionError("no candidate gave a witness")
 
 
 def test_witness_retries_not_drawn_when_first_candidate_succeeds(monkeypatch):
-    calls = count_find_invertible(monkeypatch)
+    calls = count_retries(monkeypatch)
     rng = random.Random(11)
     x = rand_float_tuple(rng, 3, 2)
     res = orthogonal_witness(x, x.star_conjugated(givens_orthogonal(rng, 3)), seed=2)
@@ -309,25 +307,43 @@ def test_witness_retries_not_drawn_when_first_candidate_succeeds(monkeypatch):
 
 
 def test_witness_retry_matches_eager_candidates(monkeypatch):
-    calls = count_find_invertible(monkeypatch)
+    calls = count_retries(monkeypatch)
     rng = random.Random(12)
     x = rand_float_tuple(rng, 3, 2)
     y = x.star_conjugated(givens_orthogonal(rng, 3))
     basis = intertwiner_basis(x, y, with_star=True)
     zero = Matrix.zeros(FR, 3, 3)  # fails as "zero intertwiner"
-    got = orthogonal._float_witness_with_retries(zero, basis, x, y, 1e-8, 5,
-                                                 DEFAULT_SAMPLE_BOUND)
+    got = orthogonal._float_witness_with_retries(zero, basis, x, y, 5, DEFAULT_SAMPLE_BOUND)
     assert calls == [6]
-    assert got == eager_witness(zero, basis, x, y, 1e-8, 5)
+    assert got == eager_witness(zero, basis, x, y, 5)
     # exact P: a singular diagonal intertwiner of diag(1, 2), retried in float64
     xq = MatrixTuple.of(Matrix.diagonal(FQ, [1, 2]))
     basis = intertwiner_basis(xq, xq, with_star=True)
     xf = xq.astype(FR)
     del calls[:]
-    got = orthogonal._float_witness_with_retries(basis.basis[0], basis, xf, xf, 1e-8, 0,
+    got = orthogonal._float_witness_with_retries(basis.basis[0], basis, xf, xf, 0,
                                                  DEFAULT_SAMPLE_BOUND)
     assert calls == [1]
-    assert got == eager_witness(basis.basis[0], basis, xf, xf, 1e-8, 0, exact_p=True)
+    assert got == eager_witness(basis.basis[0], basis, xf, xf, 0, exact_p=True)
+
+
+def test_retry_rescues_an_ill_conditioned_first_candidate(monkeypatch):
+    """X = A + A and Y = B + B, block diagonal, with Y = O X O^t for a complex
+    orthogonal O of dyadic entries, so every entry is exact.  The
+    star-intertwiner space has dimension 4.  Seed 5972's first invertible
+    draw has cond P near 4e6 and its witness misses the residual bound; the
+    first retry, at seed 5973, gives a witness."""
+    calls = count_retries(monkeypatch)
+    a, b = [[1, 2], [3, 1 + 1j]], [[1 - 5.25j, 5.75], [6.75, 1 + 6.25j]]
+    x, y = (MatrixTuple.of(Matrix.from_rows(FCT, [r + [0, 0] for r in m] + [[0, 0] + r for r in m]))
+            for m in (a, b))
+    assert intertwiner_basis(x, y, with_star=True).dim == 4
+    res = orthogonal_witness(x, y, seed=5972)
+    assert res.verdict == "equivalent" and calls == [5973]
+    assert np.linalg.cond(res.intertwiner.to_numpy()) > 1e6
+    with pytest.raises(WitnessConstructionError, match="residuals too large"):
+        orthogonal._construct_float_witness(res.intertwiner, x, y)
+    assert res.witness.residual_orth <= 1e-14 and res.witness.residual_conj <= 1e-13
 
 
 def test_witness_residuals_keep_nan():
@@ -348,10 +364,10 @@ def test_witness_residuals_keep_nan():
 def test_float_witness_rejects_nan_residuals(monkeypatch, residuals):
     x = MatrixTuple.of(Matrix.diagonal(FR, [1.0, 2.0]))
     eye = Matrix.identity(FR, 2)
-    assert orthogonal._construct_float_witness(eye, x, x, 1e-8).residual_orth == 0.0
+    assert orthogonal._construct_float_witness(eye, x, x).residual_orth == 0.0
     monkeypatch.setattr(orthogonal, "_witness_residuals", lambda o, x, y: residuals)
     with pytest.raises(WitnessConstructionError, match="residuals too large"):
-        orthogonal._construct_float_witness(eye, x, x, 1e-8)
+        orthogonal._construct_float_witness(eye, x, x)
 
 
 # -- specht_property_check ----------------------------------------------------------------
