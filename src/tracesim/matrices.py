@@ -42,8 +42,8 @@ complex multiply rounds differently from Python's, so a complex product is
 split into real ufuncs, re = ar br - ai bi and im = ar bi + ai br, the
 formula Python uses.  Overflow gives inf or NaN without a warning, as it
 does for Python floats.  Callers that stack several matrices into one
-operand, or compare products without building them, pass the stored
-values directly.
+operand (``_hstack``, or concatenation), or compare products without
+building them, pass the stored values and read blocks with ``_block``.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -370,6 +370,16 @@ def _raw_product(field: Field, a, b, m: int, k: int) -> list:
     out.real = acc[0]  # acc[0] + 1j * acc[1] would put 0 * inf = NaN beside an infinite im
     out.imag = acc[1]
     return out.reshape(-1).tolist()
+
+
+def _hstack(parts, n: int) -> list:
+    """Row-major values of [p_0 | p_1 | ...] for row-major n x n parts."""
+    return [v for r in range(0, n * n, n) for p in parts for v in p[r:r + n]]
+
+
+def _block(values, k: int, i: int, j: int, n: int) -> list:
+    """Row-major n x n block (i, j) of row-major values with k columns."""
+    return [v for r in range(i * n, (i + 1) * n) for v in values[r * k + j * n:r * k + (j + 1) * n]]
 
 
 def _from_raw(field: Field, rows: int, cols: int, values, denom: int = 1) -> Matrix:

@@ -14,16 +14,17 @@ of a full unit system is the scalars) come from the same stacked linear
 system the intertwiner module uses.
 
 The relation checks take a few stacked products instead of one product per
-relation.  ``check_epsilon`` multiplies each a_ij by [a_00 | a_01 | ...];
-``theta_embedding`` and ``check_delta`` take [c_0; c_1; ...] [a_00 | ...] and
-[a_00; ...] [c_0 | c_1 | ...]; the subring sampler multiplies each element
-by all generators at once.  A block of a stacked product is the separate
-product entry for entry, each the same dot product in the same order, so
-every float value is the same to the last bit.  The products stay raw
-(``matrices._raw_product`` of the stored values): exact entries are integer
-dot products over a known denominator and are compared by
-cross-multiplying, and a matrix is built only for a returned value or a
-reported violation.
+relation, and judge each product whole.  ``check_epsilon`` compares
+[a_00; a_01; ...] [a_00 | a_01 | ...] with the stacked expected matrix;
+``theta_embedding`` and ``check_delta`` compare [c_0; c_1; ...] [a_00 | ...]
+with the block transpose of [a_00; ...] [c_0 | c_1 | ...]; the subring
+sampler multiplies each element by all generators at once.  A block of a
+stacked product is the separate product entry for entry, each the same dot
+product in the same order, so every float value and every float comparison
+is the one a loop over the blocks would make, to the last bit.  The
+products stay raw (``matrices._raw_product`` of the stored values): exact
+entries are integer dot products over a known denominator, and a block is
+cut out and a matrix built only for a returned value or a violation.
 """
 
 from __future__ import annotations
@@ -31,12 +32,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import ne
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (MissingUnitsError, NonCentralCoefficientError, ShapeError)
 from .fields import Field
 from .intertwiner import intertwiner_basis
-from .matrices import Matrix, MatrixTuple, _from_raw, _raw_product
+from .matrices import (Matrix, MatrixTuple, _block, _dtype, _from_raw, _hstack,
+                       _raw_product)
 
 RELATION_TOL = 1e-9  # scaled by the largest entry magnitude in float modes
 
@@ -80,34 +85,17 @@ def _rel_tol(units):
     return RELATION_TOL * max(1.0, scale)
 
 
-def _hstack(parts, n: int) -> list:
-    """Row-major values of [p_0 | p_1 | ...] for row-major n x n parts."""
-    return [v for r in range(0, n * n, n) for p in parts for v in p[r:r + n]]
-
-
-def _block(values, k: int, i: int, j: int, n: int) -> list:
-    """Row-major n x n block (i, j) of row-major values with k columns."""
-    return [v for r in range(i * n, (i + 1) * n) for v in values[r * k + j * n:r * k + (j + 1) * n]]
-
-
-def _agree(field: Field, a, la, b, lb, eff: float) -> bool:
-    """a / la equals b / lb entry by entry (values as ``Matrix`` stores
-    them): integers cross-multiplied for the exact kind, within eff for the
-    float kinds, where a NaN difference counts as unequal."""
-    if field.is_exact:
-        if la == lb:
-            return list(a) == list(b)
-        return all(x * lb == y * la for x, y in zip(a, b))
-    return all(abs(x - y) <= eff for x, y in zip(a, b))
-
-
 def check_epsilon(units: Sequence[Sequence[Matrix]]):
     """Verify all N^4 unit relations; returns (ok, first violation or None).
 
-    Each left unit a_ij takes one product a_ij [a_00 | a_01 | ...], whose
-    block (s, t) is a_ij a_st entry for entry, and the blocks are checked in
-    (i, j, s, t) order.  Float entries agree within RELATION_TOL times
-    max(1, the largest entry magnitude of the family).
+    The float kinds compare [a_00; a_01; ...] [a_00 | a_01 | ...], whose
+    block (ij, st) is a_ij a_st, in one numpy step with the stacked matrix
+    whose block (ij, st) is a_it if j == s, else 0: entries agree within
+    RELATION_TOL times max(1, the largest entry magnitude of the family),
+    and a NaN difference fails.  An exact product costs per entry, so the
+    exact kind, over one denominator L, compares each a_ij [a_00 | ...] with
+    its expected row as one list and stops at the first that fails.  The
+    violation reported is the first failing block in (i, j, s, t) order.
     """
     n_outer, n, field = _family_shape(units)
     eff = _rel_tol(units)
@@ -115,22 +103,42 @@ def check_epsilon(units: Sequence[Sequence[Matrix]]):
         for j in range(n_outer):
             if units[i][j].is_zero(eff):
                 return False, EpsilonViolation("zero", i, j)
-    width = n * n_outer * n_outer
-    right = _hstack([m.values for row in units for m in row], n)
-    zero = Matrix.zeros(field, n, n)
-    for i in range(n_outer):
+    flat = [m for row in units for m in row]
+    width = n * len(flat)
+    if not field.is_exact:
+        dtype = _dtype(field)
+        got = np.array(_raw_product(field, [v for m in flat for v in m.values],
+                                    _hstack([m.values for m in flat], n), n, width), dtype)
+        got = got.reshape(n_outer, n_outer, n, n_outer, n_outer, n)  # [i, j, r, s, t, c]
+        want = np.zeros_like(got)
+        a_itrc = np.array([m.values for m in flat], dtype).reshape(n_outer, n_outer, n, n)
         for j in range(n_outer):
-            left = units[i][j]
-            prod = _raw_product(field, left.values, right, n, width)
-            for s in range(n_outer):
-                for t in range(n_outer):
-                    got = _block(prod, width, 0, s * n_outer + t, n)
-                    denom = left.denom * units[s][t].denom
-                    want = units[i][t] if j == s else zero
-                    if not _agree(field, got, denom, want.values, want.denom, eff):
-                        return False, EpsilonViolation("product", i, j, s, t, want,
-                                                       _from_raw(field, n, n, got, denom))
-    return True, None
+            want[:, j, :, j] = a_itrc.transpose(0, 2, 1, 3)  # block (ij, jt) is a_it
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~(np.abs(got - want) <= eff)
+        bad = bad.any(axis=(2, 5))  # [i, j, s, t]
+        if not bad.any():
+            return True, None
+        i, j, s, t = map(int, np.unravel_index(np.argmax(bad), bad.shape))
+        got, denom = got[i, j, :, s, t].reshape(-1).tolist(), 1
+    else:
+        denom = math.lcm(*(m.denom for m in flat))
+        ints = [[v * (denom // m.denom) for v in m.values] for m in flat]
+        right, zero = _hstack(ints, n), [0] * (n * n)
+        for ij, left in enumerate(ints):
+            i, j = divmod(ij, n_outer)
+            got = _raw_product(field, left, right, n, width)  # over L^2
+            want = _hstack([[denom * v for v in ints[i * n_outer + t]] if s == j else zero
+                            for s in range(n_outer) for t in range(n_outer)], n)
+            if got != want:
+                s, t = divmod(next(b for b in range(len(flat)) if _block(got, width, 0, b, n)
+                                   != _block(want, width, 0, b, n)), n_outer)
+                got, denom = _block(got, width, 0, s * n_outer + t, n), denom * denom
+                break
+        else:
+            return True, None
+    want = units[i][t] if j == s else Matrix.zeros(field, n, n)
+    return False, EpsilonViolation("product", i, j, s, t, want, _from_raw(field, n, n, got, denom))
 
 
 @dataclass(frozen=True)
@@ -173,33 +181,38 @@ def _first_noncentral(system: UnitSystem, coeffs: Sequence[Matrix]) -> tuple:
     some unit, or is None; cu holds the raw entries of [c_0; c_1; ...]
     [a_0 | a_1 | ...], units in row-major order.
 
-    Block (k, l) of cu is c_k a_l and block (l, k) of [a_0; a_1; ...]
+    Block (k, l) of cu is c_k a_l and block (l, k) of uc = [a_0; a_1; ...]
     [c_0 | c_1 | ...] is a_l c_k, entry for entry, both over the same
-    denominator, so two products test every pair.  The float tolerance is
-    RELATION_TOL * max(1, max|a|) * max(1, max|c_k|), since both products
-    scale with the coefficient too.  It is capped at the largest float, so
-    an infinite difference never passes.
+    denominator, so two products test every pair, and one comparison of cu
+    with the block transpose of uc judges them all.  The float tolerance
+    for c_k is RELATION_TOL * max(1, max|a|) * max(1, max|c_k|), since both
+    products scale with the coefficient too.  It is capped at the largest
+    float, so an infinite difference never passes.
     """
     n, units, field = system.n, system.flat(), system.field
     for c in coeffs:
         if (c.rows, c.cols) != (n, n):
             raise ShapeError("candidate shape does not match the units")
         c._same_field(units[0])
-    eff = _rel_tol(system.units)
-    if field.is_exact:
-        effs = [eff] * len(coeffs)
-    else:
-        effs = [min(eff * max(1.0, c.maxabs()), sys.float_info.max) for c in coeffs]
     u_raw = [u.values for u in units]
     c_raw = [c.values for c in coeffs]
-    wu, wc = n * len(units), n * len(coeffs)
-    cu = _raw_product(field, [v for c in c_raw for v in c], _hstack(u_raw, n), n, wu)
-    uc = _raw_product(field, [v for u in u_raw for v in u], _hstack(c_raw, n), n, wc)
-    for k, bound in enumerate(effs):
-        if not all(_agree(field, _block(cu, wu, k, l, n), 1, _block(uc, wc, l, k, n), 1, bound)
-                   for l in range(len(units))):
-            return k, cu
-    return None, cu
+    n_c, n_u = len(coeffs), len(units)
+    cu = _raw_product(field, [v for c in c_raw for v in c], _hstack(u_raw, n), n, n * n_u)
+    uc = _raw_product(field, [v for u in u_raw for v in u], _hstack(c_raw, n), n, n * n_c)
+    if field.is_exact:  # uc with each block (l, k) moved to (k, l), one list per c_k
+        uct = [uc[(l * n + r) * n * n_c + k * n + c]
+               for k in range(n_c) for r in range(n) for l in range(n_u) for c in range(n)]
+        seg = n * n * n_u
+        return next((k for k in range(n_c)
+                     if cu[k * seg:(k + 1) * seg] != uct[k * seg:(k + 1) * seg]), None), cu
+    left = np.array(cu, _dtype(field)).reshape(n_c, n, n_u, n)  # [k, r, l, c]
+    right = np.array(uc, _dtype(field)).reshape(n_u, n, n_c, n).transpose(2, 1, 0, 3)
+    eff = _rel_tol(system.units)
+    bounds = [min(eff * max(1.0, c.maxabs()), sys.float_info.max) for c in coeffs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~(np.abs(left - right) <= np.array(bounds)[:, None, None, None])
+    bad = bad.reshape(n_c, -1).any(axis=1)
+    return (int(np.argmax(bad)) if bad.any() else None), cu
 
 
 def check_delta(v: Matrix, system: UnitSystem) -> bool:
@@ -301,7 +314,8 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     E_0i X E_j0 is X_ij E_00, and its (0,0) entry is the dot product that
     formed entry (i, j) of X, so the reconstruction is read off X itself
     with no product formed: each rebuilt entry minus X's is zero unless the
-    entry is inf or NaN, exactly when the n + 3n^2 products would fail.
+    entry is inf or NaN, exactly when the n + 3n^2 products would fail.  An
+    exact entry is never either, so the exact kind skips that check.
 
     ``coefficients`` holds the distinct sampled corners that are not NaN,
     sorted (complex ones by magnitude, then repr), followed by the first
@@ -347,12 +361,6 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
             break
         layer = nxt
 
-    def differs(u, w):  # stored values over one denominator
-        if field.is_exact:
-            return u != w
-        return not abs(u - w) <= eff  # a NaN difference counts
-
-    violations = []
     head = sample[:40]
     h = len(head)
     e00 = std[0][0].values
@@ -362,22 +370,24 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     r_e00 = _raw_product(field, [v for x in head for v in x.values[:n]], e00, n, n)
     r_e00_y = _raw_product(field, r_e00, _hstack([x.values for x in head], n), n, h * n)
     pair_corners = _raw_product(field, r_e00_y, e00[::n], n, 1)
-    for k, x in enumerate(head):
-        for c, y in zip(pair_corners[k * h:(k + 1) * h], head):
-            if differs(c, x.values[0] * y.values[0]):
-                violations.append(("mul", x.at(0, 0), y.at(0, 0)))
-
-    recon_ok = True  # each rebuilt entry is x's own (see the docstring)
-    for x in head:
-        if any(differs(v, v) for v in x.values):
-            recon_ok = False
-            violations.append(("reconstruction", x.entries, None))
-            break
+    firsts = [x.values[0] for x in head]  # x_00 y_00 over x.denom y.denom, as the corners
+    products = [a * b for a in firsts for b in firsts]
+    if field.is_exact:
+        bad = map(ne, pair_corners, products)
+    else:  # a NaN difference counts
+        bad = [not abs(c - p) <= eff for c, p in zip(pair_corners, products)]
+    violations = [("mul", head[k // h].at(0, 0), head[k % h].at(0, 0))
+                  for k, b in enumerate(bad) if b]
+    # each rebuilt entry minus x's own is v - v (see the docstring)
+    broken = None if field.is_exact else next(
+        (x for x in head if any(not abs(v - v) <= eff for v in x.values)), None)
+    if broken is not None:
+        violations.append(("reconstruction", broken.entries, None))
 
     corners = [x.at(0, 0) for x in sample]
     key = (lambda v: (abs(v), repr(v))) if field.is_complex else None
     coeffs = sorted({c for c in corners if c == c}, key=key)
     coeffs += [c for c in corners if c != c][:1]  # NaN has no order: one, last
     return SubringReport(tuple(coeffs), not any(v[0] == "mul" for v in violations),
-                         recon_ok, tuple(violations), len(sample))
+                         broken is None, tuple(violations), len(sample))
 

@@ -39,7 +39,7 @@ from .errors import BudgetExceededError, WitnessConstructionError
 from .fields import Field, StarMode
 from .intertwiner import (DEFAULT_SAMPLE_BOUND, DEFAULT_TRIALS, IntertwinerBasis, _check_pair,
                           _decide_span, _search)
-from .matrices import Matrix, MatrixTuple
+from .matrices import Matrix, MatrixTuple, _block, _from_raw, _hstack, _raw_product
 from .words import (DEFAULT_BUDGET, FingerprintDiff, fingerprint, fingerprints_equal)
 
 
@@ -128,11 +128,18 @@ def _max_magnitude(mats) -> float:
 
 
 def _witness_residuals(o: Matrix, x: MatrixTuple, y: MatrixTuple):
-    """(max |O star(O) - I|, max over i of max |O X_i star(O) - Y_i|)."""
-    eye = Matrix.identity(o.field, o.rows)
+    """(max |O star(O) - I|, max over i of max |O X_i star(O) - Y_i|), from
+    O star(O), O [X_1 | X_2 | ...] and [O X_1; O X_2; ...] star(O), whose
+    blocks are the 2d + 1 separate products to the last bit."""
+    field, n, d = o.field, o.rows, x.d
     ostar = o.star()
-    r_orth = _max_magnitude([o * ostar - eye])
-    r_conj = _max_magnitude([o * xi * ostar - yi for xi, yi in zip(x.matrices, y.matrices)])
+    r_orth = _max_magnitude([o * ostar - Matrix.identity(field, n)])
+    ox = _raw_product(field, o.values, _hstack([xi.values for xi in x.matrices], n), n, n * d)
+    oxo = _raw_product(field, [v for i in range(d) for v in _block(ox, n * d, 0, i, n)],
+                       ostar.values, n, n)
+    r_conj = _max_magnitude([
+        _from_raw(field, n, n, oxo[i * n * n:(i + 1) * n * n], o.denom * xi.denom * ostar.denom) - yi
+        for i, (xi, yi) in enumerate(zip(x.matrices, y.matrices))])
     return r_orth, r_conj
 
 

@@ -23,6 +23,7 @@ import cmath
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import TupleFileError
@@ -201,12 +202,24 @@ def load_rect_matrix(path: str) -> Matrix:
 
 
 def dump_tuple(x: MatrixTuple) -> str:
-    return json.dumps(tuple_to_dict(x), indent=2) + "\n"
+    """The tuple file text of x; ``TupleFileError`` for a rational entry that
+    ``load_tuple`` could not read back (beyond ``sys.get_int_max_str_digits()``)."""
+    doc = tuple_to_dict(x)
+    limit = sys.get_int_max_str_digits() if x.field.is_exact else 0
+    for k, entries in enumerate(doc["matrices"] if limit else ()):
+        for e, text in enumerate(entries):
+            digits = max(len(part.lstrip("-")) for part in text.split("/"))
+            if digits > limit:
+                raise TupleFileError("matrix %d, entry %d: %d digits, more than the %d "
+                                     "an int may be read with" % (k, e, digits, limit))
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def save_tuple(x: MatrixTuple, path: str):
+    """Write x to path; a tuple that ``dump_tuple`` refuses leaves the file as it was."""
+    text = dump_tuple(x)
     with open(path, "w") as fh:
-        fh.write(dump_tuple(x))
+        fh.write(text)
 
 
 def matrix_entry_row_strings(m: Matrix) -> list:

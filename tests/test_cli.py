@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from tracesim import (Field, Matrix, MatrixTuple, StarMode, UnitSystem, dump_tuple,
-                      load_tuple)
+                      load_tuple, save_tuple)
 from tracesim.cli import main
 from tracesim import TupleFileError
 from tracesim.tupleio import load_rect_matrix, tuple_from_dict, tuple_to_dict
@@ -87,6 +87,33 @@ def test_entries_beyond_the_int_digit_limit_rejected(tmp_path):
         path.write_bytes(b'{"field": "float64", "n": 1, "d": 1, "matrices": [[\xff]]}')
         with pytest.raises(TupleFileError, match="not valid JSON"):
             load_tuple(str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_save_refuses_entries_that_could_not_be_loaded(tmp_path):
+    from fractions import Fraction
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        path = tmp_path / "t.json"
+        save_tuple(MatrixTuple.of(Matrix.from_rows(FQ, [[Fraction(1, 3)]])), str(path))
+        before = path.read_text()
+        huge = 10 ** 5000 + 1  # 5001 digits
+        for value, where in ((Fraction(huge, 3), "matrix 1, entry 3"),
+                             (Fraction(1, huge), "matrix 1, entry 3")):
+            x = MatrixTuple.of(Matrix.identity(FQ, 2), Matrix.diagonal(FQ, [1, value]))
+            with pytest.raises(TupleFileError, match=where + ": 5001 digits"):
+                dump_tuple(x)
+            with pytest.raises(TupleFileError, match=where):
+                save_tuple(x, str(path))
+            assert path.read_text() == before  # a refused save writes nothing
+        at_limit = MatrixTuple.of(Matrix.diagonal(FQ, [Fraction(-(10 ** 4299), 10 ** 4299 + 1)]))
+        save_tuple(at_limit, str(path))
+        assert load_tuple(str(path)) == at_limit
+        sys.set_int_max_str_digits(0)  # no limit: everything saves and loads back
+        save_tuple(x, str(path))
+        assert load_tuple(str(path)) == x
     finally:
         sys.set_int_max_str_digits(limit)
 

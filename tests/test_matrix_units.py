@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,7 @@ from conftest import rand_invertible_int
 from tracesim import (Field, Kind, Matrix, MissingUnitsError, NonCentralCoefficientError,
                       ShapeError, SubringReport, UnitSystem, check_delta, check_epsilon,
                       coeff_product, commutant, extract_subring_coefficients, theta_embedding)
-from tracesim.matrix_units import EpsilonViolation, _agree
+from tracesim.matrix_units import EpsilonViolation
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -296,7 +299,7 @@ def test_overflowing_subring_reports_violations():
 
 def delta_by_subtraction(v, system):
     scale = max(1.0, max(u.maxabs() for u in system.flat())) * max(1.0, v.maxabs())
-    eff = 0.0 if v.field.is_exact else 1e-9 * scale
+    eff = 0.0 if v.field.is_exact else min(1e-9 * scale, sys.float_info.max)  # inf never passes
     return all((v * u - u * v).is_zero(eff) for u in system.flat())
 
 
@@ -443,21 +446,118 @@ def test_check_epsilon_matches_pair_loop(family):
         assert got == want
 
 
+def kron_system(rng, field, n_units, m):
+    """(units, central coefficients): U (E_ij (x) I_m) U^-1 and U (I_N (x) M_ij) U^-1
+    for random integer M_ij of magnitude up to 3 * 100^k for the k-th, with
+    U = V diag(1, 2, ..., n) for a random integer V, so the rational units
+    have mixed denominators and each float coefficient needs its own bound."""
+    n = n_units * m
+    u = (rand_invertible_int(rng, FQ, n) * Matrix.diagonal(FQ, range(1, n + 1))).astype(field)
+    units = kron_family(field, u, n_units, m, lambda i, j: [
+        [int(r // m == i and c // m == j and r % m == c % m) for c in range(n)] for r in range(n)])
+    mats = [[[rng.randint(-3, 3) * 100 ** k for _ in range(m)] for _ in range(m)]
+            for k in range(n_units ** 2)]
+    coeffs = kron_family(field, u, n_units, m, lambda i, j: [
+        [mats[i * n_units + j][r % m][c % m] if r // m == c // m else 0 for c in range(n)]
+        for r in range(n)])
+    return units, coeffs
+
+
+def breakages(field):
+    """Ways to break one entry: a bump, and for the float kinds NaN, inf and -0.0."""
+    if field.is_exact:
+        return [lambda v: v + Fraction(1, 7), lambda v: Fraction(0)]
+    z = complex if field.is_complex else float
+    return [lambda v: v + z(1), lambda v: z(math.nan), lambda v: z(math.inf), lambda v: z(-0.0)]
+
+
+def with_entry(m, e, value):
+    """m with row-major entry e replaced; NaN and inf go in without coercion."""
+    ent = list(m.entries)
+    ent[e] = value
+    if m.field.is_exact:
+        return Matrix.from_rows(m.field, [ent[r:r + m.cols] for r in range(0, len(ent), m.cols)])
+    return Matrix(m.field, m.rows, m.cols, tuple(ent))
+
+
+@pytest.mark.parametrize("field", [FQ, FR, FC], ids=["rational", "float64", "complex128"])
+@pytest.mark.parametrize("n_units,m", [(2, 1), (3, 1), (2, 2)])
+def test_whole_array_epsilon_check_matches_pair_loop_at_every_entry(field, n_units, m):
+    rng = random.Random("whole-epsilon-%s-%d-%d" % (field.kind.value, n_units, m))
+    units, _ = kron_system(rng, field, n_units, m)
+    if field.is_exact:
+        assert len({u.denom for row in units for u in row}) > 1
+    firsts = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert check_epsilon(units) == epsilon_by_pairs(units) == (True, None)
+        for ij, e in [(ij, e) for ij in range(n_units ** 2) for e in range((n_units * m) ** 2)]:
+            i, j = divmod(ij, n_units)
+            for brk in breakages(field):
+                broken = [list(row) for row in units]
+                broken[i][j] = with_entry(units[i][j], e, brk(units[i][j].entries[e]))
+                got, want = check_epsilon(broken), epsilon_by_pairs(broken)
+                # kind, (i, j, s, t) and the expected and got matrices; NaN compares by repr
+                assert repr(got) == repr(want)
+                firsts.add(str(got[1]))  # which relation failed first, or None
+    assert len(firsts) > 2
+
+
+@pytest.mark.parametrize("field", [FQ, FR, FC], ids=["rational", "float64", "complex128"])
+@pytest.mark.parametrize("n_units,m", [(2, 1), (3, 1), (2, 2)])
+def test_whole_array_centrality_check_matches_subtraction_at_every_entry(field, n_units, m):
+    rng = random.Random("whole-delta-%s-%d-%d" % (field.kind.value, n_units, m))
+    units, coeffs = kron_system(rng, field, n_units, m)
+    system = UnitSystem.from_family(units)
+    flat = [c for row in coeffs for c in row]
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert all(check_delta(c, system) and delta_by_subtraction(c, system) for c in flat)
+        theta_embedding(system, coeffs)
+        for k, e in [(k, e) for k in range(len(flat)) for e in range((n_units * m) ** 2)]:
+            for brk in breakages(field):
+                broken = list(flat)
+                broken[k] = with_entry(flat[k], e, brk(flat[k].entries[e]))
+                central = check_delta(broken[k], system)
+                assert central == delta_by_subtraction(broken[k], system)
+                family = [broken[r:r + n_units] for r in range(0, len(broken), n_units)]
+                if central:
+                    theta_embedding(system, family)
+                else:
+                    with pytest.raises(NonCentralCoefficientError,
+                                       match=re.escape("(%d,%d)" % divmod(k, n_units))):
+                        theta_embedding(system, family)
+                seen.add(central)
+    assert False in seen
+
+
 def test_exact_cross_multiplied_comparison_matches_fraction_equality():
+    # e = P E_00 P^-1 is idempotent, one entry sometimes bumped: check_epsilon
+    # compares e e, a product over e.denom^2, with e, and must agree with
+    # Fraction arithmetic on the entries
     rng = random.Random(11)
     seen = set()
     for _ in range(300):
-        a = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6, 9])) for _ in range(4)]
-        b = list(a)
+        p = Matrix.from_rows(FQ, [[Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6, 9]))
+                                   for _ in range(2)] for _ in range(2)])
+        if p.det() == 0:
+            continue
+        a = list((p * Matrix.unit(FQ, 2, 0, 0) * p.inverse()).entries)
         if rng.random() < 0.5:
-            b[rng.randrange(4)] += Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 5]))
-        ma, mb = Matrix.from_rows(FQ, [a[:2], a[2:]]), Matrix.from_rows(FQ, [b[:2], b[2:]])
-        (ia, la), (ib, lb) = (ma.values, ma.denom), (mb.values, mb.denom)
-        k = rng.randint(1, 7)  # the same values over another denominator, as a product gives them
-        ib, lb = [v * k for v in ib], lb * k
-        assert _agree(FQ, ia, la, ib, lb, 0.0) == (a == b) == _agree(FQ, ib, lb, ia, la, 0.0)
-        seen.add((a == b, la == lb))
-    assert (True, False) in seen and (False, False) in seen  # both verdicts on mixed denominators
+            a[rng.randrange(4)] += Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 5]))
+        if not any(a):
+            continue
+        e = Matrix.from_rows(FQ, [a[:2], a[2:]])
+        square = [a[0] * a[0] + a[1] * a[2], a[0] * a[1] + a[1] * a[3],
+                  a[2] * a[0] + a[3] * a[2], a[2] * a[1] + a[3] * a[3]]
+        ok, violation = check_epsilon([[e]])
+        assert ok == (square == a)
+        if not ok:
+            assert violation == EpsilonViolation("product", 0, 0, 0, 0, e,
+                                                 Matrix.from_rows(FQ, [square[:2], square[2:]]))
+        seen.add((ok, e.denom > 1))
+    assert (True, True) in seen and (False, True) in seen  # both verdicts on mixed denominators
 
 
 # -- NaN residuals and overflow ------------------------------------------------------------
