@@ -6,26 +6,19 @@ of P.  The tuples are simultaneously similar iff that space contains an
 invertible element, and any such P is a certified witness:
 Y_i = P X_i P^{-1}.
 
-The exact kind builds the space in stages.  P X_1 = Y_1 P is solved
-through Krylov chains of X_1: standard vectors v_1..v_r are taken in order
-while they lie outside the span so far, and each chain
-v_i, X_1 v_i, .., X_1^(m_i - 1) v_i grows until its next vector falls into
-the span, so the chains form a basis K of Q^n (r = 1 when X_1 is cyclic).
-P is fixed by the images w_i = P v_i, because P X_1^t v_i = Y_1^t w_i, and
-P X_1 = Y_1 P holds iff each tail relation X_1^(m_i) v_i = sum c X_1^t v_l
-is matched by Y_1^(m_i) w_i = sum c Y_1^t w_l: n r equations in the n r
-entries of the w_i, in place of n^2 in n^2 (``_exact_intertwiners`` has the
-argument).  Each later equation, starred ones included, is solved only
-inside the kernel found so far, as n^2 equations in its k coefficients (the
-residuals P_j X_i - Y_i P_j of the basis), and the work stops once the
-kernel is zero.  The final basis is brought to the reduced form of the
-stacked system, so it does not depend on the chains or the staging.  The
-float kinds stack all equations into one numpy system, since restricting
-under float pivot thresholds would change which directions count as kernel.
-Its pivots are judged against the largest entry of the X_i and Y_i: the
-system's own entries x - y cancel, and a threshold taken from them counts
-rounding dust as pivots (for X = c I and Y = Q X Q^t, rounded, every entry
-is dust, and the space came out zero).
+The exact kind builds the space in stages.  P X_1 = Y_1 P is solved through
+the r Krylov chains of X_1 (``_chain_solve``, the Sylvester solver), in n r
+unknowns in place of n^2 (r = 1 when X_1 is cyclic).  Each later equation,
+starred ones included, is solved only inside the kernel found so far, as n^2
+equations in its k coefficients (the residuals P_j X_i - Y_i P_j of the
+basis), and the work stops once the kernel is zero.  The final basis is
+brought to the reduced form of the stacked system, so it does not depend on
+the chains or the staging.  The float kinds stack all equations into one
+numpy system, since restricting under float pivot thresholds would change
+which directions count as kernel.  Its pivots are judged against the largest
+entry of the X_i and Y_i: the system's own entries x - y cancel, and a
+threshold taken from them counts rounding dust as pivots (for X = c I and
+Y = Q X Q^t, rounded, every entry is dust, and the space came out zero).
 
 Invertible elements are found by one seeded draw loop (``_draws``) of
 A = sum c_j B_j, c_j uniform in {-S..S}.  An invertible A is the witness
@@ -147,19 +140,8 @@ def _exact_intertwiners(xs, ys, n: int) -> tuple:
     as integer vectors over one d.
 
     ``xs`` and ``ys`` hold integer matrices as row lists.  The first
-    equation is solved through Krylov chains of X = X_1 (``_krylov_chains``):
-    vectors v_1..v_r whose chains v_i, X v_i, .., X^(m_i - 1) v_i form a
-    basis K of Q^n, each closed by a tail relation
-    X^(m_i) v_i = sum_{l,t} c_{l,t} X^t v_l.  An intertwiner is fixed by the
-    images w_i = P v_i, since P X^t v_i = Y^t w_i.  Conversely, given any
-    w_1..w_r, the P with P X^t v_l = Y^t w_l on K satisfies P X = Y P on
-    every chain vector below its tail, and on the last one it reads
-    Y^(m_i) w_i = sum c_{l,t} Y^t w_l.  So P <-> (w_1..w_r) is a bijection
-    between the solutions and the kernel of those r tail relations: n r
-    equations in n r unknowns (n when X is cyclic) instead of n^2 in n^2.
-    Each kernel vector maps back to P = W K^{-1}, W holding the Y^t w_l.
-
-    Each later equation is solved inside the current kernel: with
+    equation, Y_1 P - P X_1 = 0, is the C = 0 case of ``_chain_solve``.  Each
+    later equation is solved inside the current kernel: with
     P = sum_j c_j P_j it reads sum_j c_j (P_j X_i - Y_i P_j) = 0, n^2
     equations in the k coefficients.  The kernel shrinks at every step, and
     the loop stops once it is zero.  Kernel vectors are kept as ints divided
@@ -169,7 +151,7 @@ def _exact_intertwiners(xs, ys, n: int) -> tuple:
     column) and 0 at the other free ones.  That form is unique for the
     space, so it does not depend on the chains or the staging.
     """
-    basis = [_primitive(v) for v in _chain_intertwiners(xs[0], ys[0], n)]
+    basis = [_primitive(v) for v in _chain_solve(ys[0], xs[0])]
     for xi, yi in zip(xs[1:], ys[1:]):
         if not basis:
             return [], 1
@@ -237,44 +219,68 @@ def _krylov_chains(x, n: int) -> tuple:
     return kept, chains
 
 
-def _chain_intertwiners(x, y, n: int) -> list:
-    """Integer vectors spanning {P : P X = Y P} (P row-major), found from the
-    tail relations of the Krylov chains of X (see ``_exact_intertwiners``)."""
-    kept, chains = _krylov_chains(x, n)
+def _chain_solve(a, b, c=None):
+    """Solutions X of A X - X B = C, from integer row lists ``a`` (n x n),
+    ``b`` (m x m) and ``c`` (n x m; None for C = 0).
+
+    X is fixed by its images w_l = X v_l of the Krylov chain starts of B:
+    X B^t v_l = A^t w_l + g_{l,t}, g_{l,0} = 0, g_{l,t+1} = A g_{l,t} - C B^t v_l.
+    Any w define an X on the chain basis K that solves the equation iff each
+    tail relation of B carries over to the images: n r equations M w = rhs,
+    and X = Z K^{-1}, Z the images.  Returns, for ``c`` None, integer
+    row-major X spanning the solutions (no g is formed); else None when one
+    reduction of [M | rhs] has a pivot in its last column (inconsistent), or
+    (values, d): X over d, with the free entries of w zero.
+    """
+    n, m = len(a), len(b)
+    kept, chains = _krylov_chains(b, m)
     r = len(chains)
     owner = [(l, t) for l, (_, length, _) in enumerate(chains) for t in range(length)]
-    ypow = [[[int(a == b) for b in range(n)] for a in range(n)]]  # Y^0 .. Y^(max m_i)
-    ycols = [list(c) for c in zip(*y)]
-    while len(ypow) <= max(length for _, length, _ in chains):
-        ypow.append([[sum(map(mul, row, col)) for col in ycols] for row in ypow[-1]])
-    rows = []  # row a of chain i: the a-th entry of rel[-1] Y^(m_i) w_i + sum rel[k] Y^t w_l
-    for i, (_, length, rel) in enumerate(chains):
+    apow = [[[int(i == j) for j in range(n)] for i in range(n)]]  # A^0 .. A^(max m_l)
+    acols = [list(col) for col in zip(*a)]
+    while len(apow) <= max(length for _, length, _ in chains):
+        apow.append([[sum(map(mul, row, col)) for col in acols] for row in apow[-1]])
+    if c is not None:
+        ck = [[sum(map(mul, crow, v)) for crow in c] for v in kept]  # C K, by columns
+        gs = [[[0] * n] for _ in chains]  # g_{l,0} .. g_{l,m_l}
+        for g, (start, length, _) in zip(gs, chains):
+            for t in range(start, start + length):
+                g.append([sum(map(mul, arow, g[-1])) - e for arow, e in zip(a, ck[t])])
+    rows = []  # row i of chain l: the i-th entry of rel[-1] A^(m_l) w_l + sum rel[k] A^t w_l'
+    for l, (_, length, rel) in enumerate(chains):
         block = [[0] * (n * r) for _ in range(n)]
-        terms = [(l, t, c) for (l, t), c in zip(owner, rel[:-1]) if c]
-        terms.append((i, length, rel[-1]))
-        for l, t, c in terms:
-            for brow, yrow in zip(block, ypow[t]):
-                for s, e in enumerate(yrow, start=l * n):
-                    brow[s] += c * e
+        terms = [(l2, t, k) for (l2, t), k in zip(owner, rel[:-1]) if k]
+        terms.append((l, length, rel[-1]))
+        for l2, t, k in terms:
+            for brow, arow in zip(block, apow[t]):
+                for s, e in enumerate(arow, start=l2 * n):
+                    brow[s] += k * e
+        if c is not None:  # the constant column: the same relation on the g
+            for i, brow in enumerate(block):
+                brow.append(sum(k * gs[l2][t][i] for l2, t, k in terms))
         rows += block
-    kernel, _ = _int_kernel(rows, n * r)
-    if not kernel:
-        return []
-    # K^{-1} up to one scalar: Gauss-Jordan of [K | I] leaves d [I | K^{-1}]
-    ech, _, _, _ = _gauss_jordan_int([[v[a] for v in kept] + [int(a == b) for b in range(n)]
-                                      for a in range(n)])
-    kinv_cols = [list(col) for col in zip(*(row[n:] for row in ech))]
+    ws, d = _int_kernel(rows, len(rows[0]))
+    if c is not None:  # M w = -const: the kernel vector that is d at the constant column
+        ws = [v[:-1] for v in ws if v[-1]]  # none if the column holds a pivot
+    if not ws:
+        return [] if c is None else None
+    # K^{-1} up to one scalar: Gauss-Jordan of [K | I] leaves dk [I | K^{-1}]
+    ech, _, dk, _ = _gauss_jordan_int([[v[i] for v in kept] + [int(i == j) for j in range(m)]
+                                       for i in range(m)])
+    kinv_cols = [list(col) for col in zip(*(row[m:] for row in ech))]
     out = []
-    for w in kernel:
-        images = []  # P applied to each kept vector: Y^t w_l
-        for l, (_, length, _) in enumerate(chains):
-            v = w[l * n:(l + 1) * n]
-            images.append(v)
-            for _ in range(length - 1):
-                v = [sum(map(mul, row, v)) for row in y]
-                images.append(v)
-        out.append([sum(map(mul, prow, col)) for prow in zip(*images) for col in kinv_cols])
-    return out
+    for w in ws:
+        images = []  # d times X applied to each kept vector
+        for l, (start, length, _) in enumerate(chains):
+            u = w[l * n:(l + 1) * n]
+            images.append(u)
+            for t in range(start, start + length - 1):
+                u = [sum(map(mul, row, u)) for row in a]
+                if c is not None:
+                    u = [x - d * e for x, e in zip(u, ck[t])]
+                images.append(u)
+        out.append([sum(map(mul, zrow, col)) for zrow in zip(*images) for col in kinv_cols])
+    return out if c is None else (out[0], d * dk)
 
 
 def _primitive(v: list) -> list:

@@ -341,7 +341,7 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     width = n * len(generators)
     right = _hstack([g.values for g in generators], n)
     sample = []
-    seen = set()
+    seen = set()  # stored forms: every sample has one field and shape
     layer = [Matrix.identity(field, n)]
     for _ in range(depth):
         nxt = []
@@ -349,8 +349,8 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
             prod = _raw_product(field, m.values, right, n, width)
             for b, g in enumerate(generators):
                 elem = _from_raw(field, n, n, _block(prod, width, 0, b, n), m.denom * g.denom)
-                if elem not in seen:
-                    seen.add(elem)
+                if (elem.values, elem.denom) not in seen:
+                    seen.add((elem.values, elem.denom))
                     nxt.append(elem)
                     sample.append(elem)
                     if len(sample) >= max_products:

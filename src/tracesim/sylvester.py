@@ -4,9 +4,8 @@ Unique solvability for every right-hand side holds iff the spectra of A
 and B are disjoint.  That condition is decided here without touching
 eigenvalues: characteristic polynomials are recovered from the power-sum
 traces tr(A^k) via Newton's identities, and spectral disjointness is one
-resultant (a determinant) away.  The flattened n*m x n*m linear system is
-kept as the second, independent route: it solves the equation and its
-invertibility must agree with the trace criterion.
+resultant (a determinant) away.  ``sylvester_solve`` does not consult it;
+the tests keep the flattened n*m x n*m system as the oracle of both.
 """
 
 from __future__ import annotations
@@ -14,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ShapeError, ZeroPolynomialError
+import numpy as np
+
+from .errors import NonFiniteError, ShapeError, ZeroPolynomialError
 from .fields import Field
-from .matrices import Matrix, _from_raw, _int_matrices, _power_traces, solve_linear
+from .intertwiner import _chain_solve
+from .matrices import Matrix, _float_rref, _from_raw, _int_matrices, _power_traces
 
 RESULTANT_TOL = 1e-8  # float resultants count as nonzero above this times scale^(n+m)
 
@@ -58,15 +60,6 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial.of(self.field, out)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial.of(self.field, out)
-
     def __str__(self):
         from .fields import value_str
         if self.is_zero:
@@ -76,12 +69,11 @@ class Polynomial:
 
 
 def sylvester_solve(a: Matrix, b: Matrix, c: Matrix) -> Optional[Matrix]:
-    """Any solution X of A X - X B = C, or None when inconsistent.
+    """One solution X of A X - X B = C, or None when there is none.
 
-    Flattens X row-major into an n*m vector and solves the stacked linear
-    system, built from the stored integers over one denominator for the
-    exact kind; when the solution is not unique an arbitrary member is
-    returned (free variables zero).
+    The exact kind solves for the images X v_l of the Krylov chain starts
+    v_l of B (``intertwiner._chain_solve``), the float kinds for row-major X
+    (``_float_sylvester_system``); free unknowns are zero either way.
     """
     a.field.require_same(b.field)
     a.field.require_same(c.field)
@@ -91,29 +83,31 @@ def sylvester_solve(a: Matrix, b: Matrix, c: Matrix) -> Optional[Matrix]:
     if (c.rows, c.cols) != (n, m):
         raise ShapeError("C must be %dx%d" % (n, m))
     field = a.field
-    if field.is_exact:  # the stored integers over one common denominator
-        (ar, br, cr), denom = _int_matrices([a, b, c])
-        zero = 0
-    else:
-        (ar, br, cr), denom, zero = (x.row_list() for x in (a, b, c)), 1, field.zero()
-    rows = []
-    for i in range(n):
-        for j in range(m):
-            row = [zero] * (n * m)
-            for r in range(n):
-                row[r * m + j] = row[r * m + j] + ar[i][r]
-            for s in range(m):
-                row[i * m + s] = row[i * m + s] - br[s][j]
-            rows.append(row)
     if field.is_exact:
-        system = _from_raw(field, n * m, n * m, [e for row in rows for e in row], denom)
-    else:  # from_rows rejects an entry a_ii - b_jj that overflowed
-        system = Matrix.from_rows(field, rows)
-    rhs = _from_raw(field, n * m, 1, [v for row in cr for v in row], denom)
-    sol = solve_linear(system, rhs)
-    if sol is None:
-        return None
-    return Matrix(field, n, m, sol.values, sol.denom)
+        sol = _chain_solve(*_int_matrices([a, b, c])[0])
+        return None if sol is None else _from_raw(field, n, m, *sol)
+    rref, pivots = _float_rref(_float_sylvester_system(a, b, c))
+    if pivots and pivots[-1] == n * m:
+        return None  # a pivot in the right-hand column: inconsistent
+    sol = np.zeros(n * m, dtype=rref.dtype)
+    sol[pivots] = rref[:len(pivots), -1]
+    return Matrix.from_numpy(field, sol.reshape(n, m))
+
+
+def _float_sylvester_system(a: Matrix, b: Matrix, c: Matrix) -> np.ndarray:
+    """[S | c], S the matrix of X -> A X - X B on row-major X, each entry
+    formed as (0 + a_ir) - b_sj as a scalar loop would (no negative zero);
+    ``NonFiniteError`` if one, like a_ii - b_jj, is not finite."""
+    n, m, an, bn = a.rows, b.rows, a.to_numpy(), b.to_numpy()
+    system = np.zeros((n * m, n * m + 1), dtype=an.dtype)
+    s = system[:, :-1].reshape(n, m, n, m)  # a view, indexed [i, j, r, s]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        s[:, np.arange(m), :, np.arange(m)] += an  # the indexed axes come first: [j, i, r]
+        s[np.arange(n), :, np.arange(n), :] -= bn.T  # [i, j, s]
+    if not np.isfinite(s).all():
+        raise NonFiniteError("non-finite entry in the Sylvester system")
+    system[:, -1] = c.values
+    return system
 
 
 def char_poly_from_traces(a: Matrix) -> Polynomial:

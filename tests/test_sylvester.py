@@ -1,12 +1,17 @@
 import random
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_int_matrix
+from conftest import rand_int_matrix, rand_invertible_int
 from tracesim import (Field, Matrix, NonFiniteError, Polynomial, ZeroPolynomialError,
-                      char_poly_from_traces, resultant, sylvester_solve,
+                      char_poly_from_traces, resultant, solve_linear, sylvester_solve,
                       sylvester_unique)
+from tracesim.intertwiner import _krylov_chains
+from tracesim.matrices import _int_matrices
+from tracesim.sylvester import _float_sylvester_system
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -67,6 +72,24 @@ def poly_gcd_degree(a, b):
     return len(a) - 1
 
 
+def flattened_system(a: Matrix, b: Matrix) -> Matrix:
+    """The n*m x n*m matrix of X -> A X - X B over the row-major entries of
+    X, one scalar at a time: row (i, j) gets a_ir added at column (r, j),
+    then b_sj subtracted at column (i, s)."""
+    n, m = a.rows, b.rows
+    zero = a.field.zero()
+    rows = []
+    for i in range(n):
+        for j in range(m):
+            row = [zero] * (n * m)
+            for r in range(n):
+                row[r * m + j] += a.at(i, r)
+            for s in range(m):
+                row[i * m + s] -= b.at(s, j)
+            rows.append(row)
+    return Matrix.from_rows(a.field, rows)
+
+
 # -- solve -------------------------------------------------------------------------
 
 def test_solve_diagonal_example():
@@ -119,9 +142,13 @@ def test_solve_rational_instances_over_mixed_denominators():
 
 
 def test_solve_rejects_an_overflowing_float_system():
-    a, b = Matrix.from_rows(FR, [[1e308]]), Matrix.from_rows(FR, [[-1e308]])
-    with pytest.raises(NonFiniteError):  # the system entry a_00 - b_00 is inf
-        sylvester_solve(a, b, Matrix.from_rows(FR, [[1.0]]))
+    fc = Field.complex128()
+    for field, big in ((FR, 1e308), (fc, complex(1e308, 1.0))):
+        a, b = Matrix.from_rows(field, [[big]]), Matrix.from_rows(field, [[-big]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning must not escape
+            with pytest.raises(NonFiniteError):  # the system entry a_00 - b_00 is inf
+                sylvester_solve(a, b, Matrix.from_rows(field, [[1.0]]))
 
 
 def test_solve_float_and_complex():
@@ -138,6 +165,114 @@ def test_solve_float_and_complex():
     cc = Matrix.from_rows(fc, [[1], [1j]])
     xc = sylvester_solve(ac, bc, cc)
     assert (ac * xc - xc * bc - cc).maxabs() < 1e-12
+
+
+def chain_count(b: Matrix) -> int:
+    (rows,), _ = _int_matrices([b])
+    return len(_krylov_chains(rows, b.rows)[1])
+
+
+def test_exact_chain_route_matches_the_flattened_system():
+    """The chain solver against one exact solve of the flattened system: the
+    same solvability, A X - X B = C exactly, and the same X when the solution
+    is unique.  Spectra drawn from a small pool overlap often, so non-unique
+    and inconsistent equations come up; scalar and repeated-block B have
+    several Krylov chains."""
+    rng = random.Random(24)
+    pool = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-2, 3)]
+
+    def conjugated(diag, denom):  # P T P^-1, T upper triangular over denom
+        k = len(diag)
+        t = Matrix.from_rows(FQ, [[diag[i] if i == j else
+                                   Fraction(rng.randint(-3, 3), denom) * (j > i)
+                                   for j in range(k)] for i in range(k)])
+        p = rand_invertible_int(rng, FQ, k, -2, 2)
+        return p * t * p.inverse()
+
+    def rand(rows, cols, denom):
+        return Matrix.from_rows(FQ, [[Fraction(rng.randint(-5, 5), rng.randint(1, denom))
+                                      for _ in range(cols)] for _ in range(rows)])
+
+    seen = Counter()
+    for case in range(240):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        a = conjugated([rng.choice(pool) for _ in range(n)], 3)
+        shape = case % 6
+        if shape == 0:
+            b = Matrix.zeros(FQ, m, m)
+        elif shape == 1:
+            b = Matrix.identity(FQ, m).scale(rng.choice(pool))
+        elif shape == 2:  # diagonalizable with repeated eigenvalues
+            p = rand_invertible_int(rng, FQ, m, -2, 2)
+            b = p * Matrix.diagonal(FQ, (rng.sample(pool, 2) * m)[:m]) * p.inverse()
+        else:
+            b = conjugated([rng.choice(pool) for _ in range(m)], 5)
+        if shape == 3:
+            a = Matrix.identity(FQ, n)
+        if rng.random() < 0.5:
+            x0 = rand(n, m, 7)
+            c = a * x0 - x0 * b
+        else:
+            c = rand(n, m, 4)
+        flat = flattened_system(a, b)
+        oracle = solve_linear(flat, Matrix(FQ, n * m, 1, c.values, c.denom))
+        x = sylvester_solve(a, b, c)
+        assert (x is None) == (oracle is None), (a, b, c)
+        unique = flat.rank() == n * m
+        if x is None:
+            seen["inconsistent"] += 1
+        else:
+            assert a * x - x * b == c
+            seen["unique" if unique else "non-unique"] += 1
+            if unique:
+                assert x == Matrix(FQ, n, m, oracle.values, oracle.denom)
+        seen["several chains"] += chain_count(b) > 1
+        seen["n != m"] += n != m
+        seen["B = 0"] += b.is_zero()
+        seen["mixed denominators"] += len({a.denom, b.denom, c.denom}) > 1
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+
+
+@pytest.mark.parametrize("field", [FR, Field.complex128()], ids=["real", "complex"])
+def test_float_solve_is_the_flattened_row_loop(field):
+    """The numpy system is, byte for byte and signed zeros included, the
+    scalar row loop's, and the solve gives, by repr, what that loop plus
+    ``solve_linear`` gives: signed zeros in A and B, complex entries, and
+    singular systems (B = A) included."""
+    rng = random.Random(25)
+
+    def value():
+        pick = rng.random()
+        re = 0.0 if pick < 0.2 else -0.0 if pick < 0.4 else rng.gauss(0, 2)
+        if field.is_complex:
+            pick = rng.random()
+            return complex(re, -0.0 if pick < 0.25 else 0.0 if pick < 0.5 else rng.gauss(0, 2))
+        return re
+
+    def rand(rows, cols):
+        return Matrix(field, rows, cols, tuple(value() for _ in range(rows * cols)))
+
+    cases = []
+    for case in range(120):
+        n = rng.randint(1, 4)
+        m = n if case % 3 == 0 else rng.randint(1, 4)
+        a, c = rand(n, n), rand(n, m)
+        cases.append((a, a if case % 3 == 0 else rand(m, m), c))
+    # at the pivot threshold: a_00 - b_00 = 1e-10 is under 1e-9 of c_00 = 1
+    tiny, zero, one = (Matrix.from_rows(field, [[v]]) for v in (1e-10, 0.0, 1.0))
+    cases += [(tiny, zero, one), (tiny, zero, tiny)]
+    outcomes = Counter()
+    for a, b, c in cases:
+        n, m = a.rows, b.rows
+        flat = flattened_system(a, b)
+        system = _float_sylvester_system(a, b, c)
+        assert system[:, :-1].tobytes() == flat.to_numpy().tobytes()
+        assert system.dtype == flat.to_numpy().dtype
+        sol = solve_linear(flat, Matrix(field, n * m, 1, c.values))
+        expected = None if sol is None else Matrix(field, n, m, sol.values)
+        assert repr(sylvester_solve(a, b, c)) == repr(expected)
+        outcomes[sol is None] += 1
+    assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
 
 
 # -- characteristic polynomial -------------------------------------------------------
@@ -242,21 +377,6 @@ def test_unique_float_bound_survives_huge_norms():
     m = Matrix.from_rows(FR, [[1e30 if j == i + 1 else 0.0 for j in range(n)]
                               for i in range(n)])
     assert sylvester_unique(m, m) is False
-
-
-def flattened_system(a: Matrix, b: Matrix) -> Matrix:
-    n, m = a.rows, b.rows
-    zero = a.field.zero()
-    rows = []
-    for i in range(n):
-        for j in range(m):
-            row = [zero] * (n * m)
-            for r in range(n):
-                row[r * m + j] += a.at(i, r)
-            for s in range(m):
-                row[i * m + s] -= b.at(s, j)
-            rows.append(row)
-    return Matrix.from_rows(a.field, rows)
 
 
 def test_unique_agrees_with_flattened_rank():
