@@ -14,10 +14,10 @@ equations in its k coefficients (the residuals P_j X_i - Y_i P_j of the
 basis), and the work stops once the kernel is zero.  The final basis is
 brought to the reduced form of the stacked system, so it does not depend on
 the chains or the staging.  The float kinds stack all equations into one
-numpy system, since restricting under float pivot thresholds would change
-which directions count as kernel.  Its pivots are judged against the largest
+numpy system, since restricting under a float rank threshold would change
+which directions count as kernel.  Its rank is judged against the largest
 entry of the X_i and Y_i: the system's own entries x - y cancel, and a
-threshold taken from them counts rounding dust as pivots (for X = c I and
+threshold taken from them counts rounding dust as rank (for X = c I and
 Y = Q X Q^t, rounded, every entry is dust, and the space came out zero).
 
 Invertible elements are found by one seeded draw loop (``_draws``) of
@@ -27,8 +27,9 @@ candidate.  A singular A starts the second Wong sequence
 finds U with dim sum_j B_j U < dim U.  Every P in the span maps U into that
 smaller space, so U proves that no P is invertible.  Only ``trials`` draws
 that all escape leave a probable answer, with the Schwartz-Zippel bound
-(n/(2S+1))^trials.  The float kinds take every rank decision against 1e-9 of
-the basis scale (``_orth``), so their negatives are numerical verdicts.
+(n/(2S+1))^trials.  The float kinds take every rank decision, the draw's
+invertibility and each Wong row space, by ``matrices._float_svd`` at the
+basis scale, so their negatives are numerical verdicts.
 
 ``_search`` runs this decision for GL similarity here and, on the starred
 space, for orthogonal similarity in ``orthogonal``.  Trace words are not
@@ -49,12 +50,11 @@ import numpy as np
 
 from .errors import ShapeError
 from .fields import Field
-from .matrices import (Matrix, MatrixTuple, _det_int, _float_kernel, _from_raw,
+from .matrices import (Matrix, MatrixTuple, _det_int, _float_svd, _from_raw,
                        _gauss_jordan_int, _int_kernel, _int_matrices)
 
 DEFAULT_TRIALS = 20
 DEFAULT_SAMPLE_BOUND = 10 ** 6
-_FLOAT_DET_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool) -> Intert
     basis of the whole system: basis[j] is 1 at the j-th free entry and 0 at
     the other free entries, and the defining equations hold exactly.  The
     float kinds stack every equation (n^2 rows each) into one numpy system
-    (``_float_system``) and read its kernel off ``_float_kernel``, at the
-    scale of the largest entry of the X_i and Y_i.
+    (``_float_system``) and return the orthonormal kernel basis of
+    ``_float_svd`` at the scale of the largest entry of the X_i and Y_i.
     """
     _check_pair(x, y)
     n = x.n
@@ -113,8 +113,8 @@ def intertwiner_basis(x: MatrixTuple, y: MatrixTuple, with_star: bool) -> Intert
         if with_star:
             xs += [m.to_numpy() for m in x.stars()]
             ys += [m.to_numpy() for m in y.stars()]
-        kernel = _float_kernel(_float_system(xs, ys, n), np.max(np.abs(np.stack(xs + ys))))
-        basis = tuple(Matrix.from_numpy(x.field, v.reshape(n, n)) for v in kernel)
+        r, _, _, vh = _float_svd(_float_system(xs, ys, n), np.max(np.abs(np.stack(xs + ys))))
+        basis = tuple(Matrix.from_numpy(x.field, v.reshape(n, n)) for v in vh[r:].conj())
     return IntertwinerBasis(n, with_star, x.field, basis)
 
 
@@ -307,11 +307,10 @@ def _working_basis(b: IntertwinerBasis):
 
 
 def _draws(b: IntertwinerBasis, mats, seed: int, trials: int, sample_bound: int):
-    """Yields (coeffs, A, A is invertible, rows) for ``trials`` seeded draws
+    """Yields (coeffs, A, A is invertible) for ``trials`` seeded draws
     A = sum c_j B_j, c_j uniform in {-S..S} with S = ``sample_bound``, A in
-    the form of ``mats``; float draws take c_j / S, keeping the basis scale.
-    ``rows`` is ``_orth(conj A)`` when a float rank test took it, the start
-    of ``_shrunk_subspace``, and None otherwise."""
+    the form of ``mats``; float draws take c_j / S, keeping the basis scale
+    1 at which ``_float_svd`` judges their rank."""
     rng = random.Random(seed)
     exact = b.field.is_exact
     entries = list(zip(*([e for row in m for e in row] for m in mats))) if exact else None
@@ -320,37 +319,13 @@ def _draws(b: IntertwinerBasis, mats, seed: int, trials: int, sample_bound: int)
         if exact:
             flat = [sum(map(mul, coeffs, e)) for e in entries]
             a = [flat[i:i + b.n] for i in range(0, b.n * b.n, b.n)]
-            yield coeffs, a, _det_int(a) != 0, None
+            yield coeffs, a, _det_int(a) != 0
         else:
             a = np.tensordot(np.array(coeffs, dtype=float) / sample_bound, mats, axes=1)
-            # each residual _orth keeps is >= sigma_min(a) >= |det a| / ||a||_F^(n-1)
-            big = abs(np.linalg.det(a)) > _FLOAT_DET_REL_TOL * np.linalg.norm(a) ** (b.n - 1)
-            rows = None if big else _orth(a.conj())
-            yield coeffs, a, big or len(rows) == b.n, rows
+            yield coeffs, a, _float_svd(a, 1.0, vectors=False)[0] == b.n
 
 
-def _orth(m: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the rows of ``m``: Gram-Schmidt that keeps
-    the row of largest residual (projected once more) until no residual
-    exceeds ``_FLOAT_DET_REL_TOL`` at the basis scale.  numpy's QR or SVD
-    would page in LAPACK code that a process using only its LU does not
-    touch: after float decisions, the first QR raised peak RSS by about
-    0.5 MB and the first SVD by about 0.9 MB (numpy 2.4, one BLAS thread)."""
-    m = np.array(m, dtype=np.result_type(m, float))
-    kept = np.zeros((min(m.shape), m.shape[1]), dtype=m.dtype)
-    for r in range(len(kept)):
-        sq = np.einsum("ij,ij->i", m.conj(), m).real
-        j = int(np.argmax(sq))
-        if not sq[j] > _FLOAT_DET_REL_TOL ** 2:
-            return kept[:r]
-        v = m[j] / np.sqrt(sq[j])
-        v -= (kept[:r].conj() @ v) @ kept[:r]
-        kept[r] = v / np.linalg.norm(v)
-        m -= np.outer(m @ kept[r].conj(), kept[r])
-    return kept
-
-
-def _shrunk_subspace(b: IntertwinerBasis, mats, a, rows) -> Optional[tuple]:
+def _shrunk_subspace(b: IntertwinerBasis, mats, a) -> Optional[tuple]:
     """The second Wong sequence from a singular draw A (Ivanyos-Karpinski-
     Saxena 2010): (U as basis columns, dim sum_j B_j U), or None on escape.
 
@@ -358,10 +333,9 @@ def _shrunk_subspace(b: IntertwinerBasis, mats, a, rows) -> Optional[tuple]:
     stops once dim W_{i+1} < dim U_i.  Else W_{i+1} must lie in im A, so
     dim U_{i+1} = dim ker A + dim W_{i+1} > dim U_i and U grows: at most n
     steps.  A^{-1}(W) is the kernel of [A | -W] cut to n entries (integer
-    vectors) or of (I - W W^*) A (orthonormal rows), and W lies in im A iff
-    it has dim ker A + dim W vectors; otherwise A lacks the largest rank.
-    A float run starts from ``rows``, the orthonormal rows of conj A that
-    ``_draws`` kept for its rank test, so ker A = A^{-1}(0) is not redone.
+    vectors) or of (I - W W^*) A (orthonormal rows from ``_float_svd`` at
+    the basis scale 1, as is each W), and W lies in im A iff it has
+    dim ker A + dim W vectors; otherwise A lacks the largest rank.
     """
     n, exact = b.n, b.field.is_exact
     if exact:
@@ -376,14 +350,13 @@ def _shrunk_subspace(b: IntertwinerBasis, mats, a, rows) -> Optional[tuple]:
             return [_primitive(v[:n]) for v in kernel]
     else:
         def images(u):
-            return _orth(np.concatenate([u @ m.T for m in mats]))
-
-        def kernel(rows):  # the kernel is orthogonal to the conjugated rows
-            return _orth(np.eye(n) - rows.conj().T @ rows)
+            r, _, _, vh = _float_svd(np.concatenate([u @ m.T for m in mats]), 1.0)
+            return vh[:r]
 
         def preimage(w):
-            return kernel(_orth((a - w.T @ (w.conj() @ a)).conj()))
-    u = preimage([]) if exact else kernel(rows)
+            r, _, _, vh = _float_svd(a - w.T @ (w.conj() @ a), 1.0)
+            return vh[r:].conj()
+    u = preimage([] if exact else np.zeros((0, n)))
     nullity = len(u)
     while True:
         w = images(u)
@@ -443,11 +416,11 @@ def _decide_span(b: IntertwinerBasis, seed: int, trials: int, sample_bound: int)
     if b.dim == 0:
         return None, Matrix.identity(b.field, b.n), "%s space is zero" % what
     mats = _working_basis(b)
-    for draw, (coeffs, a, invertible, rows) in enumerate(
+    for draw, (coeffs, a, invertible) in enumerate(
             _draws(b, mats, seed, trials, sample_bound), start=1):
         if invertible:
             return b.combo(coeffs), None, None
-        found = _shrunk_subspace(b, mats, a, rows)
+        found = _shrunk_subspace(b, mats, a)
         if found is not None and _certifies(b, mats, *found):
             return None, found[0], (
                 "shrunk subspace: dim U = %d > dim sum_j B_j U = %d, so no %s is invertible "

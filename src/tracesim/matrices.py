@@ -17,17 +17,14 @@ Two linear-algebra engines sit behind one interface:
   is ``sign * d`` over denom^n (closed forms up to 4x4), and each kernel or
   solution vector is its integer row over d.  Everything is exact, with no
   rounding anywhere.
-* float (real/complex kinds): numpy-backed Gauss-Jordan with partial
-  pivoting (``_float_rref``); a pivot counts iff its magnitude exceeds
-  ``PIVOT_TOL`` (1e-9) times a scale, by default the largest initial entry
-  magnitude (the intertwiner system passes the largest entry of the
-  matrices it was built from, since its own entries may cancel).  Each
-  pivot step is a few whole-array numpy operations: a row swap, the pivot
-  row scaled in place, and one rank-one update of every row.
-  ``_float_kernel`` reads the kernel off that reduction in one fancy-index
-  assignment, one numpy vector per free column; float ``Matrix.nullspace``
-  wraps it, and the float intertwiner system, assembled as a numpy array,
-  calls it directly.
+* float (real/complex kinds): every rank decision takes one rule
+  (``_float_svd``): the rank of an array is the number of its singular
+  values above ``RANK_TOL`` (1e-9) times a scale, the largest entry of the
+  matrix unless the caller names another (the intertwiner system passes the
+  largest entry of the matrices it was built from, since its own entries may
+  cancel).  A float kernel is the orthonormal basis of right singular
+  vectors past the rank, and a float solve is the minimum-norm solution
+  (``_float_solve``).  Determinants and inverses are numpy's LU.
 
 Products follow the same split, in one function (``_raw_product``).  An
 exact product takes every entry of A'B' as one integer dot product of the
@@ -59,10 +56,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import KindMismatchError, ShapeError, SingularMatrixError
+from .errors import KindMismatchError, NonFiniteError, ShapeError, SingularMatrixError
 from .fields import Field, Kind, StarMode
 
-PIVOT_TOL = 1e-9  # float pivots count above this times the scale of the values
+RANK_TOL = 1e-9  # float singular values count toward rank above this times a scale
 
 
 @dataclass(frozen=True)
@@ -285,20 +282,20 @@ class Matrix:
             (rows,), _ = _int_matrices([self])
             _, pivots, _, _ = _gauss_jordan_int(rows)
             return len(pivots)
-        _, pivots = _float_rref(self.to_numpy())
-        return len(pivots)
+        return _float_svd(self.to_numpy(), self.maxabs(), vectors=False)[0]
 
     def nullspace(self) -> list:
         """Basis of the right kernel, as column vectors (cols x 1 matrices).
 
-        The vector for free column f is 1 there and 0 at every other free
-        column."""
+        Exact: the vector for free column f is 1 there and 0 at every other
+        free column.  Float: an orthonormal basis, the right singular
+        vectors past the rank (``_float_svd``)."""
         if self.field.is_exact:
             (rows,), _ = _int_matrices([self])
             kernel, d = _int_kernel(rows, self.cols)
             return [_from_raw(self.field, self.cols, 1, v, d) for v in kernel]
-        return [Matrix.from_numpy(self.field, v.reshape(self.cols, 1))
-                for v in _float_kernel(self.to_numpy())]
+        r, _, _, vh = _float_svd(self.to_numpy(), self.maxabs())
+        return [Matrix.from_numpy(self.field, v.reshape(self.cols, 1)) for v in vh[r:].conj()]
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -640,79 +637,56 @@ def _exact_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Any solution of a X = b (free variables zero), or None if inconsistent."""
+    """A solution of a X = b, or None if inconsistent.
+
+    The exact kind sets the free variables zero.  The float kinds return
+    the minimum-norm solution at the rank of ``a`` (``_float_solve``, at the
+    scale of the largest entry of ``a``)."""
     a._same_field(b)
     if a.rows != b.rows:
         raise ShapeError("solve shape mismatch")
     if a.field.is_exact:
         return _exact_solve(a, b)
-    rref, pivots = _float_rref(np.hstack([a.to_numpy(), b.to_numpy()]))
-    for pc in pivots:
-        if pc >= a.cols:
-            return None
-    sol = np.zeros((a.cols, b.cols), dtype=rref.dtype)
-    for r, pc in enumerate(pivots):
-        sol[pc, :] = rref[r, a.cols:]
-    return Matrix.from_numpy(a.field, sol)
+    x = _float_solve(a.to_numpy(), b.to_numpy(), a.maxabs())
+    return None if x is None else Matrix.from_numpy(a.field, x)
 
 
 # -- float engine --------------------------------------------------------------
 
-def _float_rref(a, scale: Optional[float] = None):
-    """Gauss-Jordan with partial pivoting.
+def _float_svd(a, scale: float, vectors: bool = True) -> tuple:
+    """The float rank rule, which every float rank decision takes: the rank r
+    of the array ``a`` is the number of its singular values above
+    ``RANK_TOL * scale``.
 
-    A pivot counts iff its magnitude exceeds ``PIVOT_TOL * scale``, the scale
-    being the largest initial entry magnitude unless given.  Returns the
-    reduced matrix (pivot entries 1, pivot columns cleared) and the list of
-    pivot columns.  Each step scales the pivot row in place and
-    subtracts the rank-one ``col[:, None] * row`` from the whole matrix, the
-    pivot row included with a zero multiplier.
+    Returns (r, u, s, vh), the singular values s in decreasing order.  u and
+    vh are None without ``vectors``; else vh is square, so vh[:r] is an
+    orthonormal basis of the row space and vh[r:].conj() one of the right
+    kernel.  ``NonFiniteError`` if an entry of ``a`` is not finite.
     """
-    a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    nrows, ncols = a.shape
-    if scale is None:
-        scale = np.max(np.abs(a)) if a.size else 0.0
-    thresh = PIVOT_TOL * scale
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        mags = np.abs(a[r:, c])
-        i = int(mags.argmax())
-        if mags[i] <= thresh:
-            continue
-        row = a[r]
-        if i:
-            tmp = row.copy()
-            row[:] = a[r + i]
-            a[r + i] = tmp
-        row /= row[c]
-        col = a[:, c].copy()
-        col[r] = 0.0
-        a -= col[:, None] * row
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    if not np.isfinite(a).all():
+        raise NonFiniteError("non-finite entry in a float rank decision")
+    if vectors:
+        u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    else:
+        u, s, vh = None, np.linalg.svd(a, compute_uv=False), None
+    return int(np.count_nonzero(s > RANK_TOL * scale)), u, s, vh
+
+
+def _float_solve(a, b, scale: float):
+    """The minimum-norm X of a X = b for float arrays at the rank r of ``a``
+    at ``scale``, or None when a column of ``b`` lies outside the column
+    space: appending the columns, each brought to largest entry ``scale``,
+    raises the rank.  A full row rank needs no such test."""
+    r, u, s, vh = _float_svd(a, scale)
+    if r < len(a):
+        unit = scale or 1.0  # a zero a: any nonzero column is outside
+        peak = np.max(np.abs(b), axis=0)
+        fitted = b * (unit / np.where(peak > 0, peak, 1.0))
+        if _float_svd(np.hstack([a, fitted]), unit, vectors=False)[0] > r:
+            return None
+    return vh[:r].conj().T @ ((u[:, :r].conj().T @ b) / s[:r, None])
 
 
 def _float_det(m: Matrix):
     val = np.linalg.det(m.to_numpy())
     return complex(val) if m.field.is_complex else float(val)
-
-
-def _float_kernel(a, scale: Optional[float] = None) -> list:
-    """Right-kernel basis of a float or complex array, one numpy vector per
-    free column of ``_float_rref`` at that scale, in increasing column order.
-
-    The vector for free column f is 1 there, 0 at every other free column
-    and minus the reduced rows' entries in column f at the pivot columns.
-    """
-    rref, pivots = _float_rref(a, scale)
-    ncols = rref.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((len(free), ncols), dtype=rref.dtype)
-    basis[range(len(free)), free] = 1.0
-    basis[:, pivots] = -rref[:len(pivots), free].T
-    return list(basis)

@@ -1,11 +1,15 @@
 """Sylvester's equation A X - X B = C and the trace-based uniqueness test.
 
 Unique solvability for every right-hand side holds iff the spectra of A
-and B are disjoint.  That condition is decided here without touching
-eigenvalues: characteristic polynomials are recovered from the power-sum
-traces tr(A^k) via Newton's identities, and spectral disjointness is one
-resultant (a determinant) away.  ``sylvester_solve`` does not consult it;
-the tests keep the flattened n*m x n*m system as the oracle of both.
+and B are disjoint.  For exact input that condition is decided without
+touching eigenvalues: characteristic polynomials are recovered from the
+power-sum traces tr(A^k) via Newton's identities, and spectral disjointness
+is one resultant (a determinant) away; ``sylvester_solve`` does not consult
+it.  The float kinds read both answers off the rank of one system, the
+n*m x n*m matrix S of X -> A X - X B, by the float rank rule
+(``matrices._float_svd``) at the scale of the largest entry of A and B, so
+``sylvester_unique`` holds exactly when ``sylvester_solve`` has full rank.
+The tests keep the flattened system as the oracle of both kinds.
 """
 
 from __future__ import annotations
@@ -15,12 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError, ZeroPolynomialError
+from .errors import ShapeError, ZeroPolynomialError
 from .fields import Field
 from .intertwiner import _chain_solve
-from .matrices import Matrix, _float_rref, _from_raw, _int_matrices, _power_traces
-
-RESULTANT_TOL = 1e-8  # float resultants count as nonzero above this times scale^(n+m)
+from .matrices import Matrix, _float_solve, _float_svd, _from_raw, _int_matrices, _power_traces
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,10 @@ def sylvester_solve(a: Matrix, b: Matrix, c: Matrix) -> Optional[Matrix]:
     """One solution X of A X - X B = C, or None when there is none.
 
     The exact kind solves for the images X v_l of the Krylov chain starts
-    v_l of B (``intertwiner._chain_solve``), the float kinds for row-major X
-    (``_float_sylvester_system``); free unknowns are zero either way.
+    v_l of B (``intertwiner._chain_solve``), with the free unknowns zero.
+    The float kinds solve for row-major X (``_float_sylvester_system``) and
+    return the minimum-norm solution (``matrices._float_solve``) at the rank
+    ``sylvester_unique`` reads, so a unique system always has its solution.
     """
     a.field.require_same(b.field)
     a.field.require_same(c.field)
@@ -86,27 +90,22 @@ def sylvester_solve(a: Matrix, b: Matrix, c: Matrix) -> Optional[Matrix]:
     if field.is_exact:
         sol = _chain_solve(*_int_matrices([a, b, c])[0])
         return None if sol is None else _from_raw(field, n, m, *sol)
-    rref, pivots = _float_rref(_float_sylvester_system(a, b, c))
-    if pivots and pivots[-1] == n * m:
-        return None  # a pivot in the right-hand column: inconsistent
-    sol = np.zeros(n * m, dtype=rref.dtype)
-    sol[pivots] = rref[:len(pivots), -1]
-    return Matrix.from_numpy(field, sol.reshape(n, m))
+    x = _float_solve(_float_sylvester_system(a, b), c.to_numpy().reshape(n * m, 1),
+                     max(a.maxabs(), b.maxabs()))
+    return None if x is None else Matrix.from_numpy(field, x.reshape(n, m))
 
 
-def _float_sylvester_system(a: Matrix, b: Matrix, c: Matrix) -> np.ndarray:
-    """[S | c], S the matrix of X -> A X - X B on row-major X, each entry
-    formed as (0 + a_ir) - b_sj as a scalar loop would (no negative zero);
-    ``NonFiniteError`` if one, like a_ii - b_jj, is not finite."""
+def _float_sylvester_system(a: Matrix, b: Matrix) -> np.ndarray:
+    """S, the matrix of X -> A X - X B on row-major X, each entry formed as
+    (0 + a_ir) - b_sj as a scalar loop would (no negative zero).  An entry
+    that overflows, like a_ii - b_jj, is left as it is: ``_float_svd``
+    refuses it with ``NonFiniteError``."""
     n, m, an, bn = a.rows, b.rows, a.to_numpy(), b.to_numpy()
-    system = np.zeros((n * m, n * m + 1), dtype=an.dtype)
-    s = system[:, :-1].reshape(n, m, n, m)  # a view, indexed [i, j, r, s]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+    system = np.zeros((n * m, n * m), dtype=an.dtype)
+    s = system.reshape(n, m, n, m)  # a view, indexed [i, j, r, s]
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_svd refuses an overflow
         s[:, np.arange(m), :, np.arange(m)] += an  # the indexed axes come first: [j, i, r]
         s[np.arange(n), :, np.arange(n), :] -= bn.T  # [i, j, s]
-    if not np.isfinite(s).all():
-        raise NonFiniteError("non-finite entry in the Sylvester system")
-    system[:, -1] = c.values
     return system
 
 
@@ -120,10 +119,11 @@ def char_poly_from_traces(a: Matrix) -> Polynomial:
         raise ShapeError("characteristic polynomial of a non-square matrix")
     n = a.rows
     field = a.field
-    power_sums = [field.zero()] + _power_traces(a, n)
-    elem = [field.one()] + [field.zero()] * n
+    zero, one = field.zero(), field.one()
+    power_sums = [zero] + _power_traces(a, n)
+    elem = [one] + [zero] * n
     for k in range(1, n + 1):
-        s = field.zero()
+        s = zero
         sign = 1
         for i in range(1, k + 1):
             term = elem[k - i] * power_sums[i]
@@ -133,7 +133,7 @@ def char_poly_from_traces(a: Matrix) -> Polynomial:
             elem[k] = s / k
         else:
             elem[k] = s / field.coerce(k)
-    coeffs = [field.zero()] * (n + 1)
+    coeffs = [zero] * (n + 1)
     for k in range(n + 1):
         coeffs[n - k] = elem[k] if k % 2 == 0 else -elem[k]
     return Polynomial.of(field, coeffs)
@@ -166,21 +166,16 @@ def resultant(p: Polynomial, q: Polynomial):
 def sylvester_unique(a: Matrix, b: Matrix) -> bool:
     """True iff A X - X B = C has a unique solution for every C.
 
-    Decided purely from traces: resultant of the two trace-recovered
-    characteristic polynomials.  Exactly nonzero in rational mode; in
-    float modes compared against RESULTANT_TOL * scale^(n+m) with scale the
-    largest entry magnitude (a documented heuristic - resultants scale hard).
+    Exact: the resultant of the two trace-recovered characteristic
+    polynomials is nonzero.  Float: the system S of ``sylvester_solve`` has
+    full rank by ``matrices._float_svd``, that is sigma_min(S) exceeds
+    ``RANK_TOL`` times the largest entry of A and B; ``NonFiniteError`` if
+    an entry of S overflows.
     """
     if not a.is_square or not b.is_square:
         raise ShapeError("A and B must be square")
     a.field.require_same(b.field)
-    res = resultant(char_poly_from_traces(a), char_poly_from_traces(b))
     if a.field.is_exact:
-        return res != 0
-    scale = max(a.maxabs(), b.maxabs())
-    if scale == 0.0:
-        return abs(res) > RESULTANT_TOL
-    bound = RESULTANT_TOL  # times scale^(n+m) by repeated products: overflows to inf, not raise
-    for _ in range(a.rows + b.rows):
-        bound *= scale
-    return abs(res) > bound
+        return resultant(char_poly_from_traces(a), char_poly_from_traces(b)) != 0
+    system = _float_sylvester_system(a, b)
+    return _float_svd(system, max(a.maxabs(), b.maxabs()), vectors=False)[0] == len(system)

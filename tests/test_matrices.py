@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,7 @@ from hypothesis import strategies as st
 from conftest import rand_int_matrix, rand_invertible_int
 from tracesim import (Field, Matrix, ShapeError, SingularMatrixError, StarMode, det,
                       inverse, nullspace, rank, solve_linear, star, trace)
-from tracesim.matrices import (_det_int, _float_kernel, _float_rref, _gauss_jordan_int,
-                               _raw_product)
+from tracesim.matrices import _det_int, _gauss_jordan_int, _raw_product
 
 FQ = Field.rational()
 FR = Field.real64()
@@ -431,47 +431,6 @@ def reference_product(field, a, b, m, k):
     return out
 
 
-def reference_rref(a, tol):
-    """Independent oracle: Gauss-Jordan with partial pivoting and an
-    outer-product update of the whole matrix per pivot."""
-    a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    nrows, ncols = a.shape
-    thresh = tol * (np.max(np.abs(a)) if a.size else 0.0)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        i = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[i, c]) <= thresh:
-            continue
-        if i != r:
-            a[[r, i], :] = a[[i, r], :]
-        a[r, :] = a[r, :] / a[r, c]
-        col = a[:, c].copy()
-        col[r] = 0.0
-        a -= np.outer(col, a[r, :])
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def reference_kernel(a, tol):
-    """Independent oracle: one kernel vector per free column, filled entry by
-    entry from ``reference_rref``."""
-    rref, pivots = reference_rref(a, tol)
-    basis = []
-    for f in range(rref.shape[1]):
-        if f in pivots:
-            continue
-        v = np.zeros(rref.shape[1], dtype=rref.dtype)
-        v[f] = 1.0
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r, f]
-        basis.append(v)
-    return basis
-
-
 def _rand_scalar(rng, field, wild):
     """Magnitudes 1e-8..1e8 so rounding shows in the last bits; when ``wild``,
     also signed zeros, values whose products overflow, and inf/NaN."""
@@ -509,42 +468,93 @@ def test_float_product_sums_from_a_positive_zero_and_keeps_parts_apart():
     assert _reprs(reference_product(FC, [1e200j], [1e200 + 0j], 1, 1)) == ["infj"]
 
 
-def _rand_system(rng, dtype, rows, cols, rank):
-    """A rows x cols array of rank <= ``rank`` with some entries, a whole row
-    and a whole column replaced by signed zeros."""
-    def draw(shape):
-        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
-        if dtype is np.complex128:
-            out = out + 1j * rng.standard_normal(shape)
-        return out
-    a = draw((rows, rank)) @ draw((rank, cols)) if rank else np.zeros((rows, cols), dtype)
-    a = a.astype(dtype)
-    mask = rng.random((rows, cols)) < 0.1
-    a[mask] = rng.choice([0.0, -0.0], mask.sum())
-    a[rng.integers(rows)] = -0.0
-    a[:, rng.integers(cols)] = 0.0
-    return a
+def _dyadic(rng, rows, cols, complex_):
+    """A rows x cols matrix of (re, im) Fraction pairs with parts p / 8
+    (im 0 unless ``complex_``)."""
+    return [[(Fraction(rng.randint(-8, 8), 8), Fraction(rng.randint(-8, 8) if complex_ else 0, 8))
+             for _ in range(cols)] for _ in range(rows)]
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
-def test_float_reduction_and_kernel_match_outer_product_reference(dtype):
-    rng = np.random.default_rng(7 if dtype is np.float64 else 8)
+def _pair_product(left, right, cols):
+    """The product of two matrices of (re, im) Fraction pairs, with ``cols``
+    columns (``right`` may have no rows)."""
+    zero = Fraction(0)
+    return [[(sum((a[0] * b[0] - a[1] * b[1] for a, b in zip(row, col)), zero),
+              sum((a[0] * b[1] + a[1] * b[0] for a, b in zip(row, col)), zero))
+             for col in (list(zip(*right)) if right else [()] * cols)] for row in left]
+
+
+def _dyadic_low_rank(rng, rows, cols, rank, complex_):
+    """A rows x cols matrix of (re, im) Fraction pairs and of rank <= ``rank``:
+    a product of two thin ``_dyadic`` factors.  Every part is a dyadic
+    rational with a small numerator, held exactly by float64."""
+    return _pair_product(_dyadic(rng, rows, rank, complex_), _dyadic(rng, rank, cols, complex_),
+                         cols)
+
+
+def _realified(rows):
+    """[[Re, -Im], [Im, Re]] of (re, im) Fraction rows: its rational rank is
+    twice the complex rank, and its kernel is the realified complex kernel."""
+    re = [[z[0] for z in row] for row in rows]
+    im = [[z[1] for z in row] for row in rows]
+    return ([r + [-v for v in i] for r, i in zip(re, im)]
+            + [i + r for r, i in zip(re, im)])
+
+
+@pytest.mark.parametrize("field", [FR, FC], ids=["float64", "complex128"])
+def test_float_rank_and_kernel_match_the_exact_engine(field):
+    """On dyadic low-rank inputs, which float64 holds exactly, the float rank
+    is the exact rank, the float kernel spans the exact kernel (stacked with
+    it, the rank does not grow), and ``solve_linear`` finds a solution
+    exactly when the exact engine does, for right-hand sides of any scale.
+    Complex inputs are judged through their real form [[Re, -Im], [Im, Re]]."""
+    rng = random.Random("dyadic:%s" % field.kind.value)
     shapes = [(8, 3), (3, 8), (5, 5), (12, 9), (4, 16), (1, 6), (6, 1)]
+    seen, solved = set(), Counter()
     for trial in range(120):
         rows, cols = shapes[trial % len(shapes)]
-        a = _rand_system(rng, dtype, rows, cols, int(rng.integers(0, min(rows, cols) + 1)))
-        if trial % 4 == 3 and cols > 1:  # the elimination overflows to inf, then NaN
-            a[:, 0], a[:, -1] = 1e300, -1.7e308
-            a[0, -1] = 1.7e308
-        for scale, tol in ((None, 1e-9), (0.0, 0.0)):  # the default scale, and none
-            with np.errstate(over="ignore", invalid="ignore"):  # numpy warns on both sides
-                got, pivots = _float_rref(a, scale)
-                want, want_pivots = reference_rref(a, tol)
-                kernel, want_kernel = _float_kernel(a, scale), reference_kernel(a, tol)
-            assert pivots == want_pivots, trial
-            assert _reprs(got.reshape(-1).tolist()) == _reprs(want.reshape(-1).tolist()), trial
-            assert len(kernel) == len(want_kernel) == cols - len(pivots)
-            for v, w in zip(kernel, want_kernel):
-                assert v.dtype == w.dtype and _reprs(v.tolist()) == _reprs(w.tolist()), trial
-    assert _float_kernel(np.zeros((2, 3)))[1].tolist() == [0.0, 1.0, 0.0]
-    assert _float_kernel(np.eye(3)) == []
+        rank_bound = rng.randint(0, min(rows, cols))
+        exact = _dyadic_low_rank(rng, rows, cols, rank_bound, field.is_complex)
+        m = Matrix(field, rows, cols, tuple(complex(re, im) if field.is_complex else float(re)
+                                            for row in exact for re, im in row))
+        assert [(Fraction(z.real), Fraction(z.imag)) for z in m.values] == [
+            z for row in exact for z in row]  # float64 holds every part exactly
+        if field.is_complex:
+            real = Matrix.from_rows(FQ, _realified(exact))
+            want_rank = real.rank() // 2
+        else:
+            real = Matrix.from_rows(FQ, [[re for re, _ in row] for row in exact])
+            want_rank = real.rank()
+        assert rank(m) == want_rank, trial
+        kernel = nullspace(m)
+        assert len(kernel) == cols - want_rank, trial
+        vectors = np.array([v.to_numpy().reshape(-1) for v in kernel]).reshape(-1, cols)
+        assert np.allclose(vectors.conj() @ vectors.T, np.eye(len(kernel)))  # orthonormal
+        if field.is_complex:  # v and i v, realified
+            vectors = np.concatenate([np.hstack([vectors.real, vectors.imag]),
+                                      np.hstack([-vectors.imag, vectors.real])])
+        want = [np.array([float(e) for e in v.entries]) for v in real.nullspace()]
+        stacked = [w / np.linalg.norm(w) for w in want] + list(vectors)
+        if stacked:
+            assert rank(Matrix.from_numpy(FR, np.array(stacked))) == len(want), trial
+        # a right-hand side in the column space or not, scaled by 2^-60..2^60
+        inside = rng.random() < 0.5
+        rhs = _dyadic(rng, rows, 1, field.is_complex)
+        if inside:
+            rhs = _pair_product(exact, _dyadic(rng, cols, 1, field.is_complex), 1)
+        k = Fraction(2) ** rng.randint(-60, 60)
+        rhs = [(re * k, im * k) for (re, im), in rhs]
+        b = Matrix(field, rows, 1, tuple(complex(re, im) if field.is_complex else float(re)
+                                         for re, im in rhs))
+        want_b = ([[re] for re, _ in rhs] + [[im] for _, im in rhs] if field.is_complex
+                  else [[re] for re, _ in rhs])
+        x = solve_linear(m, b)
+        assert (x is None) == (solve_linear(real, Matrix.from_rows(FQ, want_b)) is None), trial
+        if x is not None:
+            assert (m * x - b).maxabs() <= 1e-9 * max(m.maxabs() * x.maxabs(), b.maxabs())
+        solved[x is not None] += 1
+        seen.add((want_rank == 0, want_rank == min(rows, cols)))
+    assert seen == {(True, False), (False, True), (False, False)}, seen
+    assert min(solved[True], solved[False]) >= 20, solved
+    assert len(nullspace(Matrix.zeros(field, 2, 3))) == 3
+    assert nullspace(Matrix.identity(field, 3)) == []

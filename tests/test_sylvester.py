@@ -15,6 +15,7 @@ from tracesim.sylvester import _float_sylvester_system
 
 FQ = Field.rational()
 FR = Field.real64()
+FC = Field.complex128()
 
 
 # -- oracles (kept independent of the code paths they check) ---------------------
@@ -258,21 +259,88 @@ def test_float_solve_is_the_flattened_row_loop(field):
         m = n if case % 3 == 0 else rng.randint(1, 4)
         a, c = rand(n, n), rand(n, m)
         cases.append((a, a if case % 3 == 0 else rand(m, m), c))
-    # at the pivot threshold: a_00 - b_00 = 1e-10 is under 1e-9 of c_00 = 1
+    # a_00 - b_00 = 1e-10 is the whole scale of A and B (and of the flattened
+    # system), so it counts as rank: both sides solve, X = 1e10 and X = 1
     tiny, zero, one = (Matrix.from_rows(field, [[v]]) for v in (1e-10, 0.0, 1.0))
     cases += [(tiny, zero, one), (tiny, zero, tiny)]
     outcomes = Counter()
     for a, b, c in cases:
         n, m = a.rows, b.rows
         flat = flattened_system(a, b)
-        system = _float_sylvester_system(a, b, c)
-        assert system[:, :-1].tobytes() == flat.to_numpy().tobytes()
+        system = _float_sylvester_system(a, b)
+        assert system.tobytes() == flat.to_numpy().tobytes()
         assert system.dtype == flat.to_numpy().dtype
         sol = solve_linear(flat, Matrix(field, n * m, 1, c.values))
         expected = None if sol is None else Matrix(field, n, m, sol.values)
         assert repr(sylvester_solve(a, b, c)) == repr(expected)
         outcomes[sol is None] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
+
+
+# -- one float rank for uniqueness and solving ------------------------------------
+
+def solves_within_backward_bound(a, b, c, x):
+    """max |A X - X B - C| <= 1e-8 (max(|A|, |B|) |X| + |C|), |.| the largest
+    entry: X solves a system within 1e-8 of the given one, at any scale."""
+    residual = (a * x - x * b - c).maxabs()
+    return residual <= 1e-8 * (max(a.maxabs(), b.maxabs()) * x.maxabs() + c.maxabs())
+
+
+@pytest.mark.parametrize("field", [FR, FC], ids=["float64", "complex128"])
+def test_float_unique_and_solve_read_one_rank(field):
+    def mat(rows):
+        return Matrix.from_rows(field, rows)
+
+    # a_00 - b_00 = 1e-10 is the whole scale of A and B: S has full rank
+    tiny, zero, one = mat([[1e-10]]), mat([[0.0]]), mat([[1.0]])
+    assert sylvester_unique(tiny, zero)
+    x = sylvester_solve(tiny, zero, one)
+    assert x is not None and solves_within_backward_bound(tiny, zero, one, x)
+    assert abs(x.at(0, 0) - 1e10) <= 1e-6 * 1e10
+    # beside 2, 1e-10 is under RANK_TOL of the scale: rank 1 for both
+    a = Matrix.diagonal(field, [1e-10, 2.0])
+    assert not sylvester_unique(a, zero)
+    assert sylvester_solve(a, zero, mat([[1.0], [1.0]])) is None
+    x = sylvester_solve(a, zero, mat([[0.0], [1.0]]))  # inside the kept rank: minimum norm
+    assert x is not None and x.approx_eq(mat([[0.0], [0.5]]), 1e-12)
+
+
+@pytest.mark.parametrize("field", [FR, FC], ids=["float64", "complex128"])
+def test_float_unique_implies_a_verified_solution(field):
+    """Whenever float ``sylvester_unique`` holds, ``sylvester_solve`` returns an
+    X within the backward bound, for random C: at scales 1e-12..1e12, with
+    spectra that nearly meet, and for the 1e-10 scalar."""
+    rng = random.Random("unique-solves:%s" % field.kind.value)
+
+    def value(scale):
+        v = rng.gauss(0, scale)
+        return complex(v, rng.gauss(0, scale)) if field.is_complex else v
+
+    def rand(rows, cols, scale):
+        return Matrix(field, rows, cols, tuple(value(scale) for _ in range(rows * cols)))
+
+    pairs = [(Matrix.from_rows(field, [[1e-10]]), Matrix.from_rows(field, [[0.0]]))]
+    for case in range(150):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        scale = 10.0 ** rng.randint(-12, 12)
+        a = rand(n, n, scale)
+        if case % 3 == 0:  # A's spectrum, or a small shift of it: singular or near it
+            shift = 10.0 ** rng.randint(-14, -4) if case % 2 else 0.0
+            b = a + Matrix.identity(field, n).scale(scale * shift)
+        else:
+            b = rand(m, m, scale)
+        pairs.append((a, b))
+    seen = Counter()
+    for a, b in pairs:
+        unique = sylvester_unique(a, b)
+        seen[unique] += 1
+        if not unique:
+            continue
+        for _ in range(3):
+            c = rand(a.rows, b.rows, 10.0 ** rng.randint(-6, 6))
+            x = sylvester_solve(a, b, c)
+            assert x is not None and solves_within_backward_bound(a, b, c, x), (a, b, c)
+    assert seen[True] >= 60 and seen[False] >= 20, seen
 
 
 # -- characteristic polynomial -------------------------------------------------------
@@ -372,7 +440,8 @@ def test_unique_examples():
 
 
 def test_unique_float_bound_survives_huge_norms():
-    # tol * scale^22 with scale = 1e30 overflows; the bound becomes inf instead of raising
+    # entries of 1e30: the singular values of S and the threshold 1e-9 * 1e30 scale
+    # together, and S is singular
     n = 11
     m = Matrix.from_rows(FR, [[1e30 if j == i + 1 else 0.0 for j in range(n)]
                               for i in range(n)])
