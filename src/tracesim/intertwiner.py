@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from operator import mul
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .fields import Field
-from .matrices import (Matrix, MatrixTuple, _det_int, _float_svd, _from_raw,
+from .matrices import (RANK_TOL, Matrix, MatrixTuple, _det_int, _float_svd, _from_raw,
                        _gauss_jordan_int, _int_kernel, _int_matrices)
 
 DEFAULT_TRIALS = 20
@@ -396,7 +397,11 @@ class GLVerdict:
 
 
 def _verify_intertwiner(p: Matrix, x: MatrixTuple, y: MatrixTuple, with_star: bool) -> bool:
-    tol = 0.0 if x.field.is_exact else 1e-10 * max(1.0, p.maxabs()) * max(1.0, x.maxabs())
+    """P X_i = Y_i P for all i (starred too with ``with_star``); a float
+    residual passes within RANK_TOL n max|P| max(|X|, |Y|), the scale that
+    admitted P, capped at the largest float so inf and NaN fail."""
+    tol = 0.0 if x.field.is_exact else min(
+        RANK_TOL * p.rows * p.maxabs() * max(x.maxabs(), y.maxabs()), sys.float_info.max)
     pairs = list(zip(x.matrices, y.matrices))
     if with_star:
         pairs += zip(x.stars(), y.stars())

@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
@@ -275,7 +276,7 @@ class Matrix:
         if self.field.is_exact:
             (rows,), denom = _int_matrices([self])
             return Fraction(_det_int(rows), denom ** self.rows)
-        return _float_det(self)
+        return _float_det(self.to_numpy())
 
     def rank(self) -> int:
         if self.field.is_exact:
@@ -491,24 +492,24 @@ def _int_matrices(matrices) -> tuple:
 
 
 def _power_traces(m: Matrix, upto: int) -> list:
-    """tr(m^k) for k = 1..upto (upto >= 1); the exact kind multiplies the
-    stored integers L m, L = m.denom.  The float kinds take the same
-    products in the same order as repeated ``acc * m``."""
-    if not m.field.is_exact:
-        acc = m
-        out = [acc.trace()]
+    """tr(M^k) for k = 1..upto (upto >= 1), where M = L m holds the stored
+    values and L = m.denom.  The exact kind returns ints, so
+    tr(m^k) = tr(M^k) / L^k, and folds the last factor into the trace.  The
+    float kinds (L = 1) take the products of repeated ``acc * m``
+    (``_raw_product``) and sum each diagonal as ``Matrix.trace`` does."""
+    n, field, values = m.rows, m.field, m.values
+    if not field.is_exact:
+        acc, out = values, [reduce(add, values[::n + 1], field.zero())]
         for _ in range(upto - 1):
-            acc = acc * m
-            out.append(acc.trace())
+            acc = _raw_product(field, acc, values, n, n)
+            out.append(reduce(add, acc[::n + 1], field.zero()))
         return out
-    n = m.rows
-    (rows,), denom = _int_matrices([m])
+    (rows,), _ = _int_matrices([m])
     cols = [list(c) for c in zip(*rows)]
-    out = [Fraction(sum(rows[i][i] for i in range(n)), denom)]
-    acc = rows  # (L m)^(k-1); the last factor is folded into the trace
+    out = [sum(rows[i][i] for i in range(n))]
+    acc = rows  # M^(k-1); the last factor is folded into the trace
     for k in range(2, upto + 1):
-        out.append(Fraction(sum(sum(map(mul, row, col)) for row, col in zip(acc, cols)),
-                            denom ** k))
+        out.append(sum(sum(map(mul, row, col)) for row, col in zip(acc, cols)))
         if k < upto:
             acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
     return out
@@ -687,6 +688,6 @@ def _float_solve(a, b, scale: float):
     return vh[:r].conj().T @ ((u[:, :r].conj().T @ b) / s[:r, None])
 
 
-def _float_det(m: Matrix):
-    val = np.linalg.det(m.to_numpy())
-    return complex(val) if m.field.is_complex else float(val)
+def _float_det(a: np.ndarray):
+    val = np.linalg.det(a)
+    return complex(val) if np.iscomplexobj(a) else float(val)

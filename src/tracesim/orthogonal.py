@@ -144,8 +144,8 @@ def _witness_residuals(o: Matrix, x: MatrixTuple, y: MatrixTuple):
 
 
 def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    if value <= 0:
-        return None
+    """The rational root of value > 0 (for P star(P) = value I and P
+    invertible, value is the squared length of a row of P), or None."""
     p, q = value.numerator, value.denominator
     sp, sq = math.isqrt(p), math.isqrt(q)
     if sp * sp == p and sq * sq == q:

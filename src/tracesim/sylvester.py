@@ -1,28 +1,32 @@
 """Sylvester's equation A X - X B = C and the trace-based uniqueness test.
 
 Unique solvability for every right-hand side holds iff the spectra of A
-and B are disjoint.  For exact input that condition is decided without
-touching eigenvalues: characteristic polynomials are recovered from the
-power-sum traces tr(A^k) via Newton's identities, and spectral disjointness
-is one resultant (a determinant) away; ``sylvester_solve`` does not consult
-it.  The float kinds read both answers off the rank of one system, the
-n*m x n*m matrix S of X -> A X - X B, by the float rank rule
-(``matrices._float_svd``) at the scale of the largest entry of A and B, so
-``sylvester_unique`` holds exactly when ``sylvester_solve`` has full rank.
-The tests keep the flattened system as the oracle of both kinds.
+and B are disjoint.  For exact input that is decided in Python ints,
+without eigenvalues: with L the denominator of A, Newton's identities on
+the power traces tr((L A)^k) give n! L^n det(tI - A) in integers, and
+spectral disjointness is one integer determinant, the resultant;
+``sylvester_solve`` does not consult it.  The float kinds read both
+answers off the rank of one system, the n*m x n*m matrix S of
+X -> A X - X B, by the float rank rule (``matrices._float_svd``) at the
+scale of the largest entry of A and B, so ``sylvester_unique`` holds
+exactly when ``sylvester_solve`` has full rank.  The tests keep the
+flattened system as the oracle of both kinds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeError, ZeroPolynomialError
+from .errors import NonFiniteError, ShapeError, ZeroPolynomialError
 from .fields import Field
 from .intertwiner import _chain_solve
-from .matrices import Matrix, _float_solve, _float_svd, _from_raw, _int_matrices, _power_traces
+from .matrices import (Matrix, _det_int, _dtype, _float_det, _float_solve, _float_svd, _from_raw,
+                       _int_matrices, _power_traces)
 
 
 @dataclass(frozen=True)
@@ -112,38 +116,64 @@ def _float_sylvester_system(a: Matrix, b: Matrix) -> np.ndarray:
 def char_poly_from_traces(a: Matrix) -> Polynomial:
     """Characteristic polynomial det(tI - A) from power sums via Newton.
 
-    Monic of degree n; exact in rational mode (the divisions by k are
-    exact over a characteristic-zero field).
+    Monic of degree n.  Exact: Newton's identities in integers
+    (``_int_char_poly``), one division per coefficient.  Float: Newton's
+    identities on the float power traces.
     """
     if not a.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    n = a.rows
-    field = a.field
-    zero, one = field.zero(), field.one()
+    n, field = a.rows, a.field
+    if field.is_exact:
+        desc, scale = _int_char_poly(a)
+        return Polynomial(field, tuple(Fraction(c, scale) for c in reversed(desc)))
+    zero = field.zero()
     power_sums = [zero] + _power_traces(a, n)
-    elem = [one] + [zero] * n
+    elem = [field.one()] + [zero] * n
     for k in range(1, n + 1):
         s = zero
-        sign = 1
         for i in range(1, k + 1):
             term = elem[k - i] * power_sums[i]
-            s = s + term if sign > 0 else s - term
-            sign = -sign
-        if field.is_exact:
-            elem[k] = s / k
-        else:
-            elem[k] = s / field.coerce(k)
-    coeffs = [zero] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = elem[k] if k % 2 == 0 else -elem[k]
-    return Polynomial.of(field, coeffs)
+            s = s + term if i % 2 else s - term
+        elem[k] = s / field.coerce(k)
+    return Polynomial.of(field, [-elem[k] if k % 2 else elem[k] for k in range(n, -1, -1)])
+
+
+def _int_char_poly(a: Matrix) -> tuple:
+    """(c, s): the integer coefficients of s det(tI - A), highest degree
+    first, with s = n! L^n and L = a.denom.  For P_i = tr((L A)^i) and e_k
+    the elementary symmetric functions of the eigenvalues, Newton's
+    identities hold in integers for E_k = k! L^k e_k:
+    E_k = sum_{i=1..k} (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) P_i."""
+    n, denom = a.rows, a.denom
+    power_sums = [0] + _power_traces(a, n)
+    elem = [1] + [0] * n
+    for k in range(1, n + 1):
+        s, f = 0, 1  # f = (k-1)!/(k-i)!
+        for i in range(1, k + 1):
+            term = f * elem[k - i] * power_sums[i]
+            s = s + term if i % 2 else s - term
+            f *= k - i
+        elem[k] = s
+    scale = math.factorial(n)  # the coefficient of t^(n-k) is (-1)^k E_k n!/k! L^(n-k)
+    return [(-1) ** k * scale // math.factorial(k) * denom ** (n - k) * elem[k]
+            for k in range(n + 1)], scale * denom ** n
+
+
+def _sylvester_rows(pdesc: list, qdesc: list) -> list:
+    """The Sylvester matrix of p, q (highest degree first), q's rows on top."""
+    m, k = len(pdesc) - 1, len(qdesc) - 1
+    return ([[0] * r + qdesc + [0] * (m - 1 - r) for r in range(m)]
+            + [[0] * r + pdesc + [0] * (k - 1 - r) for r in range(k)])
 
 
 def resultant(p: Polynomial, q: Polynomial):
     """Determinant of the Sylvester matrix; nonzero iff p, q share no root.
 
     Convention: the matrix is assembled with q's coefficient block on top,
-    so resultant(t-1, t-2) = 1 and resultant(p, t-c) = p(c).
+    so resultant(t-1, t-2) = 1 and resultant(p, t-c) = p(c).  Exact: p and
+    q scaled to integers by the lcm u, v of their denominators, one
+    ``_det_int``, and res(p, q) = res(u p, v q) / (u^deg q v^deg p).  Float:
+    numpy's LU determinant; ``NonFiniteError`` for a non-finite coefficient.
     """
     if p.is_zero or q.is_zero:
         raise ZeroPolynomialError("resultant of the zero polynomial")
@@ -152,30 +182,33 @@ def resultant(p: Polynomial, q: Polynomial):
     m, k = p.degree, q.degree
     if m + k == 0:
         return field.one()
-    zero = field.zero()
-    pdesc = list(reversed(p.coeffs))
-    qdesc = list(reversed(q.coeffs))
-    rows = []
-    for r in range(m):
-        rows.append([zero] * r + qdesc + [zero] * (m - 1 - r))
-    for r in range(k):
-        rows.append([zero] * r + pdesc + [zero] * (k - 1 - r))
-    return Matrix.from_rows(field, rows).det()
+    if field.is_exact:
+        u = math.lcm(*(c.denominator for c in p.coeffs))
+        v = math.lcm(*(c.denominator for c in q.coeffs))
+        rows = _sylvester_rows([c.numerator * (u // c.denominator) for c in reversed(p.coeffs)],
+                               [c.numerator * (v // c.denominator) for c in reversed(q.coeffs)])
+        return Fraction(_det_int(rows), u ** k * v ** m)
+    rows = np.array(_sylvester_rows(list(reversed(p.coeffs)), list(reversed(q.coeffs))),
+                    _dtype(field))
+    if not np.isfinite(rows).all():
+        raise NonFiniteError("resultant of a polynomial with a non-finite coefficient")
+    return _float_det(rows)
 
 
 def sylvester_unique(a: Matrix, b: Matrix) -> bool:
     """True iff A X - X B = C has a unique solution for every C.
 
-    Exact: the resultant of the two trace-recovered characteristic
-    polynomials is nonzero.  Float: the system S of ``sylvester_solve`` has
-    full rank by ``matrices._float_svd``, that is sigma_min(S) exceeds
-    ``RANK_TOL`` times the largest entry of A and B; ``NonFiniteError`` if
-    an entry of S overflows.
+    Exact: the resultant of the two characteristic polynomials is nonzero,
+    judged on the integer Sylvester matrix of n! L^n chi_A and m! L'^m chi_B
+    (``_int_char_poly``).  Float: the system
+    S of ``sylvester_solve`` has full rank by ``matrices._float_svd``, that
+    is sigma_min(S) exceeds ``RANK_TOL`` times the largest entry of A and B;
+    ``NonFiniteError`` if an entry of S overflows.
     """
     if not a.is_square or not b.is_square:
         raise ShapeError("A and B must be square")
     a.field.require_same(b.field)
     if a.field.is_exact:
-        return resultant(char_poly_from_traces(a), char_poly_from_traces(b)) != 0
+        return _det_int(_sylvester_rows(_int_char_poly(a)[0], _int_char_poly(b)[0])) != 0
     system = _float_sylvester_system(a, b)
     return _float_svd(system, max(a.maxabs(), b.maxabs()), vectors=False)[0] == len(system)

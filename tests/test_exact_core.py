@@ -222,13 +222,15 @@ def test_word_traces_match_fraction_products(x, include_star):
 
 @pytest.mark.parametrize("x", TUPLES)
 def test_power_traces_match_repeated_products(x):
+    # the exact kind returns the integers tr((L m)^k) = L^k tr(m^k), L = m.denom
     for m in x.matrices:
         expected = []
         acc = m
-        for _ in range(x.n + 2):
-            expected.append(acc.trace())
+        for k in range(1, x.n + 3):
+            expected.append(acc.trace() * m.denom ** k)
             acc = acc * m
-        assert _power_traces(m, x.n + 2) == expected
+        traces = _power_traces(m, x.n + 2)
+        assert all(type(t) is int for t in traces) and traces == expected
 
 
 def fraction_system(x, y, with_star):

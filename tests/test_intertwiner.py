@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -583,11 +584,66 @@ def test_tuple_is_similar_to_itself_and_its_conjugates(case):
 
 def test_verify_intertwiner_rejects_overflowing_residual():
     # P X - X P = [[0, nan], [0, 0]] from finite entries, and the tolerance
-    # 1e-10 * 1e200 * 1e200 is infinite, so only the NaN can fail
+    # 1e-9 * 2 * 1e200 * 1e200 overflows, so only the NaN can fail
     p = Matrix.from_rows(FR, [[1e200, 1e200], [0, 1]])
     x = MatrixTuple.of(Matrix.from_rows(FR, [[1, 1e200], [0, -1e200]]))
     assert math.isnan((p * x[0] - x[0] * p).at(0, 1))
     assert not _verify_intertwiner(p, x, x, with_star=False)
+
+
+def test_verify_intertwiner_rejects_an_infinite_residual():
+    # P X - I P = [[inf, 0], [0, 0]]: the overflowing tolerance is capped at
+    # the largest float, which the infinite entry exceeds
+    p = Matrix.diagonal(FR, [1e200, 1.0])
+    x = MatrixTuple.of(p)
+    y = MatrixTuple.of(Matrix.identity(FR, 2))
+    assert (p * x[0] - y[0] * p).values == (math.inf, 0.0, 0.0, 0.0)
+    assert not _verify_intertwiner(p, x, y, with_star=False)
+
+
+def unimodular(rng, n):
+    """An integer L U of determinant 1 with 1e3 <= cond(L U) <= 1e8."""
+    while True:
+        lower = Matrix.from_rows(FQ, [[1 if i == j else rng.randint(-3, 3) if j < i else 0
+                                       for j in range(n)] for i in range(n)])
+        upper = Matrix.from_rows(FQ, [[1 if i == j else rng.randint(-9, 9) if j > i else 0
+                                       for j in range(n)] for i in range(n)])
+        p = lower * upper
+        if 1e3 <= np.linalg.cond(p.to_numpy()) <= 1e8:
+            return p
+
+
+# Y = P X P^{-1} for P = [[1, 1000], [0, 1]]: the GL witness check once took
+# 1e-10 max(1, max|P|) max(1, max|X|), ignoring |Y|, and float64 answered
+# not_similar_probable for (X, Y) and similar for (Y, X).
+_ILL_X = [[-2, 2], [-1, 0]]
+_ILL_Y = [[-1002, 1002002], [-1, 1000]]
+
+
+def ill_conditioned_round_trips():
+    """The 2 x 2 pair above, then integer tuples (n = 3..7, d = 1..3,
+    entries in -2..2) conjugated by a unimodular P with cond(P) in
+    1e3..1e8; every entry of Y is an integer that float64 holds exactly."""
+    yield (MatrixTuple.of(Matrix.from_rows(FQ, _ILL_X)),
+           MatrixTuple.of(Matrix.from_rows(FQ, _ILL_Y)))
+    rng = random.Random(1)
+    for _ in range(16):
+        n, d = rng.randint(3, 7), rng.randint(1, 3)
+        x = MatrixTuple.of(*(Matrix.from_rows(FQ, [[rng.randint(-2, 2) for _ in range(n)]
+                                                   for _ in range(n)]) for _ in range(d)))
+        y = x.conjugated(unimodular(rng, n))
+        assert y.maxabs() < 2 ** 53
+        yield x, y
+
+
+@pytest.mark.parametrize("field", [FR, Field.complex128()], ids=["float64", "complex128"])
+def test_float_gl_accepts_ill_conditioned_round_trips_in_both_orders(field):
+    for x, y in ill_conditioned_round_trips():
+        xf, yf = x.astype(field), y.astype(field)
+        for a, b in ((xf, yf), (yf, xf)):
+            v = gl_similar(a, b)
+            assert v.verdict == "similar", (x.n, v.detail)
+            assert _verify_intertwiner(v.witness, a, b, with_star=False)
 
 
 # Every branch of the shared search, pinned verbatim for both deciders: the

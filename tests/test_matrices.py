@@ -174,6 +174,29 @@ def test_inverse_float_verifies():
         assert (prod - Matrix.identity(FR, 4)).maxabs() < 1e-9
 
 
+@pytest.mark.parametrize("field", [FR, FC], ids=["float64", "complex128"])
+def test_float_inverse_refuses_a_rank_deficient_matrix(field):
+    # rank 1 by the singular values, so numpy's solve is never asked
+    m = Matrix.from_rows(field, [[1, 2], [2, 4 + 1e-12]])
+    with pytest.raises(SingularMatrixError, match="singular at tolerance"):
+        inverse(m)
+
+
+def test_float_inverse_refuses_a_solve_that_fails_its_residual_check():
+    # Wilkinson's growth matrix: 1 on the diagonal, -1 below it, an inexact
+    # last column.  cond is about 30, so the rank test passes, but LU with
+    # partial pivoting doubles the last column at every step (growth 2^49),
+    # and A inv - I misses I by about 1e-2, far above 1e-6 max|A| max|inv|.
+    n = 50
+    rows = [[1 if i == j else -1 if j < i else 0 for j in range(n)] for i in range(n)]
+    for i, row in enumerate(rows):
+        row[-1] = 1 + (i % 7) / 9
+    m = Matrix.from_rows(FR, rows)
+    assert m.rank() == n
+    with pytest.raises(SingularMatrixError, match="failed verification"):
+        inverse(m)
+
+
 # -- nullspace --------------------------------------------------------------------
 
 def test_nullspace_examples():

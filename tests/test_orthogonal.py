@@ -151,6 +151,20 @@ def test_exact_witness_unavailable_falls_back_to_float():
         assert res.intertwiner is not None and res.intertwiner.det() != 0
 
 
+def test_exact_witness_unavailable_when_the_scalar_is_no_square():
+    # X = Y = J, the quarter turn: the star-intertwiners are a I + b J, so
+    # P star(P) = (a^2 + b^2) I is scalar, and a draw with a^2 + b^2 not a
+    # rational square falls back to float64
+    x = MatrixTuple.of(Matrix.from_rows(FQ, [[0, 1], [-1, 0]]))
+    res = orthogonal_witness(x, x, seed=0)
+    assert res.verdict == "exact_witness_unavailable"
+    p = res.intertwiner
+    lam = orthogonal._scalar_of(p * p.star())
+    assert lam is not None and math.isqrt(lam.numerator) ** 2 != lam.numerator
+    assert orthogonal._rational_sqrt(lam) is None
+    assert res.witness.residual_orth <= 1e-8 and res.witness.residual_conj <= 1e-8
+
+
 def test_witness_necessity_of_fingerprints():
     rng = random.Random(5)
     for _ in range(5):

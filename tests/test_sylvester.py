@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from collections import Counter
@@ -89,6 +90,56 @@ def flattened_system(a: Matrix, b: Matrix) -> Matrix:
                 row[i * m + s] -= b.at(s, j)
             rows.append(row)
     return Matrix.from_rows(a.field, rows)
+
+
+def newton_char_poly(m: Matrix) -> tuple:
+    """Coefficients of det(tI - m) by Newton's identities in the kind's own
+    scalars (``Fraction`` when exact) on tr(m^k) from repeated products."""
+    n, field = m.rows, m.field
+    zero = field.zero()
+    sums, acc = [zero], m
+    for _ in range(n):
+        sums.append(acc.trace())
+        acc = acc * m
+    elem = [field.one()] + [zero] * n
+    for k in range(1, n + 1):
+        s = zero
+        for i in range(1, k + 1):
+            term = elem[k - i] * sums[i]
+            s = s + term if i % 2 else s - term
+        elem[k] = s / field.coerce(k)
+    return tuple(elem[n - j] if (n - j) % 2 == 0 else -elem[n - j] for j in range(n + 1))
+
+
+def sylvester_det(p: Polynomial, q: Polynomial):
+    """The resultant as ``Matrix.det`` of the Sylvester matrix, q's block on
+    top, built entry by entry in the kind's scalars."""
+    m, k = p.degree, q.degree
+    zero = p.field.zero()
+    pdesc, qdesc = list(reversed(p.coeffs)), list(reversed(q.coeffs))
+    rows = ([[zero] * r + qdesc + [zero] * (m - 1 - r) for r in range(m)]
+            + [[zero] * r + pdesc + [zero] * (k - 1 - r) for r in range(k)])
+    return Matrix.from_rows(p.field, rows).det()
+
+
+def rand_fraction(rng, num=5, den=7):
+    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+def rational_char_poly_cases(rng, count):
+    """Random matrices with denominators up to 7 for n = 1..6, then for each
+    n the zero matrix, a scalar matrix and a dense nilpotent one (a strictly
+    upper triangular matrix conjugated by a unimodular one)."""
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        yield Matrix.from_rows(FQ, [[rand_fraction(rng) for _ in range(n)] for _ in range(n)])
+    for n in range(1, 7):
+        yield Matrix.zeros(FQ, n, n)
+        yield Matrix.identity(FQ, n).scale(rand_fraction(rng))
+        upper = Matrix.from_rows(FQ, [[rand_fraction(rng) if j > i else 0 for j in range(n)]
+                                      for i in range(n)])
+        p = rand_invertible_int(rng, FQ, n, -2, 2)
+        yield p * upper * p.inverse()
 
 
 # -- solve -------------------------------------------------------------------------
@@ -373,6 +424,25 @@ def test_charpoly_satisfies_cayley_hamilton():
         assert acc.is_zero()
 
 
+def test_charpoly_matches_the_fraction_newton_loop():
+    rng = random.Random(11)
+    for m in rational_char_poly_cases(rng, 60):
+        chi = char_poly_from_traces(m)
+        assert chi.coeffs == newton_char_poly(m), m
+        assert all(type(c) is Fraction for c in chi.coeffs)
+
+
+@pytest.mark.parametrize("field", [FR, FC], ids=["float64", "complex128"])
+def test_float_charpoly_is_the_newton_loop_on_matrix_products(field):
+    rng = random.Random(12)
+    for m in rational_char_poly_cases(rng, 40):
+        f = m.astype(field)
+        if field.is_complex:
+            f = f + Matrix.from_rows(field, [[complex(0, rng.uniform(-2, 2)) for _ in range(m.cols)]
+                                             for _ in range(m.rows)])
+        assert repr(char_poly_from_traces(f).coeffs) == repr(newton_char_poly(f))
+
+
 def test_charpoly_float_matches_exact():
     rng = random.Random(2)
     for _ in range(10):
@@ -393,6 +463,52 @@ def test_resultant_examples():
     assert resultant(P(-1, 1), P(-2, 1)) == 1
     assert resultant(P(0, 1), P(0, 1)) == 0
     assert resultant(P(2, -3, 1), P(-3, 1)) == 2  # equals p(3)
+
+
+def rand_poly(rng, field, max_degree=4):
+    """Non-monic, mixed denominators, degree 0 included; the leading
+    coefficient is nonzero."""
+    deg = rng.randint(0, max_degree)
+    lead = Fraction(rng.choice([k for k in range(-6, 7) if k]), rng.randint(1, 7))
+    coeffs = [rand_fraction(rng, 6) for _ in range(deg)] + [lead]
+    if field.is_exact:
+        return Polynomial.of(field, coeffs)
+    return Polynomial.of(field, [float(c) + (rng.uniform(-1, 1) * 1j if field.is_complex else 0)
+                                 for c in coeffs])
+
+
+def test_resultant_matches_the_sylvester_matrix_determinant():
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(300):
+        p, q = rand_poly(rng, FQ), rand_poly(rng, FQ)
+        if rng.random() < 0.3:  # a shared factor
+            p, q = p * P(-1, 1), q * P(-1, 1)
+        seen[(min(p.degree, q.degree) == 0, resultant(p, q) == 0)] += 1
+        if p.degree + q.degree:
+            assert resultant(p, q) == sylvester_det(p, q), (p, q)
+        else:
+            assert resultant(p, q) == 1
+    assert all(seen[case] >= 10 for case in [(True, False), (False, False), (False, True)]), seen
+
+
+@pytest.mark.parametrize("field", [FR, FC], ids=["float64", "complex128"])
+def test_float_resultant_is_the_determinant_of_the_same_array(field):
+    rng = random.Random(14)
+    for _ in range(200):
+        p, q = rand_poly(rng, field), rand_poly(rng, field)
+        if p.degree + q.degree:
+            assert repr(resultant(p, q)) == repr(sylvester_det(p, q))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", [FR, FC], ids=["float64", "complex128"])
+def test_float_resultant_refuses_a_non_finite_coefficient(field, bad):
+    # Polynomial(...) built directly skips the coercion that refuses it
+    p = Polynomial(field, (field.one(), bad, field.one()))
+    for args in ((p, Polynomial.of(field, [2, 1])), (Polynomial.of(field, [2, 1]), p)):
+        with pytest.raises(NonFiniteError):
+            resultant(*args)
 
 
 def test_resultant_rejects_zero_polynomial():
@@ -437,6 +553,18 @@ def test_unique_examples():
     z = Matrix.from_rows(FQ, [[0]])
     assert not sylvester_unique(z, z)
     assert not sylvester_unique(Matrix.from_rows(FQ, [[0, 1], [0, 0]]), z)
+
+
+def test_exact_unique_is_the_resultant_of_the_char_polys():
+    rng = random.Random(15)
+    cases = list(rational_char_poly_cases(rng, 40))
+    seen = Counter()
+    for a in cases:
+        for b in rng.sample(cases, 4) + [a, a.scale(2)]:
+            unique = sylvester_unique(a, b)
+            assert unique == (resultant(char_poly_from_traces(a), char_poly_from_traces(b)) != 0)
+            seen[unique] += 1
+    assert seen[True] >= 50 and seen[False] >= 50, seen
 
 
 def test_unique_float_bound_survives_huge_norms():
