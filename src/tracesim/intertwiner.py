@@ -144,7 +144,9 @@ def _exact_intertwiners(xs, ys, n: int) -> tuple:
     equation, Y_1 P - P X_1 = 0, is the C = 0 case of ``_chain_solve``.  Each
     later equation is solved inside the current kernel: with
     P = sum_j c_j P_j it reads sum_j c_j (P_j X_i - Y_i P_j) = 0, n^2
-    equations in the k coefficients.  The kernel shrinks at every step, and
+    equations in the k coefficients.  The k residuals come from two
+    object-array matmuls over the stacked P_j, and the new basis from one
+    more.  The kernel shrinks at every step, and
     the loop stops once it is zero.  Kernel vectors are kept as ints divided
     by the gcd of their entries.  The last step brings the basis to the
     form ``Matrix.nullspace`` gives for the whole system: Gauss-Jordan on
@@ -156,18 +158,14 @@ def _exact_intertwiners(xs, ys, n: int) -> tuple:
     for xi, yi in zip(xs[1:], ys[1:]):
         if not basis:
             return [], 1
-        xcols = [list(c) for c in zip(*xi)]
-        residuals = []
-        for p in basis:
-            prow = [p[a * n:(a + 1) * n] for a in range(n)]
-            pcols = [p[b::n] for b in range(n)]
-            residuals.append([sum(map(mul, prow[a], xcols[b])) - sum(map(mul, yi[a], pcols[b]))
-                              for a in range(n) for b in range(n)])
-        coeffs, _ = _int_kernel([list(r) for r in zip(*residuals)], len(basis))
-        if len(coeffs) == len(basis):
+        k = len(basis)
+        ps = np.array(basis, object).reshape(k, n, n)
+        residuals = (ps @ np.array(xi, object) - np.array(yi, object) @ ps).reshape(k, n * n)
+        coeffs, _ = _int_kernel(residuals.T.tolist(), k)
+        if len(coeffs) == k:
             continue  # every residual is zero: the equation holds on the whole kernel
-        entries = list(zip(*basis))
-        basis = [_primitive([sum(map(mul, cs, col)) for col in entries]) for cs in coeffs]
+        combos = np.array(coeffs, object).reshape(len(coeffs), k) @ np.array(basis, object)
+        basis = [_primitive(v) for v in combos.tolist()]
     ech, pivots, d, _ = _gauss_jordan_int([v[::-1] for v in basis])
     return [ech[r][::-1] for r in reversed(range(len(pivots)))], d
 
@@ -237,12 +235,13 @@ def _chain_solve(a, b, c=None):
     kept, chains = _krylov_chains(b, m)
     r = len(chains)
     owner = [(l, t) for l, (_, length, _) in enumerate(chains) for t in range(length)]
-    apow = [[[int(i == j) for j in range(n)] for i in range(n)]]  # A^0 .. A^(max m_l)
-    acols = [list(col) for col in zip(*a)]
+    acc, amat = np.eye(n, dtype=object), np.array(a, object).reshape(n, n)
+    apow = [acc.tolist()]  # A^0 .. A^(max m_l)
     while len(apow) <= max(length for _, length, _ in chains):
-        apow.append([[sum(map(mul, row, col)) for col in acols] for row in apow[-1]])
+        acc = acc @ amat
+        apow.append(acc.tolist())
     if c is not None:
-        ck = [[sum(map(mul, crow, v)) for crow in c] for v in kept]  # C K, by columns
+        ck = (np.array(kept, object) @ np.array(c, object).T).tolist()  # C K, by columns
         gs = [[[0] * n] for _ in chains]  # g_{l,0} .. g_{l,m_l}
         for g, (start, length, _) in zip(gs, chains):
             for t in range(start, start + length):
@@ -268,10 +267,10 @@ def _chain_solve(a, b, c=None):
     # K^{-1} up to one scalar: Gauss-Jordan of [K | I] leaves dk [I | K^{-1}]
     ech, _, dk, _ = _gauss_jordan_int([[v[i] for v in kept] + [int(i == j) for j in range(m)]
                                        for i in range(m)])
-    kinv_cols = [list(col) for col in zip(*(row[m:] for row in ech))]
-    out = []
+    kinv = np.array([row[m:] for row in ech], object)
+    zs = []  # Z for each w: column t is d times X applied to kept vector t
     for w in ws:
-        images = []  # d times X applied to each kept vector
+        images = []
         for l, (start, length, _) in enumerate(chains):
             u = w[l * n:(l + 1) * n]
             images.append(u)
@@ -280,7 +279,8 @@ def _chain_solve(a, b, c=None):
                 if c is not None:
                     u = [x - d * e for x, e in zip(u, ck[t])]
                 images.append(u)
-        out.append([sum(map(mul, zrow, col)) for zrow in zip(*images) for col in kinv_cols])
+        zs.append(list(zip(*images)))
+    out = (np.array(zs, object).reshape(-1, m) @ kinv).reshape(len(ws), n * m).tolist()
     return out if c is None else (out[0], d * dk)
 
 
@@ -396,16 +396,13 @@ class GLVerdict:
         return self.verdict == "similar"
 
 
-def _verify_intertwiner(p: Matrix, x: MatrixTuple, y: MatrixTuple, with_star: bool) -> bool:
-    """P X_i = Y_i P for all i (starred too with ``with_star``); a float
-    residual passes within RANK_TOL n max|P| max(|X|, |Y|), the scale that
-    admitted P, capped at the largest float so inf and NaN fail."""
+def _verify_intertwiner(p: Matrix, x: MatrixTuple, y: MatrixTuple) -> bool:
+    """P X_i = Y_i P for all i; a float residual passes within
+    RANK_TOL n max|P| max(|X|, |Y|), the scale that admitted P, capped at
+    the largest float so inf and NaN fail."""
     tol = 0.0 if x.field.is_exact else min(
         RANK_TOL * p.rows * p.maxabs() * max(x.maxabs(), y.maxabs()), sys.float_info.max)
-    pairs = list(zip(x.matrices, y.matrices))
-    if with_star:
-        pairs += zip(x.stars(), y.stars())
-    return all((p * xi - yi * p).is_zero(tol) for xi, yi in pairs)
+    return all((p * xi - yi * p).is_zero(tol) for xi, yi in zip(x.matrices, y.matrices))
 
 
 def _decide_span(b: IntertwinerBasis, seed: int, trials: int, sample_bound: int):
@@ -458,6 +455,6 @@ def gl_similar(x: MatrixTuple, y: MatrixTuple, seed: int = 0, trials: int = DEFA
     _, p, proved, detail = _search(x, y, False, seed, trials, sample_bound)
     if p is None:
         return GLVerdict("not_similar" if proved else "not_similar_probable", None, detail)
-    if not _verify_intertwiner(p, x, y, with_star=False):
+    if not _verify_intertwiner(p, x, y):
         return GLVerdict("not_similar_probable", None, "candidate witness failed verification")
     return GLVerdict("similar", p, "verified intertwiner witness")

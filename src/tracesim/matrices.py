@@ -24,23 +24,21 @@ Two linear-algebra engines sit behind one interface:
   largest entry of the matrices it was built from, since its own entries may
   cancel).  A float kernel is the orthonormal basis of right singular
   vectors past the rank, and a float solve is the minimum-norm solution
-  (``_float_solve``).  Determinants and inverses are numpy's LU.
+  (``_float_solve``).  An inverse is V S^-1 U^H from the same SVD that
+  decides its rank, checked by its residual; determinants are numpy's LU.
 
-Products follow the same split, in one function (``_raw_product``).  An
-exact product takes every entry of A'B' as one integer dot product of the
-stored values and returns A'B' over the product of the denominators.  A
-float or complex product accumulates each entry left to right from zero,
-as a scalar loop would, but one inner index at a time over whole rows:
-``out += a[:, j] b[j]``.  Every entry thus takes the same rounded products
-and sums in the same order, with no fused multiply-add, so results are
-those of plain Python floats to the last bit and do not depend on the
-Python version (``sum()`` compensates float sums from 3.12 on).  numpy's
-complex multiply rounds differently from Python's, so a complex product is
-split into real ufuncs, re = ar br - ai bi and im = ar bi + ai br, the
-formula Python uses.  Overflow gives inf or NaN without a warning, as it
-does for Python floats.  Callers that stack several matrices into one
-operand (``_hstack``, or concatenation), or compare products without
-building them, pass the stored values and read blocks with ``_block``.
+Products are one numpy matmul for every kind, in one function
+(``_raw_product``).  An exact product multiplies object arrays of the
+stored ints, so every entry of A'B' is an exact integer dot product, and
+returns A'B' over the product of the denominators.  A float or complex
+product is ``@`` on float64 or complex128 arrays (BLAS gemm), which
+chooses its own summation order and may fuse a multiply and an add: it is
+right up to rounding, and a block of a stacked product need not be the
+separate product to the last bit.  Overflow gives inf or NaN without a
+warning, as it does for Python floats.  Callers that stack several
+matrices into one operand (``_hstack``, or concatenation), or compare
+products without building them, pass the stored values and read blocks
+with ``_block``.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -49,10 +47,11 @@ function of its inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -308,11 +307,15 @@ class Matrix:
                 raise SingularMatrixError("matrix is singular")
             return sol
         a = self.to_numpy()
-        if self.rank() < n:
+        r, u, s, vh = _float_svd(a, self.maxabs())
+        if r < n:
             raise SingularMatrixError("matrix is singular at tolerance")
-        inv = np.linalg.solve(a, np.eye(n, dtype=a.dtype))
-        residual = np.max(np.abs(a @ inv - np.eye(n)))
-        if residual > 1e-6 * max(1.0, np.max(np.abs(a)) * np.max(np.abs(inv))):
+        with np.errstate(over="ignore", invalid="ignore"):  # a tiny s may overflow 1/s
+            inv = (vh.conj().T / s) @ u.conj().T
+            residual = np.max(np.abs(a @ inv - np.eye(n)))
+            bound = min(1e-6 * max(1.0, np.max(np.abs(a)) * np.max(np.abs(inv))),
+                        sys.float_info.max)
+        if not residual <= bound:  # a NaN or infinite residual fails
             raise SingularMatrixError("inverse failed verification (residual %.3g)" % residual)
         return Matrix.from_numpy(self.field, inv)
 
@@ -330,43 +333,20 @@ def _zero_one(field: Field) -> tuple:
 def _raw_product(field: Field, a, b, m: int, k: int) -> list:
     """Row-major entries of the product of the row-major values ``a``, with m
     columns, and ``b``, with m rows and k columns, given as ``Matrix.values``
-    holds them.
+    holds them: one numpy matmul for every kind.
 
-    The exact kind takes one integer dot product per entry, so the product
-    of A = a / La and B = b / Lb has entries ``out[e] / (La Lb)``.  The float
-    kinds accumulate each entry left to right from zero, one inner index at
-    a time over whole rows, so each entry is the one a scalar loop over
-    Python floats gives (``sum()`` would compensate float sums from Python
-    3.12 on).  A complex product is split into real ufuncs,
-    re = ar br - ai bi and im = ar bi + ai br, which round as Python's
-    complex multiply does; numpy's own complex multiply does not.  Either
-    operand may stack several matrices, each with its own L: every entry is
-    still the dot product, in the same order, that the separate product
-    takes.
+    The exact kind multiplies object arrays of the stored Python ints, so
+    every entry is an exact integer dot product and the product of
+    A = a / La and B = b / Lb has entries ``out[e] / (La Lb)``.  The float
+    kinds multiply float64 or complex128 arrays with ``@``; overflow gives
+    inf or NaN without a warning, as it does for Python floats.  Either
+    operand may stack several matrices, each with its own L, and every
+    block of the product is the separate product exactly for the exact
+    kind and up to rounding for the float kinds.
     """
-    if field.is_exact:
-        rows = [a[i:i + m] for i in range(0, len(a), m)]
-        cols = [b[j::k] for j in range(k)]
-        return [sum(map(mul, row, col)) for row in rows for col in cols]
-    dtype = _dtype(field)
-    a = np.array(a, dtype).reshape(-1, m)
-    b = np.array(b, dtype).reshape(m, k)
+    dtype = object if field.is_exact else _dtype(field)
     with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently
-        if not field.is_complex:
-            out = np.zeros((len(a), k))
-            for aj, bj in zip(a.T[:, :, None], b):  # column j of a, row j of b
-                out += aj * bj
-            return out.reshape(-1).tolist()
-        # per inner index j, the four real products ar br, ai (-bi), ar bi, ai br
-        left = np.array([a.real, a.imag, a.real, a.imag]).transpose(2, 0, 1)[..., None]
-        right = np.array([b.real, -b.imag, b.imag, b.real]).transpose(1, 0, 2)[:, :, None]
-        acc = np.zeros((2, len(a), k))
-        for lj, rj in zip(left, right):
-            x = lj * rj
-            acc += x[0::2] + x[1::2]  # re = ar br - ai bi, im = ar bi + ai br
-    out = np.empty((len(a), k), dtype)
-    out.real = acc[0]  # acc[0] + 1j * acc[1] would put 0 * inf = NaN beside an infinite im
-    out.imag = acc[1]
+        out = np.array(a, dtype).reshape(-1, m) @ np.array(b, dtype).reshape(m, k)
     return out.reshape(-1).tolist()
 
 
@@ -494,8 +474,9 @@ def _int_matrices(matrices) -> tuple:
 def _power_traces(m: Matrix, upto: int) -> list:
     """tr(M^k) for k = 1..upto (upto >= 1), where M = L m holds the stored
     values and L = m.denom.  The exact kind returns ints, so
-    tr(m^k) = tr(M^k) / L^k, and folds the last factor into the trace.  The
-    float kinds (L = 1) take the products of repeated ``acc * m``
+    tr(m^k) = tr(M^k) / L^k: the powers are object-array products, and the
+    last factor is folded into the trace, tr(P M) = sum(P * M^t).  The float
+    kinds (L = 1) take the products of repeated ``acc * m``
     (``_raw_product``) and sum each diagonal as ``Matrix.trace`` does."""
     n, field, values = m.rows, m.field, m.values
     if not field.is_exact:
@@ -504,14 +485,13 @@ def _power_traces(m: Matrix, upto: int) -> list:
             acc = _raw_product(field, acc, values, n, n)
             out.append(reduce(add, acc[::n + 1], field.zero()))
         return out
-    (rows,), _ = _int_matrices([m])
-    cols = [list(c) for c in zip(*rows)]
-    out = [sum(rows[i][i] for i in range(n))]
-    acc = rows  # M^(k-1); the last factor is folded into the trace
+    mat = np.array(values, object).reshape(n, n)
+    out = [sum(values[::n + 1])]
+    acc = mat  # M^(k-1)
     for k in range(2, upto + 1):
-        out.append(sum(sum(map(mul, row, col)) for row, col in zip(acc, cols)))
+        out.append((acc * mat.T).sum())
         if k < upto:
-            acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+            acc = acc @ mat
     return out
 
 

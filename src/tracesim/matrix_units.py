@@ -18,13 +18,11 @@ relation, and judge each product whole.  ``check_epsilon`` compares
 [a_00; a_01; ...] [a_00 | a_01 | ...] with the stacked expected matrix;
 ``theta_embedding`` and ``check_delta`` compare [c_0; c_1; ...] [a_00 | ...]
 with the block transpose of [a_00; ...] [c_0 | c_1 | ...]; the subring
-sampler multiplies each element by all generators at once.  A block of a
-stacked product is the separate product entry for entry, each the same dot
-product in the same order, so every float value and every float comparison
-is the one a loop over the blocks would make, to the last bit.  The
-products stay raw (``matrices._raw_product`` of the stored values): exact
-entries are integer dot products over a known denominator, and a block is
-cut out and a matrix built only for a returned value or a violation.
+sampler multiplies a whole layer by all generators at once.  Each product
+is one numpy matmul (``matrices._raw_product`` of the stored values): an
+exact one multiplies object arrays of ints over a known denominator, so
+the exact kind is judged whole like the float kinds, and a block is cut
+out and a matrix built only for a returned value or a violation.
 """
 
 from __future__ import annotations
@@ -88,14 +86,14 @@ def _rel_tol(units):
 def check_epsilon(units: Sequence[Sequence[Matrix]]):
     """Verify all N^4 unit relations; returns (ok, first violation or None).
 
-    The float kinds compare [a_00; a_01; ...] [a_00 | a_01 | ...], whose
-    block (ij, st) is a_ij a_st, in one numpy step with the stacked matrix
-    whose block (ij, st) is a_it if j == s, else 0: entries agree within
+    One product [a_00; a_01; ...] [a_00 | a_01 | ...], whose block (ij, st)
+    is a_ij a_st, is compared whole with the stacked matrix whose block
+    (ij, st) is a_it if j == s, else 0.  The exact kind brings the family to
+    one denominator L and compares the integer product, over L^2, with L
+    times the expected blocks.  The float kinds accept entries within
     RELATION_TOL times max(1, the largest entry magnitude of the family),
-    and a NaN difference fails.  An exact product costs per entry, so the
-    exact kind, over one denominator L, compares each a_ij [a_00 | ...] with
-    its expected row as one list and stops at the first that fails.  The
-    violation reported is the first failing block in (i, j, s, t) order.
+    and a NaN difference fails.  The violation reported is the first
+    failing block in (i, j, s, t) order.
     """
     n_outer, n, field = _family_shape(units)
     eff = _rel_tol(units)
@@ -104,41 +102,28 @@ def check_epsilon(units: Sequence[Sequence[Matrix]]):
             if units[i][j].is_zero(eff):
                 return False, EpsilonViolation("zero", i, j)
     flat = [m for row in units for m in row]
-    width = n * len(flat)
-    if not field.is_exact:
-        dtype = _dtype(field)
-        got = np.array(_raw_product(field, [v for m in flat for v in m.values],
-                                    _hstack([m.values for m in flat], n), n, width), dtype)
-        got = got.reshape(n_outer, n_outer, n, n_outer, n_outer, n)  # [i, j, r, s, t, c]
-        want = np.zeros_like(got)
-        a_itrc = np.array([m.values for m in flat], dtype).reshape(n_outer, n_outer, n, n)
-        for j in range(n_outer):
-            want[:, j, :, j] = a_itrc.transpose(0, 2, 1, 3)  # block (ij, jt) is a_it
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~(np.abs(got - want) <= eff)
-        bad = bad.any(axis=(2, 5))  # [i, j, s, t]
-        if not bad.any():
-            return True, None
-        i, j, s, t = map(int, np.unravel_index(np.argmax(bad), bad.shape))
-        got, denom = got[i, j, :, s, t].reshape(-1).tolist(), 1
+    if field.is_exact:
+        denom, dtype = math.lcm(*(m.denom for m in flat)), object
+        values = [[v * (denom // m.denom) for v in m.values] for m in flat]
     else:
-        denom = math.lcm(*(m.denom for m in flat))
-        ints = [[v * (denom // m.denom) for v in m.values] for m in flat]
-        right, zero = _hstack(ints, n), [0] * (n * n)
-        for ij, left in enumerate(ints):
-            i, j = divmod(ij, n_outer)
-            got = _raw_product(field, left, right, n, width)  # over L^2
-            want = _hstack([[denom * v for v in ints[i * n_outer + t]] if s == j else zero
-                            for s in range(n_outer) for t in range(n_outer)], n)
-            if got != want:
-                s, t = divmod(next(b for b in range(len(flat)) if _block(got, width, 0, b, n)
-                                   != _block(want, width, 0, b, n)), n_outer)
-                got, denom = _block(got, width, 0, s * n_outer + t, n), denom * denom
-                break
-        else:
-            return True, None
+        denom, dtype, values = 1, _dtype(field), [m.values for m in flat]
+    got = np.array(_raw_product(field, [v for m in values for v in m], _hstack(values, n),
+                                n, n * len(flat)), dtype)
+    got = got.reshape(n_outer, n_outer, n, n_outer, n_outer, n)  # [i, j, r, s, t, c]
+    want = np.zeros_like(got)
+    a_itrc = np.array(values, dtype).reshape(n_outer, n_outer, n, n)
+    for j in range(n_outer):
+        want[:, j, :, j] = a_itrc.transpose(0, 2, 1, 3) * denom  # block (ij, jt): a_it, over L^2
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~(np.abs(got - want) <= eff)
+    bad = bad.any(axis=(2, 5))  # [i, j, s, t]
+    if not bad.any():
+        return True, None
+    i, j, s, t = map(int, np.unravel_index(np.argmax(bad), bad.shape))
     want = units[i][t] if j == s else Matrix.zeros(field, n, n)
-    return False, EpsilonViolation("product", i, j, s, t, want, _from_raw(field, n, n, got, denom))
+    return False, EpsilonViolation("product", i, j, s, t, want,
+                                   _from_raw(field, n, n, got[i, j, :, s, t].reshape(-1).tolist(),
+                                             denom * denom))
 
 
 @dataclass(frozen=True)
@@ -178,41 +163,41 @@ class UnitSystem:
 
 def _first_noncentral(system: UnitSystem, coeffs: Sequence[Matrix]) -> tuple:
     """(k, cu): k indexes the first coefficient that fails to commute with
-    some unit, or is None; cu holds the raw entries of [c_0; c_1; ...]
-    [a_0 | a_1 | ...], units in row-major order.
+    some unit, or is None; cu is [c_0; c_1; ...] [a_0 | a_1 | ...], units
+    in row-major order, as an array of raw entries indexed [k, r, l, c].
 
     Block (k, l) of cu is c_k a_l and block (l, k) of uc = [a_0; a_1; ...]
-    [c_0 | c_1 | ...] is a_l c_k, entry for entry, both over the same
-    denominator, so two products test every pair, and one comparison of cu
-    with the block transpose of uc judges them all.  The float tolerance
-    for c_k is RELATION_TOL * max(1, max|a|) * max(1, max|c_k|), since both
-    products scale with the coefficient too.  It is capped at the largest
-    float, so an infinite difference never passes.
+    [c_0 | c_1 | ...] is a_l c_k, both over the same denominator, so two
+    products test every pair, and one comparison of cu with the block
+    transpose of uc judges them all.  The float tolerance for c_k is
+    RELATION_TOL * max(1, max|a|) * max(1, max|c_k|), since both products
+    scale with the coefficient too; both maxima are numpy reductions over
+    the stacked operands.  It is capped at the largest float, so an
+    infinite difference never passes.
     """
     n, units, field = system.n, system.flat(), system.field
     for c in coeffs:
         if (c.rows, c.cols) != (n, n):
             raise ShapeError("candidate shape does not match the units")
         c._same_field(units[0])
-    u_raw = [u.values for u in units]
-    c_raw = [c.values for c in coeffs]
     n_c, n_u = len(coeffs), len(units)
-    cu = _raw_product(field, [v for c in c_raw for v in c], _hstack(u_raw, n), n, n * n_u)
-    uc = _raw_product(field, [v for u in u_raw for v in u], _hstack(c_raw, n), n, n * n_c)
-    if field.is_exact:  # uc with each block (l, k) moved to (k, l), one list per c_k
-        uct = [uc[(l * n + r) * n * n_c + k * n + c]
-               for k in range(n_c) for r in range(n) for l in range(n_u) for c in range(n)]
-        seg = n * n * n_u
-        return next((k for k in range(n_c)
-                     if cu[k * seg:(k + 1) * seg] != uct[k * seg:(k + 1) * seg]), None), cu
-    left = np.array(cu, _dtype(field)).reshape(n_c, n, n_u, n)  # [k, r, l, c]
-    right = np.array(uc, _dtype(field)).reshape(n_u, n, n_c, n).transpose(2, 1, 0, 3)
-    eff = _rel_tol(system.units)
-    bounds = [min(eff * max(1.0, c.maxabs()), sys.float_info.max) for c in coeffs]
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~(np.abs(left - right) <= np.array(bounds)[:, None, None, None])
+    dtype = object if field.is_exact else _dtype(field)
+    a = np.array([u.values for u in units], dtype).reshape(n_u, n, n)
+    cs = np.array([c.values for c in coeffs], dtype).reshape(n_c, n, n)
+    cu = _raw_product(field, cs, a.transpose(1, 0, 2), n, n * n_u)  # stacked times side by side
+    uc = _raw_product(field, a, cs.transpose(1, 0, 2), n, n * n_c)
+    left = np.array(cu, dtype).reshape(n_c, n, n_u, n)  # [k, r, l, c]
+    right = np.array(uc, dtype).reshape(n_u, n, n_c, n).transpose(2, 1, 0, 3)
+    if field.is_exact:
+        bad = left != right
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            eff = RELATION_TOL * max(1.0, np.abs(a).max())
+            bounds = np.minimum(eff * np.maximum(1.0, np.abs(cs).max(axis=(1, 2))),
+                                sys.float_info.max)
+            bad = ~(np.abs(left - right) <= bounds[:, None, None, None])
     bad = bad.reshape(n_c, -1).any(axis=1)
-    return (int(np.argmax(bad)) if bad.any() else None), cu
+    return (int(np.argmax(bad)) if bad.any() else None), left
 
 
 def check_delta(v: Matrix, system: UnitSystem) -> bool:
@@ -226,8 +211,8 @@ def theta_embedding(system: UnitSystem, coeffs: Sequence[Sequence[Matrix]]) -> M
 
     Each coefficient must commute with every unit (centrality relative to
     the system, not to the whole matrix ring).  The terms c_ij a_ij are the
-    diagonal blocks of the centrality check's first product, added in
-    row-major order from zero.
+    diagonal blocks of the centrality check's first product, summed in one
+    step (the exact kind weights each by L / its denominator, L the lcm).
     """
     n_units, n, field = system.n_units, system.n, system.field
     if len(coeffs) != n_units or any(len(row) != n_units for row in coeffs):
@@ -237,17 +222,14 @@ def theta_embedding(system: UnitSystem, coeffs: Sequence[Sequence[Matrix]]) -> M
     if bad is not None:
         raise NonCentralCoefficientError(
             "coefficient (%d,%d) does not commute with the units" % divmod(bad, n_units))
-    width = n * len(flat)  # one block per unit, as many as coefficients
-    terms = [_block(cu, width, k, k, n) for k in range(len(flat))]
+    diag = np.arange(len(flat))  # one unit per coefficient: block (k, k) is c_k a_k
+    terms = cu[diag, :, diag, :].reshape(len(flat), n * n)
     if not field.is_exact:
-        acc = [field.zero()] * (n * n)
-        for term in terms:
-            acc = [x + y for x, y in zip(acc, term)]
-        return Matrix(field, n, n, tuple(acc))
+        return Matrix(field, n, n, tuple(terms.sum(axis=0).tolist()))
     denoms = [c.denom * u.denom for c, u in zip(flat, system.flat())]
     denom = math.lcm(*denoms)
-    acc = [sum(term[e] * (denom // d) for term, d in zip(terms, denoms)) for e in range(n * n)]
-    return _from_raw(field, n, n, acc, denom)
+    acc = np.array([denom // d for d in denoms], object) @ terms
+    return _from_raw(field, n, n, acc.tolist(), denom)
 
 
 def coeff_product(a: Sequence[Sequence[Matrix]], b: Sequence[Sequence[Matrix]]):
@@ -299,17 +281,17 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     them.  Additive closure needs no check: the corner of x + y is
     corner(x) + corner(y) by definition of matrix addition.
 
-    Each sample layer takes one product m [g_0 | g_1 | ...] per element m
+    Each sample layer takes one product [m_0; m_1; ...] [g_0 | g_1 | ...]
     of the layer before, whose blocks are the products m g, each brought to
     stored form so that equal elements are equal keys.
 
     The closure check stacks row 0 of each checked element x_k into one
-    matrix R.  Row k of (R E00) y E00 is row 0 of x_k E00 y E00, since each
-    of its entries is the same dot product, accumulated in the same order.
-    So (R E00) [y_0 | y_1 | ...], read as one row per (x_k, y) pair and
+    matrix R.  Row k of (R E00) y E00 is row 0 of x_k E00 y E00.  So
+    (R E00) [y_0 | y_1 | ...], read as one row per (x_k, y) pair and
     multiplied by column 0 of E00, gives every corner (x_k E00 y E00)_00
-    from three products, the same to the last bit.  A corner that is NaN,
-    as an overflowing float product can make it, counts as a violation.
+    from three products: the product x_00 y_00 next to terms that are zero.
+    A corner that is NaN, as an overflowing float product can make it,
+    counts as a violation.
 
     E_0i X E_j0 is X_ij E_00, and its (0,0) entry is the dot product that
     formed entry (i, j) of X, so the reconstruction is read off X itself
@@ -345,10 +327,10 @@ def extract_subring_coefficients(generators: Sequence[Matrix], depth: int = 3,
     layer = [Matrix.identity(field, n)]
     for _ in range(depth):
         nxt = []
-        for m in layer:
-            prod = _raw_product(field, m.values, right, n, width)
+        prod = _raw_product(field, [v for m in layer for v in m.values], right, n, width)
+        for i, m in enumerate(layer):
             for b, g in enumerate(generators):
-                elem = _from_raw(field, n, n, _block(prod, width, 0, b, n), m.denom * g.denom)
+                elem = _from_raw(field, n, n, _block(prod, width, i, b, n), m.denom * g.denom)
                 if (elem.values, elem.denom) not in seen:
                     seen.add((elem.values, elem.denom))
                     nxt.append(elem)

@@ -130,7 +130,8 @@ def _max_magnitude(mats) -> float:
 def _witness_residuals(o: Matrix, x: MatrixTuple, y: MatrixTuple):
     """(max |O star(O) - I|, max over i of max |O X_i star(O) - Y_i|), from
     O star(O), O [X_1 | X_2 | ...] and [O X_1; O X_2; ...] star(O), whose
-    blocks are the 2d + 1 separate products to the last bit."""
+    blocks are the 2d + 1 separate products (exactly for the exact kind,
+    up to rounding for the float kinds)."""
     field, n, d = o.field, o.rows, x.d
     ostar = o.star()
     r_orth = _max_magnitude([o * ostar - Matrix.identity(field, n)])

@@ -100,16 +100,37 @@ def test_exact_product_matches_fraction_loop(denom):
         assert a * Matrix.identity(FQ, m) == a
 
 
+def rand_dyadic_rect(rng, field, rows, cols):
+    """Float entries p / 2^e with |p| <= 2^10 and e <= 6 (each part when
+    complex): every product and sum of a 5 x 5 product is exact."""
+    def part():
+        return rng.randint(-2 ** 10, 2 ** 10) / 2 ** rng.randint(0, 6)
+    def value():
+        return complex(part(), part()) if field.is_complex else part()
+    return Matrix.from_rows(field, [[value() for _ in range(cols)] for _ in range(rows)])
+
+
+def exact_parts(mat):
+    """(Re, Im) of a float matrix as exact rational matrices."""
+    values = [complex(v) for v in mat.entries]
+    return tuple(Matrix.from_rows(FQ, [[Fraction(getattr(v, part)) for v in values[r:r + mat.cols]]
+                                       for r in range(0, len(values), mat.cols)])
+                 for part in ("real", "imag"))
+
+
 @pytest.mark.parametrize("field", [Field.real64(), Field.complex128()], ids=["real", "complex"])
-def test_float_product_keeps_left_to_right_order(field):
+def test_float_product_is_exact_on_dyadic_inputs(field):
+    """A float product is numpy's ``@``, which sums in an order of its own;
+    on dyadic inputs no operation rounds, so each entry is the exact
+    engine's product, and so the left-to-right scalar loop's."""
     rng = random.Random(7)
     for n, m, k in SHAPES:
-        a, b = rand_rect(rng, field, n, m, 7), rand_rect(rng, field, m, k, 7)
-        assert list((a * b).entries) == ordered_product(a, b), (n, m, k)
-    # a compensated sum would give 1.0 here
-    row = Matrix.from_rows(field, [[1e16, 1.0, -1e16]])
-    ones = Matrix.from_rows(field, [[1.0], [1.0], [1.0]])
-    assert (row * ones).entries == (field.zero(),)
+        a, b = rand_dyadic_rect(rng, field, n, m), rand_dyadic_rect(rng, field, m, k)
+        got = list((a * b).entries)
+        assert got == ordered_product(a, b), (n, m, k)
+        (ar, ai), (br, bi) = exact_parts(a), exact_parts(b)
+        re, im = ar * br - ai * bi, ar * bi + ai * br
+        assert [complex(v) for v in got] == [complex(x, y) for x, y in zip(re.entries, im.entries)]
 
 
 def test_product_shape_and_kind_checks():

@@ -3,8 +3,10 @@ import random
 import re
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import rand_invertible_int
@@ -254,7 +256,7 @@ def reference_subring(generators, depth):
 
 def rand_generator(rng, field, n):
     def value():
-        v = Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 3]))
+        v = Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 4]))  # dyadic: float products exact
         if field.kind is Kind.REAL64:
             return float(v)
         if field.is_complex:
@@ -286,9 +288,17 @@ OVERFLOW_GENS = ([Matrix.unit(FR, 2, i, j) for i in range(2) for j in range(2)]
 
 @pytest.mark.parametrize("gens,depth", subring_sets())
 def test_subring_report_matches_pair_loop(gens, depth):
-    got = extract_subring_coefficients(gens, depth=depth)
-    assert got == reference_subring(gens, depth)
+    got, want = extract_subring_coefficients(gens, depth=depth), reference_subring(gens, depth)
     assert all(v == v for v in got.coefficients)  # no NaN, so == is meaningful
+    # a zero part may come out -0.0 in one summation order and 0.0 in
+    # another, which moves it in the (abs, repr) order: compare with x + 0
+    assert unsigned(got.coefficients) == unsigned(want.coefficients)
+    assert replace(got, coefficients=()) == replace(want, coefficients=())
+
+
+def unsigned(values):
+    """The values with every -0.0 part made 0.0, in (abs, repr) order."""
+    return sorted((v + 0 for v in values), key=lambda v: (abs(v), repr(v)))
 
 
 def test_overflowing_subring_reports_violations():
@@ -301,6 +311,43 @@ def delta_by_subtraction(v, system):
     scale = max(1.0, max(u.maxabs() for u in system.flat())) * max(1.0, v.maxabs())
     eff = 0.0 if v.field.is_exact else min(1e-9 * scale, sys.float_info.max)  # inf never passes
     return all((v * u - u * v).is_zero(eff) for u in system.flat())
+
+
+def rand_unimodular(rng, n):
+    """A random integer matrix of determinant 1, a unit lower triangle times
+    a unit upper one with entries in -1..1, so its inverse is integral."""
+    lower = [[1 if r == c else rng.randint(-1, 1) if c < r else 0 for c in range(n)]
+             for r in range(n)]
+    upper = [[1 if r == c else rng.randint(-1, 1) if c > r else 0 for c in range(n)]
+             for r in range(n)]
+    return Matrix.from_rows(FQ, lower) * Matrix.from_rows(FQ, upper)
+
+
+def dyadic_kron_family(field, u, n_units, m, blocks):
+    """``kron_family`` for an exact U whose inverse is dyadic, built exactly
+    and then cast: float entries are small dyadics, so the float products of
+    the checks round nothing and any summation order gives the same bits."""
+    return [[a.astype(field) for a in row] for row in kron_family(FQ, u, n_units, m, blocks)]
+
+
+def assert_same_check(got, want):
+    """check_epsilon's answer against the pair loop's: the same verdict,
+    violation kind, indices and expected matrix; the got matrices agree at
+    every finite entry and are non-finite at the same entries (an overflowing
+    sum is inf or NaN by its summation order)."""
+    (ok, v), (ok_want, w) = got, want
+    assert ok == ok_want
+    assert (v is None) == (w is None)
+    if v is None:
+        return
+    assert (v.kind, v.i, v.j, v.s, v.t) == (w.kind, w.i, w.j, w.s, w.t)
+    assert repr(v.expected) == repr(w.expected)  # NaN compares by repr
+    if v.got is None or v.got.field.is_exact:
+        assert v.got == w.got
+        return
+    g, h = np.array(v.got.values), np.array(w.got.values)
+    finite = np.isfinite(g)
+    assert (finite == np.isfinite(h)).all() and (g[finite] == h[finite]).all()
 
 
 def kron_family(field, u, n_units, m, blocks):
@@ -342,6 +389,26 @@ def test_check_delta_and_theta_match_subtraction_form(field, n_units, m):
                 theta_embedding(system, coeffs)
     assert all(check_delta(c, system) for row in commuting for c in row)
     assert not all(check_delta(c, system) for row in other for c in row)
+
+
+def test_central_float_coefficients_pass_beside_large_units():
+    # units P (E_ij (x) I_2) P^-1 with entries of 1e3-1e5, coefficients of
+    # size 1: c a - a c rounds at about 1e-16 |c| |a| n, which can pass
+    # 1e-9 |c| alone, so the bound needs the units' scale as well
+    for seed in range(20):
+        rng = random.Random(seed)
+        p = Matrix.from_rows(FR, [[rng.gauss(0, 1) * (1e4 if c >= 2 else 1) for c in range(4)]
+                                  for _ in range(4)])
+        system = UnitSystem.from_family(kron_family(
+            FR, p, 2, 2, lambda i, j: [[int(r // 2 == i and c // 2 == j and r % 2 == c % 2)
+                                        for c in range(4)] for r in range(4)]))
+        assert max(u.maxabs() for u in system.flat()) > 1e3
+        mats = [[[rng.gauss(0, 1) for _ in range(2)] for _ in range(2)] for _ in range(4)]
+        central = kron_family(FR, p, 2, 2, lambda i, j: [
+            [mats[2 * i + j][r % 2][c % 2] if r // 2 == c // 2 else 0.0 for c in range(4)]
+            for r in range(4)])
+        assert all(check_delta(c, system) for row in central for c in row), seed
+        theta_embedding(system, central)
 
 
 @pytest.mark.parametrize("magnitude", [1e6, 1e9])
@@ -401,9 +468,8 @@ def epsilon_families(field):
     out = []
     for n_units, m in [(2, 1), (2, 2), (3, 1)]:
         n = n_units * m
-        u = rand_invertible_int(rng, FQ, n).astype(field)
-        family = kron_family(
-            field, u, n_units, m,
+        family = dyadic_kron_family(
+            field, rand_unimodular(rng, n), n_units, m,
             lambda i, j: [[int(r // m == i and c // m == j and r % m == c % m) for c in range(n)]
                           for r in range(n)])
         out.append(("valid-%d-%d" % (n_units, m), family))
@@ -440,24 +506,22 @@ def epsilon_families(field):
 
 @pytest.mark.parametrize("family", [f for field in (FQ, FR, FC) for f in epsilon_families(field)])
 def test_check_epsilon_matches_pair_loop(family):
-    got, want = check_epsilon(family), epsilon_by_pairs(family)
-    assert repr(got) == repr(want)  # NaN entries compare by repr
-    if not any(v != v for row in family for m in row for v in m.entries):
-        assert got == want
+    assert_same_check(check_epsilon(family), epsilon_by_pairs(family))
 
 
 def kron_system(rng, field, n_units, m):
     """(units, central coefficients): U (E_ij (x) I_m) U^-1 and U (I_N (x) M_ij) U^-1
     for random integer M_ij of magnitude up to 3 * 100^k for the k-th, with
-    U = V diag(1, 2, ..., n) for a random integer V, so the rational units
-    have mixed denominators and each float coefficient needs its own bound."""
+    U = V diag(1, 2, 4, ..., 2^(n-1)) for a random unimodular V, so the
+    rational units have mixed denominators, the float units are small
+    dyadics, and each float coefficient needs its own bound."""
     n = n_units * m
-    u = (rand_invertible_int(rng, FQ, n) * Matrix.diagonal(FQ, range(1, n + 1))).astype(field)
-    units = kron_family(field, u, n_units, m, lambda i, j: [
+    u = rand_unimodular(rng, n) * Matrix.diagonal(FQ, [2 ** k for k in range(n)])
+    units = dyadic_kron_family(field, u, n_units, m, lambda i, j: [
         [int(r // m == i and c // m == j and r % m == c % m) for c in range(n)] for r in range(n)])
     mats = [[[rng.randint(-3, 3) * 100 ** k for _ in range(m)] for _ in range(m)]
             for k in range(n_units ** 2)]
-    coeffs = kron_family(field, u, n_units, m, lambda i, j: [
+    coeffs = dyadic_kron_family(field, u, n_units, m, lambda i, j: [
         [mats[i * n_units + j][r % m][c % m] if r // m == c // m else 0 for c in range(n)]
         for r in range(n)])
     return units, coeffs
@@ -496,9 +560,8 @@ def test_whole_array_epsilon_check_matches_pair_loop_at_every_entry(field, n_uni
             for brk in breakages(field):
                 broken = [list(row) for row in units]
                 broken[i][j] = with_entry(units[i][j], e, brk(units[i][j].entries[e]))
-                got, want = check_epsilon(broken), epsilon_by_pairs(broken)
-                # kind, (i, j, s, t) and the expected and got matrices; NaN compares by repr
-                assert repr(got) == repr(want)
+                got = check_epsilon(broken)
+                assert_same_check(got, epsilon_by_pairs(broken))
                 firsts.add(str(got[1]))  # which relation failed first, or None
     assert len(firsts) > 2
 

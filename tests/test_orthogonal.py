@@ -341,6 +341,47 @@ def test_witness_retry_matches_eager_candidates(monkeypatch):
     assert got == eager_witness(basis.basis[0], basis, xf, xf, 0, exact_p=True)
 
 
+def test_retry_without_an_invertible_draw_moves_to_the_next_seed(monkeypatch):
+    # P fails as "zero intertwiner"; the retry at seed 6 finds no invertible
+    # draw and is skipped, and the one at seed 7 gives the witness
+    rng = random.Random(12)
+    x = rand_float_tuple(rng, 3, 2)
+    y = x.star_conjugated(givens_orthogonal(rng, 3))
+    basis = intertwiner_basis(x, y, with_star=True)
+    calls = []
+
+    def none_at_six(basis, seed, trials, sample_bound):
+        calls.append(seed)
+        if seed == 6:
+            return None, None, "no invertible draw"
+        return _decide_span(basis, seed, trials, sample_bound)
+    monkeypatch.setattr(orthogonal, "_decide_span", none_at_six)
+    zero = Matrix.zeros(FR, 3, 3)
+    got = orthogonal._float_witness_with_retries(zero, basis, x, y, 5, DEFAULT_SAMPLE_BOUND)
+    assert calls == [6, 7]
+    assert got == orthogonal._construct_float_witness(_decide_span(basis, 7, 5,
+                                                                   DEFAULT_SAMPLE_BOUND)[0], x, y)
+
+
+def test_retries_raise_the_last_failure_when_every_candidate_fails(monkeypatch):
+    rng = random.Random(12)
+    x = rand_float_tuple(rng, 3, 2)
+    y = x.star_conjugated(givens_orthogonal(rng, 3))
+    basis = intertwiner_basis(x, y, with_star=True)
+    calls = count_retries(monkeypatch)
+    failures = []
+
+    def always_fails(p, xf, yf):
+        failures.append(p)
+        raise WitnessConstructionError("failure %d" % len(failures), p)
+    monkeypatch.setattr(orthogonal, "_construct_float_witness", always_fails)
+    with pytest.raises(WitnessConstructionError, match="^failure 4$") as info:
+        orthogonal._float_witness_with_retries(basis.basis[0], basis, x, y, 0,
+                                               DEFAULT_SAMPLE_BOUND)
+    assert calls == [1, 2, 3] and len(failures) == 4
+    assert info.value.intertwiner is failures[-1]
+
+
 def test_retry_rescues_an_ill_conditioned_first_candidate(monkeypatch):
     """X = A + A and Y = B + B, block diagonal, with Y = O X O^t for a complex
     orthogonal O of dyadic entries, so every entry is exact.  The

@@ -220,6 +220,20 @@ def test_float_traces_match_a_naive_product_bit_for_bit(kind, n, d, degree):
         assert value == caster(naive), word
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_float64_fingerprint_is_eval_word_trace_by_repr(n):
+    """Every float product is numpy's ``@``, the one the fingerprint's
+    evaluation takes too, so for float64 each fingerprint value is the trace
+    of ``eval_word``'s matrix to the last bit."""
+    rng = random.Random("fingerprint-eval:%d" % n)
+    for d in range(1, 4):
+        x = rand_float_tuple(rng, n, d)
+        fp = fingerprint(x, 4, include_star=True)
+        assert len(fp.entries) > 2 * d
+        for word, value in fp.items():
+            assert repr(value) == repr(eval_word(word, x).trace()), (d, word)
+
+
 # -- fingerprints ---------------------------------------------------------------------
 
 def test_fingerprint_example_diag():
